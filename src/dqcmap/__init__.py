@@ -19,7 +19,6 @@ from .hardware import ClusterTopology, QPU, QuantumSwitch, gen_topology, load_cl
 from .placement import (
     Assignment,
     InteractionGraph,
-    PlacementParams,
     build_graph,
     cluster_graph,
     edge_cut,
@@ -32,7 +31,7 @@ __all__ = [
     "AnnealParams", "Assignment", "Circuit", "ClusterTopology", "CostBreakdown",
     "CostParams", "GateOp", "InfeasibleError", "InputError", "InteractionCount",
     "InteractionGraph", "IntraLayout", "LayeredCircuit", "Move", "Plan",
-    "PlanStep", "PlacementParams", "QPU", "QasmError", "QuantumSwitch",
+    "PlanStep", "QPU", "QasmError", "QuantumSwitch",
     "Segment", "SegmentCostEvaluator", "SegmentationParams", "ValidationError",
     "anneal_segment", "brute_force_optimum", "build_graph", "cluster_graph",
     "compile", "count_interactions", "edge_cut", "gen_topology", "jaccard",

@@ -7,6 +7,11 @@ accepted, uphill moves with probability exp(-dE / T_k). Segments are chained:
 segment s starts from segment s-1's final assignment and pays movement cost
 against it. The best assignment seen is returned, so the result is never
 worse than the initial one.
+
+The search state keeps one qubit bitmask per QPU, so a move's layout-cache
+keys are the current masks with the moved bits flipped. compile builds one
+SegmentCostEvaluator per segment and reads the step's costs and final
+intra-QPU layouts from the same cache the annealing chain filled.
 """
 from __future__ import annotations
 
@@ -15,7 +20,14 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .circuit import Circuit, layerize
-from .cost import CostBreakdown, CostParams, IntraLayout, Move, SegmentCostEvaluator, total
+from .cost import (
+    CostBreakdown,
+    CostParams,
+    IntraLayout,
+    Move,
+    SegmentCostEvaluator,
+    qpu_masks,
+)
 from .errors import InfeasibleError
 from .hardware import ClusterTopology, QuantumSwitch, record_remote_op, record_teleport
 from .placement import (
@@ -76,34 +88,35 @@ def accept_probability(delta_e: float, temperature: float) -> float:
 
 
 class SearchState:
-    """Mutable assignment the annealer walks on."""
+    """Mutable assignment the annealer walks on.
+
+    masks[p] has bit q set when qubit q sits on QPU p (masks[0] stays 0);
+    these are the layout-cache keys of SegmentCostEvaluator.
+    """
 
     def __init__(self, a: Assignment, cluster: ClusterTopology):
         self.cluster = cluster
         self.qpu_of: list[int] = list(a.qpu_of)
-        self.on_qpu: dict[int, set[int]] = {p: set() for p in range(1, cluster.n_qpus + 1)}
-        for q, p in enumerate(self.qpu_of):
-            self.on_qpu[p].add(q)
+        self.masks = qpu_masks(self.qpu_of, cluster.n_qpus)
         self.caps = cluster.capacities()
 
     def slack_qpus(self, exclude: int) -> list[int]:
         return [
             p for p in range(1, self.cluster.n_qpus + 1)
-            if p != exclude and len(self.on_qpu[p]) < self.caps[p - 1]
+            if p != exclude and self.masks[p].bit_count() < self.caps[p - 1]
         ]
 
     def apply(self, move: Move) -> None:
         if move.kind == "relocate":
-            src = self.qpu_of[move.a]
-            self.on_qpu[src].discard(move.a)
-            self.on_qpu[move.dest].add(move.a)
+            bit = 1 << move.a
+            self.masks[self.qpu_of[move.a]] &= ~bit
+            self.masks[move.dest] |= bit
             self.qpu_of[move.a] = move.dest
         elif move.kind == "swap":
             pa, pb = self.qpu_of[move.a], self.qpu_of[move.b]
-            self.on_qpu[pa].discard(move.a)
-            self.on_qpu[pa].add(move.b)
-            self.on_qpu[pb].discard(move.b)
-            self.on_qpu[pb].add(move.a)
+            flip = (1 << move.a) ^ (1 << move.b)
+            self.masks[pa] ^= flip
+            self.masks[pb] ^= flip
             self.qpu_of[move.a], self.qpu_of[move.b] = pb, pa
         else:
             raise ValueError(f"unknown move kind '{move.kind}'")
@@ -160,7 +173,7 @@ def calibrate_t0(
         move = propose(state, rng)
         if move is None:
             break
-        magnitudes.append(abs(ev.delta(state.qpu_of, state.on_qpu, move)))
+        magnitudes.append(abs(ev.delta(state.qpu_of, state.masks, move)))
     mean = sum(magnitudes) / len(magnitudes) if magnitudes else 0.0
     return mean if mean > 0 else 1.0
 
@@ -178,17 +191,15 @@ class TraceEntry:
 
 def anneal_segment(
     init: Assignment,
-    seg: Segment,
-    prev: Assignment | None,
-    cluster: ClusterTopology,
-    cp: CostParams,
+    ev: SegmentCostEvaluator,
     ap: AnnealParams,
     trace: list[TraceEntry] | None = None,
 ) -> tuple[Assignment, CostBreakdown]:
     """Refine one segment's assignment; returns the best assignment seen and
-    its exact cost breakdown. A single-QPU cluster is a no-op."""
-    ev = SegmentCostEvaluator(cluster, seg, cp, prev=prev)
-    state = SearchState(init, cluster)
+    its exact cost breakdown. ev carries the segment, the previous segment's
+    assignment, the cluster and the cost parameters; its layout cache is left
+    filled for the caller. A single-QPU cluster is a no-op."""
+    state = SearchState(init, ev.cluster)
     cur_cost = ev.breakdown(init).e_total
     best = list(state.qpu_of)
     best_cost = cur_cost
@@ -207,7 +218,7 @@ def anneal_segment(
         if move is None:
             break
         temperature = cooling(t0, rate, k)
-        de = ev.delta(state.qpu_of, state.on_qpu, move)
+        de = ev.delta(state.qpu_of, state.masks, move)
         if de <= 0:
             accepted, draw = True, None
         else:
@@ -223,7 +234,7 @@ def anneal_segment(
                 best_cost = cur_cost
                 best = list(state.qpu_of)
 
-    final = Assignment(tuple(best), segment=seg.index)
+    final = Assignment(tuple(best), segment=ev.seg.index)
     return final, ev.breakdown(final)
 
 
@@ -386,6 +397,8 @@ def compile(
     interaction graph, clustering placement for the first segment (or a
     random feasible one when initial is "random"), then per-segment annealing
     chained through the movement cost. All randomness derives from `seed`.
+    Each segment gets one SegmentCostEvaluator, whose layout cache serves
+    the annealing chain, the step's breakdown and its final layouts.
     """
     if segmentation_mode not in ("pattern", "random"):
         raise ValueError(f"unknown segmentation mode '{segmentation_mode}'")
@@ -428,15 +441,14 @@ def compile(
     current = first
     for seg_ in segments:
         init = replace(current, segment=seg_.index)
+        ev = SegmentCostEvaluator(cluster, seg_, cp, prev=prev)
         if do_anneal:
             # Per-segment chains draw from the run seed, not ap.seed, so one
             # top-level seed governs the whole compilation.
             seg_ap = replace(ap, seed=split_seed(seed, f"anneal:{seg_.index}"))
-            final, costs = anneal_segment(init, seg_, prev, cluster, cp, seg_ap)
+            final, costs = anneal_segment(init, ev, seg_ap)
         else:
-            final = init
-            costs = total(init, seg_, prev, cluster, cp)
-        ev = SegmentCostEvaluator(cluster, seg_, cp, prev=prev)
+            final, costs = init, ev.breakdown(init)
         steps.append(PlanStep(segment=seg_, assignment=final,
                               layouts=ev.layouts(final), costs=costs))
         prev = final
@@ -452,7 +464,5 @@ def compile(
     plan = Plan(circuit_name=circuit.name, n_qubits=circuit.n_qubits, seed=seed,
                 steps=tuple(steps), totals=totals, epr_total=0)
     switch = replay_epr(plan, cluster)
-    return Plan(circuit_name=plan.circuit_name, n_qubits=plan.n_qubits,
-                seed=plan.seed, steps=plan.steps, totals=plan.totals,
-                epr_total=switch.epr_consumed,
-                per_link_epr=dict(switch.per_link_epr))
+    return replace(plan, epr_total=switch.epr_consumed,
+                   per_link_epr=dict(switch.per_link_epr))

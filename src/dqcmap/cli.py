@@ -254,6 +254,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         _emit(serialize_cluster(ct), args.out)
         return EXIT_OK
 
+    if args.command in ("map", "ablate") and args.format == "csv":
+        raise InputError(f"{args.command} reports are JSON only; "
+                         "--format csv applies to sweep-ratio")
+
     circuit = _load_circuit(args, seed)
     cluster = _load_topology(args, seed)
     seg_params = _seg_params(args)

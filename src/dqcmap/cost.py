@@ -13,15 +13,16 @@ EPR usage is the integer companion: one pair per link hop for every remote
 gate and every teleport.
 
 SegmentCostEvaluator recomputes only the terms a move touches, caching
-intra-QPU layouts by (QPU, qubit set); deltas agree with full recomputation
-to float roundoff.
+intra-QPU layouts by (QPU, qubit bitmask); deltas agree with full
+recomputation to float roundoff. A layout costs work in proportion to the
+QPU's members and their adjacency lists, not to the whole segment.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .hardware import ClusterTopology, QPU
+from .hardware import ClusterTopology, QPU, _intra_table
 from .placement import Assignment
 from .segmentation import Segment
 
@@ -93,89 +94,98 @@ class Move:
     b: int = -1  # swap partner qubit
 
 
-def _coupling_hops(qpu: QPU) -> list[list[int]]:
-    """All-pairs BFS hop counts over the QPU coupling map."""
-    n = qpu.comp_capacity
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in qpu.coupling:
-        adj[i].append(j)
-        adj[j].append(i)
-    table = []
-    for start in range(n):
-        dist = [-1] * n
-        dist[start] = 0
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in sorted(adj[u]):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if any(d < 0 for d in dist):
-            raise ValueError(f"QPU '{qpu.name}': coupling graph is not connected")
-        table.append(dist)
-    return table
+def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:
+    """qubit -> [(partner, count), ...], partners ascending; pairs are
+    (i, j, count) with i < j, in ascending (i, j) order."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, j, c in pairs:
+        adj.setdefault(i, []).append((j, c))
+        adj.setdefault(j, []).append((i, c))
+    return adj
 
 
-def _greedy_layout(qpu: QPU, qubits: list[int], interactions, table) -> IntraLayout:
+def _greedy_layout(qpu: QPU, qubits: list[int], adj, table) -> IntraLayout:
     """Greedy deterministic embedding of logical qubits into a coupling map.
 
     Qubits are placed in order of decreasing interaction weight among the
     co-located set (ties toward lower qubit index). The first goes to the
     physical qubit of highest coupling degree; each later one to the free
     physical qubit minimizing the weighted coupling distance to its already
-    placed partners (ties toward the lower physical index).
+    placed partners (ties toward the lower physical index). adj is the
+    segment's adjacency (see _adjacency); counts and hops are integers, so
+    the scores are exact whatever the order they are summed in.
     """
     qset = set(qubits)
     if len(qset) != len(qubits):
         raise ValueError("duplicate qubits in layout request")
-    if len(qubits) > qpu.comp_capacity:
+    n_phys = qpu.comp_capacity
+    if len(qubits) > n_phys:
         raise InfeasibleError(
-            f"{len(qubits)} qubits exceed capacity {qpu.comp_capacity} of '{qpu.name}'"
+            f"{len(qubits)} qubits exceed capacity {n_phys} of '{qpu.name}'"
         )
-    weight_in = {q: 0.0 for q in qubits}
-    partners: dict[int, list[tuple[int, float]]] = {q: [] for q in qubits}
-    for (i, j), c in interactions.pairs.items():
-        if i in qset and j in qset:
-            weight_in[i] += c
-            weight_in[j] += c
-            partners[i].append((j, float(c)))
-            partners[j].append((i, float(c)))
-    order = sorted(qubits, key=lambda q: (-weight_in[q], q))
+    partners = {q: [(o, c) for o, c in adj.get(q, ()) if o in qset] for q in qubits}
+    order = sorted(qubits, key=lambda q: (-sum(c for _, c in partners[q]), q))
 
-    degree = [0] * qpu.comp_capacity
+    degree = [0] * n_phys
     for i, j in qpu.coupling:
         degree[i] += 1
         degree[j] += 1
 
     phys_of: dict[int, int] = {}
-    free: list[int] = list(range(qpu.comp_capacity))
+    free: list[int] = list(range(n_phys))
     for q in order:
         if not phys_of:
-            pick = max(free, key=lambda ph: (degree[ph], -ph))
+            pick = max(free, key=degree.__getitem__)  # first, so lowest index
         else:
-            placed = [(phys_of[o], w) for o, w in partners[q] if o in phys_of]
-            pick = min(free, key=lambda ph: (sum(w * table[ph][po] for po, w in placed), ph))
+            # Score every physical qubit, one placed partner's distance row
+            # at a time; min() keeps the lowest free index among ties.
+            score = None
+            for o, c in partners[q]:
+                po = phys_of.get(o)
+                if po is not None:
+                    row = table[po]
+                    score = ([c * d for d in row] if score is None
+                             else [s + c * d for s, d in zip(score, row)])
+            pick = free[0] if score is None else min(free, key=score.__getitem__)
         phys_of[q] = pick
         free.remove(pick)
     return IntraLayout(qpu_id=qpu.id, phys_of=phys_of)
 
 
 def intra_layout(qpu: QPU, qubits: list[int], interactions) -> IntraLayout:
-    """Standalone layout call; distances computed from the coupling map."""
-    return _greedy_layout(qpu, sorted(qubits), interactions, _coupling_hops(qpu))
+    """Standalone layout call; distances from the cluster's intra-QPU table."""
+    pairs = [(i, j, c) for (i, j), c in sorted(interactions.pairs.items())]
+    return _greedy_layout(qpu, sorted(qubits), _adjacency(pairs), _intra_table(qpu))
+
+
+def qpu_masks(qpu_of, n_qpus: int) -> list[int]:
+    """masks[p] has bit q set when qpu_of[q] == p; masks[0] is unused (0)."""
+    masks = [0] * (n_qpus + 1)
+    for q, p in enumerate(qpu_of):
+        masks[p] |= 1 << q
+    return masks
+
+
+def _members(mask: int) -> list[int]:
+    """Set bits of mask, ascending: qubit q is a member when bit q is set."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class SegmentCostEvaluator:
     """Objective evaluation for one segment against one cluster.
 
     Holds the per-pair gate counts, the distance tables, and a cache of
-    intra-QPU layouts keyed by (QPU id, frozen qubit set), which is sound
-    because the segment's interactions are fixed for the evaluator's
-    lifetime. prev is the previous segment's assignment, or None for the
-    first segment (no movement charge).
+    intra-QPU layouts keyed by (QPU id, qubit bitmask), bit q set when qubit
+    q sits on the QPU. The cache is sound because the segment's interactions
+    are fixed for the evaluator's lifetime, and compile builds one evaluator
+    per segment: annealing, the step's exact breakdown and its final layouts
+    all read the same cache. prev is the previous segment's assignment, or
+    None for the first segment (no movement charge).
     """
 
     def __init__(
@@ -192,37 +202,44 @@ class SegmentCostEvaluator:
         self.pairs: list[tuple[int, int, int]] = [
             (i, j, c) for (i, j), c in sorted(seg.interactions.pairs.items())
         ]
-        self.adj: dict[int, list[tuple[int, int]]] = {}
-        for i, j, c in self.pairs:
-            self.adj.setdefault(i, []).append((j, c))
-            self.adj.setdefault(j, []).append((i, c))
-        self._layout_cache: dict[tuple[int, frozenset[int]], tuple[IntraLayout, float]] = {}
+        self.adj = _adjacency(self.pairs)
+        n = cluster.n_qpus
+        inter_cost = cluster.distances.inter_cost
+        # _cost_rows[p][r] is inter_cost[(p, r)]; _caps[p] the capacity of
+        # QPU p. Index 0 is unused, as QPU ids start at 1.
+        self._cost_rows = [()] + [
+            [0.0] + [inter_cost[(p, r)] for r in range(1, n + 1)] for p in range(1, n + 1)
+        ]
+        self._caps = [0] + cluster.capacities()
+        # upper[i]: the pairs (i, j) with j > i, j ascending, so walking the
+        # members in ascending order visits pairs in ascending (i, j) order.
+        self._upper = {i: [(j, c) for j, c in row if j > i] for i, row in self.adj.items()}
+        self._layout_cache: dict[tuple[int, int], tuple[IntraLayout, float]] = {}
 
     # -- per-QPU local term ------------------------------------------------
 
-    def layout_and_local(self, pid: int, qubits: frozenset[int]) -> tuple[IntraLayout, float]:
-        key = (pid, qubits)
+    def layout_and_local(self, pid: int, mask: int) -> tuple[IntraLayout, float]:
+        """Layout of the qubits in `mask` on QPU pid and their local cost."""
+        key = (pid, mask)
         hit = self._layout_cache.get(key)
         if hit is not None:
             return hit
-        qpu = self.cluster.qpu(pid)
-        lay = _greedy_layout(
-            qpu, sorted(qubits), self.seg.interactions,
-            self.cluster.distances.intra[pid - 1],
-        )
-        cost = 0.0
-        cp = self.cp
+        members = _members(mask)
         table = self.cluster.distances.intra[pid - 1]
-        for i, j, c in self.pairs:
-            if i in qubits and j in qubits:
-                d = table[lay.phys_of[i]][lay.phys_of[j]]
-                cost += c * (cp.cx_cost + cp.swap_cost * max(0, d - 1))
+        lay = _greedy_layout(self.cluster.qpus[pid - 1], members, self.adj, table)
+        phys_of = lay.phys_of
+        cx, swap = self.cp.cx_cost, self.cp.swap_cost
+        upper = self._upper
+        cost = 0.0
+        for i in members:
+            row = table[phys_of[i]]
+            for j, c in upper.get(i, ()):
+                if mask >> j & 1:
+                    d = row[phys_of[j]]
+                    cost += c * (cx + swap * max(0, d - 1))
         out = (lay, cost)
         self._layout_cache[key] = out
         return out
-
-    def local_cost(self, pid: int, qubits: frozenset[int]) -> float:
-        return self.layout_and_local(pid, qubits)[1]
 
     # -- full evaluation -----------------------------------------------------
 
@@ -239,10 +256,9 @@ class SegmentCostEvaluator:
                 e_inter += c * cp.remote_op_cost * inter_cost[(pi, pj)]
                 epr += c * inter_hops[(pi, pj)]
         e_local = 0.0
-        for pid in range(1, self.cluster.n_qpus + 1):
-            members = frozenset(q for q in range(len(qo)) if qo[q] == pid)
-            if members:
-                e_local += self.local_cost(pid, members)
+        for pid, mask in enumerate(qpu_masks(qo, self.cluster.n_qpus)):
+            if mask:
+                e_local += self.layout_and_local(pid, mask)[1]
         e_move = 0.0
         if self.prev is not None:
             po = self.prev.qpu_of
@@ -256,40 +272,45 @@ class SegmentCostEvaluator:
 
     # -- incremental evaluation ----------------------------------------------
 
-    def delta(self, qpu_of: list[int], on_qpu: dict[int, set[int]], move: Move) -> float:
+    def delta(self, qpu_of: list[int], masks, move: Move) -> float:
         """Objective change if `move` were applied to the current state.
 
-        qpu_of and on_qpu describe the current assignment and are not
-        modified. Relocations into a full QPU raise InfeasibleError; null
+        qpu_of and masks describe the current assignment and are not
+        modified; masks[p] is the bitmask of the qubits on QPU p. The layout
+        keys of the changed QPUs are the current masks with the moved bits
+        flipped. Relocations into a full QPU raise InfeasibleError; null
         moves cost 0.
         """
         cp = self.cp
-        inter_cost = self.cluster.distances.inter_cost
+        rows = self._cost_rows
+        local = self.layout_and_local
         if move.kind == "relocate":
             q, src, dst = move.a, qpu_of[move.a], move.dest
             if dst == src:
                 return 0.0
-            cap = self.cluster.qpu(dst).comp_capacity
-            if len(on_qpu.get(dst, ())) >= cap:
+            m_dst = masks[dst]
+            if m_dst.bit_count() >= self._caps[dst]:
                 raise InfeasibleError(f"QPU {dst} is full")
             d_inter = 0.0
+            row_dst, row_src = rows[dst], rows[src]
             for o, c in self.adj.get(q, ()):
                 po = qpu_of[o]
-                d_inter += c * (inter_cost[(dst, po)] - inter_cost[(src, po)])
+                d_inter += c * (row_dst[po] - row_src[po])
             d_inter *= cp.remote_op_cost
-            s_src = frozenset(on_qpu[src])
-            s_dst = frozenset(on_qpu.get(dst, set()))
+            bit = 1 << q
+            m_src = masks[src]
+            rest = m_src ^ bit
             d_local = (
-                self.local_cost(src, s_src - {q}) - self.local_cost(src, s_src)
-                if len(s_src) > 1 else -self.local_cost(src, s_src)
+                local(src, rest)[1] - local(src, m_src)[1]
+                if rest else -local(src, m_src)[1]
             )
-            d_local += self.local_cost(dst, s_dst | {q}) - (
-                self.local_cost(dst, s_dst) if s_dst else 0.0
+            d_local += local(dst, m_dst | bit)[1] - (
+                local(dst, m_dst)[1] if m_dst else 0.0
             )
             d_move = 0.0
             if self.prev is not None:
                 pq = self.prev.qpu_of[q]
-                d_move = cp.teleport_cost * (inter_cost[(pq, dst)] - inter_cost[(pq, src)])
+                d_move = cp.teleport_cost * (rows[pq][dst] - rows[pq][src])
             return cp.gamma1 * d_inter + cp.gamma2 * d_local + cp.gamma3 * d_move
 
         if move.kind == "swap":
@@ -298,41 +319,40 @@ class SegmentCostEvaluator:
             if qa == qb or pa == pb:
                 return 0.0
             d_inter = 0.0
+            row_a, row_b = rows[pa], rows[pb]
             for o, c in self.adj.get(qa, ()):
                 if o == qb:
                     continue  # their own pair stays at the same distance
                 po = qpu_of[o]
-                d_inter += c * (inter_cost[(pb, po)] - inter_cost[(pa, po)])
+                d_inter += c * (row_b[po] - row_a[po])
             for o, c in self.adj.get(qb, ()):
                 if o == qa:
                     continue
                 po = qpu_of[o]
-                d_inter += c * (inter_cost[(pa, po)] - inter_cost[(pb, po)])
+                d_inter += c * (row_a[po] - row_b[po])
             d_inter *= cp.remote_op_cost
-            s_a = frozenset(on_qpu[pa])
-            s_b = frozenset(on_qpu[pb])
+            flip = (1 << qa) | (1 << qb)
+            m_a, m_b = masks[pa], masks[pb]
             d_local = (
-                self.local_cost(pa, (s_a - {qa}) | {qb}) - self.local_cost(pa, s_a)
-                + self.local_cost(pb, (s_b - {qb}) | {qa}) - self.local_cost(pb, s_b)
+                local(pa, m_a ^ flip)[1] - local(pa, m_a)[1]
+                + local(pb, m_b ^ flip)[1] - local(pb, m_b)[1]
             )
             d_move = 0.0
             if self.prev is not None:
                 po = self.prev.qpu_of
                 d_move = cp.teleport_cost * (
-                    inter_cost[(po[qa], pb)] - inter_cost[(po[qa], pa)]
-                    + inter_cost[(po[qb], pa)] - inter_cost[(po[qb], pb)]
+                    rows[po[qa]][pb] - rows[po[qa]][pa]
+                    + rows[po[qb]][pa] - rows[po[qb]][pb]
                 )
             return cp.gamma1 * d_inter + cp.gamma2 * d_local + cp.gamma3 * d_move
 
         raise ValueError(f"unknown move kind '{move.kind}'")
 
     def layouts(self, a: Assignment) -> dict[int, IntraLayout]:
-        out = {}
-        for pid in range(1, self.cluster.n_qpus + 1):
-            members = frozenset(a.qubits_on(pid))
-            if members:
-                out[pid] = self.layout_and_local(pid, members)[0]
-        return out
+        return {
+            pid: self.layout_and_local(pid, mask)[0]
+            for pid, mask in enumerate(qpu_masks(a.qpu_of, self.cluster.n_qpus)) if mask
+        }
 
 
 # -- module-level operation forms ---------------------------------------------
@@ -371,8 +391,4 @@ def total(a: Assignment, seg: Segment, prev: Assignment | None,
 
 def delta_total(ev: SegmentCostEvaluator, a: Assignment, move: Move) -> float:
     """Incremental objective change of `move` applied to assignment `a`."""
-    qpu_of = list(a.qpu_of)
-    on_qpu: dict[int, set[int]] = {}
-    for q, p in enumerate(qpu_of):
-        on_qpu.setdefault(p, set()).add(q)
-    return ev.delta(qpu_of, on_qpu, move)
+    return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus), move)

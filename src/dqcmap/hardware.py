@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import heapq
 import json
-import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InfeasibleError, ValidationError
 from .seeding import component_rng
@@ -31,7 +30,6 @@ class QPU:
     comp_capacity: int
     coupling: tuple[tuple[int, int], ...]
     comm_qubits: int = 1
-    switch_id: int = 0
 
 
 class QuantumSwitch:
@@ -95,11 +93,11 @@ class DistanceTables:
 
 @dataclass(frozen=True)
 class ClusterTopology:
-    """Validated cluster: QPUs, links, switch and distance tables."""
+    """Validated cluster: QPUs, links and distance tables. EPR accounting
+    runs on a switch from fresh_switch()."""
 
     qpus: tuple[QPU, ...]
     links: tuple[tuple[int, int, float], ...]  # (a, b, cost_factor), a < b
-    switch: QuantumSwitch
     distances: DistanceTables
 
     @property
@@ -278,7 +276,6 @@ def build_cluster(
     return ClusterTopology(
         qpus=tuple(qpus),
         links=tuple(links),
-        switch=QuantumSwitch([(a, b) for a, b, _ in links]),
         distances=DistanceTables(intra=intra, inter_cost=cost, inter_hops=hops,
                                  inter_path=path),
     )

@@ -45,18 +45,6 @@ class InteractionGraph:
 
 
 @dataclass(frozen=True)
-class PlacementParams:
-    decay: float
-    partitions: int
-
-    def __post_init__(self):
-        if self.decay < 0:
-            raise ValueError("decay must be >= 0")
-        if self.partitions < 1:
-            raise ValueError("partitions must be >= 1")
-
-
-@dataclass(frozen=True)
 class Assignment:
     """Logical qubit -> QPU id (1-based), valid for one segment."""
 
@@ -75,11 +63,6 @@ class Assignment:
         for p in self.qpu_of:
             out[p - 1] += 1
         return out
-
-    def moved_from(self, prev: "Assignment") -> list[int]:
-        if len(prev.qpu_of) != len(self.qpu_of):
-            raise ValueError("assignments cover different qubit counts")
-        return [q for q in range(len(self.qpu_of)) if self.qpu_of[q] != prev.qpu_of[q]]
 
 
 def default_decay(n_segments: int) -> float:

@@ -207,7 +207,7 @@ def test_criterion_3_delta_consistency(acceptance):
             move = propose(state, rng)
             if move is None:
                 break
-            d = ev.delta(state.qpu_of, state.on_qpu, move)
+            d = ev.delta(state.qpu_of, state.masks, move)
             state.apply(move)
             after = ev.breakdown(Assignment(tuple(state.qpu_of))).e_total
             full = after - before

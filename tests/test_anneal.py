@@ -85,13 +85,13 @@ class TestPropose:
             move = propose(state, rng)
             assert move is not None
             if move.kind == "relocate":
-                dest_load = len(state.on_qpu[move.dest])
+                dest_load = state.masks[move.dest].bit_count()
                 assert dest_load < ct.qpu(move.dest).comp_capacity
             else:
                 assert state.qpu_of[move.a] != state.qpu_of[move.b]
             state.apply(move)
             for p in (1, 2):
-                assert len(state.on_qpu[p]) <= ct.qpu(p).comp_capacity
+                assert state.masks[p].bit_count() <= ct.qpu(p).comp_capacity
 
     def test_kind_mix_matches_weights(self):
         # both kinds always available here; equal weights give p = 1/2,
@@ -148,21 +148,22 @@ class TestAnnealSegment:
         ct, seg, init = self._instance()
         cp = CostParams()
         ap = AnnealParams(iters_per_segment=300, seed=4)
-        final, bd = anneal_segment(init, seg, None, ct, cp, ap)
+        final, bd = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp), ap)
         assert bd.e_total <= total(init, seg, None, ct, cp).e_total + 1e-9
 
     def test_deterministic(self):
         ct, seg, init = self._instance()
         ap = AnnealParams(iters_per_segment=300, seed=4)
-        one = anneal_segment(init, seg, None, ct, CostParams(), ap)
-        two = anneal_segment(init, seg, None, ct, CostParams(), ap)
+        one = anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap)
+        two = anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap)
         assert one == two
 
     def test_returned_cost_is_exact(self):
         ct, seg, init = self._instance()
         prev = Assignment((1, 1, 1, 2, 2))
         ap = AnnealParams(iters_per_segment=300, seed=9)
-        final, bd = anneal_segment(init, seg, prev, ct, CostParams(), ap)
+        ev = SegmentCostEvaluator(ct, seg, CostParams(), prev=prev)
+        final, bd = anneal_segment(init, ev, ap)
         assert bd == total(final, seg, prev, ct, CostParams())
 
     def test_single_qpu_noop(self):
@@ -171,7 +172,7 @@ class TestAnnealSegment:
               "coupling": line_coupling(6), "comm_qubits": 1}], [])
         seg = seg_of({(0, 1): 2})
         init = Assignment((1, 1, 1))
-        final, bd = anneal_segment(init, seg, None, ct, CostParams(),
+        final, bd = anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()),
                                    AnnealParams(iters_per_segment=50))
         assert final.qpu_of == init.qpu_of
 
@@ -179,7 +180,7 @@ class TestAnnealSegment:
         ct, seg, init = self._instance()
         ap = AnnealParams(t0=40.0, cooling_rate=0.02, iters_per_segment=500, seed=7)
         trace: list[TraceEntry] = []
-        anneal_segment(init, seg, None, ct, CostParams(), ap, trace=trace)
+        anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap, trace=trace)
         assert len(trace) == 500
         uphill_acc = uphill_rej = 0
         for e in trace:
@@ -200,7 +201,7 @@ class TestAnnealSegment:
         ct, seg, init = self._instance()
         cp = CostParams()
         ap = AnnealParams(iters_per_segment=150, seed=seed)
-        _, bd = anneal_segment(init, seg, None, ct, cp, ap)
+        _, bd = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp), ap)
         assert bd.e_total <= total(init, seg, None, ct, cp).e_total + 1e-9
 
 

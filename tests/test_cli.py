@@ -141,6 +141,14 @@ class TestMap:
         assert code == EXIT_INPUT
         assert "together" in err
 
+    @pytest.mark.parametrize("command", ["map", "ablate"])
+    def test_csv_format_rejected(self, command, capsys):
+        code, out, err = run_cli(capsys, command, "--bench", "qft", "--size", "6",
+                                 "--gen", "line", "--sizes", "4,4", "--format", "csv")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--format csv" in err
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--bench", "nosuch", "--size", "4",

@@ -249,7 +249,7 @@ class TestDelta:
     def test_layout_cache_reused(self):
         ct = two_qpu_line(3, 3)
         ev = SegmentCostEvaluator(ct, seg_of({(0, 1): 2, (1, 2): 1}), CostParams())
-        members = frozenset({0, 1, 2})
+        members = 0b111  # qubits 0, 1 and 2
         first = ev.layout_and_local(1, members)
         assert ev.layout_and_local(1, members) is first
 
