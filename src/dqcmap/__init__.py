@@ -2,7 +2,16 @@
 
 __version__ = "0.1.0"
 
-from .anneal import AnnealParams, Plan, PlanStep, anneal_segment, brute_force_optimum, compile
+from .anneal import (
+    AnnealParams,
+    Plan,
+    PlanStep,
+    Prepared,
+    anneal_segment,
+    brute_force_optimum,
+    compile,
+    prepare,
+)
 from .circuit import (
     Circuit,
     GateOp,
@@ -31,11 +40,11 @@ __all__ = [
     "AnnealParams", "Assignment", "Circuit", "ClusterTopology", "CostBreakdown",
     "CostParams", "GateOp", "InfeasibleError", "InputError", "InteractionCount",
     "InteractionGraph", "IntraLayout", "LayeredCircuit", "Move", "Plan",
-    "PlanStep", "QPU", "QasmError", "QuantumSwitch",
+    "PlanStep", "Prepared", "QPU", "QasmError", "QuantumSwitch",
     "Segment", "SegmentCostEvaluator", "SegmentationParams", "ValidationError",
     "anneal_segment", "brute_force_optimum", "build_graph", "cluster_graph",
     "compile", "count_interactions", "edge_cut", "gen_topology", "jaccard",
-    "layerize", "load_cluster", "parse_qasm", "random_placement",
+    "layerize", "load_cluster", "parse_qasm", "prepare", "random_placement",
     "random_segment", "repair_capacity", "segment", "serialize_qasm",
     "__version__",
 ]

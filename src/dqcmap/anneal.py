@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .circuit import Circuit, layerize
+from .circuit import Circuit, LayeredCircuit, layerize
 from .cost import (
     CostBreakdown,
     CostParams,
@@ -121,8 +121,18 @@ class SearchState:
         else:
             raise ValueError(f"unknown move kind '{move.kind}'")
 
-    def to_assignment(self, segment_index: int) -> Assignment:
-        return Assignment(tuple(self.qpu_of), segment=segment_index)
+
+def _nth_bit(mask: int, k: int) -> int:
+    """Position of the k-th lowest set bit of mask (k from 0), by bisecting
+    on the count of set bits at or below a position."""
+    lo, hi = 0, mask.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((2 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def propose(
@@ -136,7 +146,8 @@ def propose(
     The move kind is drawn by the configured weights. A relocation picks a
     uniform qubit and a uniform destination among QPUs with slack; when none
     has slack it falls back to a swap. A swap picks a uniform qubit and a
-    uniform partner among qubits on other QPUs.
+    uniform partner among qubits on other QPUs, in ascending order, read
+    from the union of the other QPUs' masks.
     """
     n = len(state.qpu_of)
     if state.cluster.n_qpus < 2 or n < 1:
@@ -146,10 +157,11 @@ def propose(
 
     def draw_swap() -> Move | None:
         qa = rng.randrange(n)
-        others = [q for q in range(n) if state.qpu_of[q] != state.qpu_of[qa]]
-        if not others:
+        others = ((1 << n) - 1) ^ state.masks[state.qpu_of[qa]]
+        count = others.bit_count()
+        if not count:
             return None
-        return Move(kind="swap", a=qa, b=others[rng.randrange(len(others))])
+        return Move(kind="swap", a=qa, b=_nth_bit(others, rng.randrange(count)))
 
     if want_relocate:
         q = rng.randrange(n)
@@ -278,8 +290,7 @@ def brute_force_optimum(
     if cluster.total_capacity < circuit.n_qubits:
         raise InfeasibleError("circuit does not fit the cluster")
     if segments is None:
-        lc = layerize(circuit)
-        segments = segment(lc, seg_params)
+        segments = prepare(circuit, seg_params).segments
     if not segments:
         return [], 0.0
 
@@ -329,6 +340,22 @@ def brute_force_optimum(
 
 
 # -- pipeline -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Prepared:
+    """A circuit's ASAP layering and its interaction-pattern segments. Treat
+    as read-only."""
+
+    layered: LayeredCircuit
+    segments: list[Segment]
+
+
+def prepare(circuit: Circuit, seg_params: SegmentationParams | None = None) -> Prepared:
+    """Layerize and segment once, for every compile of this circuit under
+    the same segmentation parameters."""
+    lc = layerize(circuit)
+    return Prepared(layered=lc, segments=segment(lc, seg_params))
+
 
 @dataclass(frozen=True)
 class PlanStep:
@@ -389,6 +416,7 @@ def compile(
     n_segments: int | None = None,
     initial: str = "cluster",
     do_anneal: bool = True,
+    prepared: Prepared | None = None,
 ) -> Plan:
     """Map a circuit onto a cluster.
 
@@ -399,6 +427,8 @@ def compile(
     chained through the movement cost. All randomness derives from `seed`.
     Each segment gets one SegmentCostEvaluator, whose layout cache serves
     the annealing chain, the step's breakdown and its final layouts.
+    `prepared`, the result of prepare(circuit, seg_params), skips the
+    layering and segmentation; seg_params is then not read.
     """
     if segmentation_mode not in ("pattern", "random"):
         raise ValueError(f"unknown segmentation mode '{segmentation_mode}'")
@@ -412,8 +442,11 @@ def compile(
     cp = cost_params if cost_params is not None else CostParams()
     ap = anneal_params if anneal_params is not None else AnnealParams()
 
-    lc = layerize(circuit)
-    pattern = segment(lc, seg_params)
+    if prepared is None:
+        prepared = prepare(circuit, seg_params)
+    elif prepared.layered.circuit != circuit:
+        raise ValueError("prepared is for another circuit")
+    lc, pattern = prepared.layered, prepared.segments
     if segmentation_mode == "random":
         count = n_segments if n_segments is not None else max(1, len(pattern))
         segments = random_segment(lc, count if lc.depth else 0,

@@ -124,17 +124,6 @@ class InteractionCount:
         """Total count of interactions that touch qubit q."""
         return sum(c for (i, j), c in self.pairs.items() if q == i or q == j)
 
-    def touching(self, q: int) -> list[tuple[int, int]]:
-        """(partner, count) rows for qubit q, partner ascending."""
-        rows = []
-        for (i, j), c in self.pairs.items():
-            if i == q:
-                rows.append((j, c))
-            elif j == q:
-                rows.append((i, c))
-        rows.sort()
-        return rows
-
 
 def layerize(circuit: Circuit) -> LayeredCircuit:
     """Assign every gate its earliest layer.

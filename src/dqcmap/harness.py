@@ -12,8 +12,8 @@ import statistics
 from dataclasses import replace
 
 from . import __version__
-from .anneal import AnnealParams, Plan, compile
-from .circuit import Circuit, layerize
+from .anneal import AnnealParams, Plan, compile, prepare
+from .circuit import Circuit
 from .cost import CostParams
 from .hardware import ClusterTopology
 from .seeding import split_seed
@@ -54,8 +54,7 @@ def _plan_dict(plan: Plan) -> dict:
 
 
 def _run_header(command: str, seed: int, circuit: Circuit,
-                cluster: ClusterTopology, cp: CostParams) -> dict:
-    lc = layerize(circuit)
+                cluster: ClusterTopology, cp: CostParams, depth: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "run": {
@@ -77,7 +76,7 @@ def _run_header(command: str, seed: int, circuit: Circuit,
             "n_qubits": circuit.n_qubits,
             "n_gates": circuit.n_gates,
             "two_qubit_gates": circuit.two_qubit_gate_count,
-            "depth": lc.depth,
+            "depth": depth,
         },
         "topology": {
             "qpus": [
@@ -99,19 +98,21 @@ def run_map(
     baseline_samples: int = 10,
 ) -> dict:
     """Full pipeline on one circuit; report includes a random-placement
-    baseline (median of `baseline_samples` static draws) for context."""
+    baseline (median of `baseline_samples` static draws) for context. The
+    circuit is layered and segmented once for the plan and every draw."""
     cp = cost_params if cost_params is not None else CostParams()
-    plan = compile(circuit, cluster, seed=seed, seg_params=seg_params,
-                   cost_params=cp, anneal_params=anneal_params)
+    prep = prepare(circuit, seg_params)
+    plan = compile(circuit, cluster, seed=seed, cost_params=cp,
+                   anneal_params=anneal_params, prepared=prep)
     base_totals = []
     for i in range(baseline_samples):
         base = compile(circuit, cluster, seed=split_seed(seed, f"baseline:{i}"),
-                       seg_params=seg_params, cost_params=cp,
-                       initial="random", do_anneal=False)
+                       cost_params=cp, initial="random", do_anneal=False,
+                       prepared=prep)
         base_totals.append(base.total_cost)
     base_median = statistics.median(base_totals) if base_totals else 0.0
     reduction = ((base_median - plan.total_cost) / base_median) if base_median > 0 else 0.0
-    report = _run_header("map", seed, circuit, cluster, cp)
+    report = _run_header("map", seed, circuit, cluster, cp, prep.layered.depth)
     report.update(_plan_dict(plan))
     report["baseline"] = {
         "samples": baseline_samples,
@@ -135,21 +136,24 @@ def run_ablate(
     plus clustering, no annealing. L2: random segment boundaries, clustering,
     annealing. L3: the full pipeline. Arms share cost parameters and derive
     their randomness from the run seed; reductions are relative to baseline.
+    All arms share one layering and pattern segmentation; L2 takes its
+    segment count from the pattern segments.
     """
     cp = cost_params if cost_params is not None else CostParams()
+    prep = prepare(circuit, seg_params)
     plans = {
-        "baseline": compile(circuit, cluster, seed=seed, seg_params=seg_params,
-                            cost_params=cp, initial="random", do_anneal=False),
-        "L1": compile(circuit, cluster, seed=seed, seg_params=seg_params,
-                      cost_params=cp, do_anneal=False),
-        "L2": compile(circuit, cluster, seed=seed, seg_params=seg_params,
-                      cost_params=cp, anneal_params=anneal_params,
-                      segmentation_mode="random"),
-        "L3": compile(circuit, cluster, seed=seed, seg_params=seg_params,
-                      cost_params=cp, anneal_params=anneal_params),
+        "baseline": compile(circuit, cluster, seed=seed, cost_params=cp,
+                            initial="random", do_anneal=False, prepared=prep),
+        "L1": compile(circuit, cluster, seed=seed, cost_params=cp,
+                      do_anneal=False, prepared=prep),
+        "L2": compile(circuit, cluster, seed=seed, cost_params=cp,
+                      anneal_params=anneal_params, segmentation_mode="random",
+                      prepared=prep),
+        "L3": compile(circuit, cluster, seed=seed, cost_params=cp,
+                      anneal_params=anneal_params, prepared=prep),
     }
     base_total = plans["baseline"].total_cost
-    report = _run_header("ablate", seed, circuit, cluster, cp)
+    report = _run_header("ablate", seed, circuit, cluster, cp, prep.layered.depth)
     report["arms"] = {
         arm: {
             "totals": plan.totals.as_dict(),
@@ -182,6 +186,7 @@ def run_sweep_ratio(
     absolute terms while the total falls with cheaper interconnects."""
     if not ratios:
         raise ValueError("no ratios given")
+    prep = prepare(circuit, seg_params)
     rows = []
     for r in ratios:
         if cost_params is not None:
@@ -190,8 +195,8 @@ def run_sweep_ratio(
                          teleport_cost=r * cost_params.cx_cost)
         else:
             cp = CostParams.from_ratio(r)
-        plan = compile(circuit, cluster, seed=seed, seg_params=seg_params,
-                       cost_params=cp, anneal_params=anneal_params)
+        plan = compile(circuit, cluster, seed=seed, cost_params=cp,
+                       anneal_params=anneal_params, prepared=prep)
         rows.append({
             "ratio": r,
             "e_inter_share": cp.gamma1 * plan.totals.e_inter,

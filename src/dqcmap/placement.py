@@ -14,6 +14,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .errors import InfeasibleError
 from .hardware import ClusterTopology
@@ -352,46 +353,71 @@ def random_placement(n_qubits: int, cluster: ClusterTopology, seed: int) -> Assi
     Qubits are placed one at a time; each QPU is picked with probability
     proportional to the number of feasible completions given its remaining
     capacity, which makes every feasible assignment equally likely.
+
+    The completion counts are exact integers from a closed form. F[j], the
+    number of ways to place j distinct qubits under the remaining capacities
+    r_i, is the labelled product over QPUs of the factors G_r[k] = [k <= r]:
+    (A * B)[j] = sum_k C(j, k) A[k] B[j - k]. For QPU i the quotient
+    H = F / G_{r_i} follows from an exact integer recurrence, and placing the
+    next qubit there leaves F - C(j, r_i) H[j - r_i] ways (the product with
+    G_{r_i - 1}). With m qubits left the draw over F[m] ways costs
+    O(P * m * max_cap) big-int operations and no recursion; the table of
+    binomials C(j, k), k <= max_cap, holds O(n_qubits * max_cap) integers.
     """
     if n_qubits < 1:
         raise ValueError("nothing to place")
     _check_fits(n_qubits, cluster)
-    caps = tuple(p.comp_capacity for p in cluster.qpus)
+    rem = [p.comp_capacity for p in cluster.qpus]
     rng = random.Random(seed)
-    memo: dict[tuple[int, ...], int] = {}
+    kmax = min(max(rem), n_qubits)
+    # desc[j] = [C(j, K), ..., C(j, 1), C(j, 0)] with K = min(j, kmax), by
+    # Pascal's rule: desc[j][-1 - k:] against seq[j - k:j + 1] pairs C(j, t)
+    # with seq[j - t].
+    row, desc = [1], [[1]]
+    for j in range(1, n_qubits + 1):
+        row = [1] + [x + y for x, y in zip(row[1:], row)] + ([1] if j <= kmax else [])
+        desc.append(row[::-1])
 
-    def completions(rem: tuple[int, ...], m: int) -> int:
-        if m == 0:
-            return 1
-        if sum(rem) < m:
-            return 0
-        cached = memo.get(rem)
-        if cached is not None:
-            return cached
-        total = 0
-        for idx in range(len(rem)):
-            if rem[idx] > 0:
-                total += completions(rem[:idx] + (rem[idx] - 1,) + rem[idx + 1:], m - 1)
-        memo[rem] = total
-        return total
+    ways = [1] + [0] * n_qubits
+    for r in rem:
+        ways = [
+            sum(map(mul, desc[j][-1 - min(j, r):], ways[j - min(j, r):j + 1]))
+            for j in range(n_qubits + 1)
+        ]
 
-    rem = caps
+    def quotient(r: int, upto: int) -> list[int]:
+        """(ways / G_r)[0..upto], from ways[j] = sum_{k<=min(j,r)} C(j,k) H[j-k]."""
+        h: list[int] = []
+        for j in range(upto + 1):
+            k = min(j, r)
+            h.append(ways[j] - sum(map(mul, desc[j][-1 - k:-1], h[j - k:j])))
+        return h
+
     out = []
     for placed in range(n_qubits):
         m = n_qubits - placed
-        weights = []
-        for idx in range(len(rem)):
-            if rem[idx] > 0:
-                weights.append(completions(rem[:idx] + (rem[idx] - 1,) + rem[idx + 1:], m - 1))
-            else:
-                weights.append(0)
-        total = sum(weights)
-        draw = rng.randrange(total)
+        # The weights sum to ways[m], so the draw comes first and only the
+        # weights up to the chosen QPU are computed.
+        draw = rng.randrange(ways[m])
         acc = 0
-        for idx, wgt in enumerate(weights):
-            acc += wgt
+        quotients: dict[int, list[int]] = {}
+        for idx, r in enumerate(rem):
+            if r == 0:
+                continue
+            h = None
+            if r < m:
+                h = quotients.get(r)
+                if h is None:
+                    h = quotients[r] = quotient(r, m - 1 - r)
+                acc += ways[m - 1] - desc[m - 1][-1 - r] * h[m - 1 - r]
+            else:  # the other m - 1 qubits fit into r - 1 as well as into r
+                acc += ways[m - 1]
             if draw < acc:
-                out.append(idx + 1)
-                rem = rem[:idx] + (rem[idx] - 1,) + rem[idx + 1:]
                 break
+        if h is not None:
+            ways = ways[:r] + [ways[j] - desc[j][-1 - r] * h[j - r] for j in range(r, m)]
+        else:
+            ways = ways[:m]
+        out.append(idx + 1)
+        rem[idx] -= 1
     return Assignment(tuple(out), segment=1)

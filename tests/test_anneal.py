@@ -121,6 +121,21 @@ class TestPropose:
         assert all(propose(state, rng, 1.0, 0.0).kind == "swap"
                    for _ in range(100))
 
+    def test_swap_partner_matches_list_scan(self):
+        # The partner is the k-th qubit on another QPU in ascending order,
+        # drawn by the same rng calls as indexing a list of those qubits.
+        ct = two_qpu_line(8, 9)
+        for seed in range(20):
+            state = SearchState(random_placement(12, ct, seed=seed), ct)
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                move = propose(state, ours, 0.0, 1.0)
+                ref.random()
+                qa = ref.randrange(12)
+                others = [q for q in range(12) if state.qpu_of[q] != state.qpu_of[qa]]
+                assert (move.a, move.b) == (qa, others[ref.randrange(len(others))])
+                state.apply(move)
+
     def test_single_qpu_has_no_moves(self):
         ct = build_cluster(
             [{"name": "solo", "comp_capacity": 4,

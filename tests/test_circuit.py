@@ -183,8 +183,6 @@ class TestInteractionCount:
         assert ic.pairs == {(0, 1): 2, (1, 2): 1}
         assert ic.total() == 3
         assert ic.weight_on(1) == 3
-        assert ic.touching(0) == [(1, 2)]
-        assert ic.touching(1) == [(0, 2), (2, 1)]
 
     def test_range_validation(self):
         lc = layerize(cx_chain(2, [(0, 1)]))

@@ -6,7 +6,8 @@ import statistics
 
 import pytest
 
-from dqcmap.anneal import AnnealParams, compile
+from dqcmap import anneal, harness
+from dqcmap.anneal import AnnealParams, compile, prepare
 from dqcmap.bench import gen_qft
 from dqcmap.cost import CostParams
 from dqcmap.harness import (
@@ -20,6 +21,7 @@ from dqcmap.harness import (
     run_sweep_ratio,
 )
 from dqcmap.seeding import split_seed
+from dqcmap.segmentation import SegmentationParams
 
 from conftest import cx_chain, triangle_cluster, two_qpu_line
 
@@ -151,3 +153,45 @@ def test_small_circuit_smoke():
     rep = run_map(chain, two_qpu_line(2, 2), seed=0, anneal_params=FAST)
     assert rep["segments"]
     assert rep["totals"]["e_total"] >= 0.0
+
+
+class TestPrepareOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count layerize and segment calls wherever harness or anneal bind them."""
+        counts = {"layerize": 0, "segment": 0}
+        for mod in (anneal, harness):
+            for name in counts:
+                if name in vars(mod):
+                    original = getattr(mod, name)
+
+                    def counted(*args, _name=name, _original=original, **kwargs):
+                        counts[_name] += 1
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(mod, name, counted)
+        return counts
+
+    def test_run_map_and_ablate_prepare_once(self, calls):
+        ct = two_qpu_line(4, 4)
+        run_map(CIRC, ct, seed=1, anneal_params=FAST)
+        assert calls == {"layerize": 1, "segment": 1}
+        calls.update(layerize=0, segment=0)
+        run_ablate(CIRC, ct, seed=1, anneal_params=FAST)
+        assert calls == {"layerize": 1, "segment": 1}
+
+    @pytest.mark.parametrize("mode", ["pattern", "random"])
+    def test_prepared_compile_equals_fresh(self, mode):
+        ct = triangle_cluster()
+        sp = SegmentationParams(window=2, top_k=3, threshold=0.6)
+        fresh = compile(CIRC, ct, seed=6, seg_params=sp, anneal_params=FAST,
+                        segmentation_mode=mode)
+        reused = compile(CIRC, ct, seed=6, anneal_params=FAST, segmentation_mode=mode,
+                         prepared=prepare(CIRC, sp))
+        assert reused == fresh
+        assert len(fresh.steps) > 1
+
+    def test_prepared_for_another_circuit_rejected(self):
+        other = cx_chain(6, [(0, 1)])
+        with pytest.raises(ValueError):
+            compile(CIRC, two_qpu_line(4, 4), prepared=prepare(other))

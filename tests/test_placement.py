@@ -252,3 +252,66 @@ class TestRandomPlacement:
         sigma = math.sqrt((1 / 3) * (2 / 3) / n_draws)
         for key, c in counts.items():
             assert abs(c / n_draws - 1 / 3) <= 3 * sigma, (key, c)
+
+    def test_matches_memoised_recursion(self):
+        # 120 small instances against the exhaustive-state sampler the
+        # closed form replaced: same weights, so the same draws.
+        rng = random.Random(2024)
+        for _ in range(120):
+            caps = [rng.randint(1, 7) for _ in range(rng.randint(1, 5))]
+            n = rng.randint(1, sum(caps))
+            seed = rng.randrange(10**6)
+            got = random_placement(n, line_cluster(caps), seed).qpu_of
+            assert got == memoised_random_placement(n, caps, seed), (caps, n, seed)
+
+    def test_large_cluster_feasible(self):
+        caps = [30] * 6
+        a = random_placement(175, line_cluster(caps), seed=3)
+        assert len(a.qpu_of) == 175
+        assert all(load <= cap for load, cap in zip(a.loads(6), caps))
+
+
+def line_cluster(caps: list[int]):
+    """QPUs with line couplings, linked in a chain."""
+    return build_cluster(
+        [{"name": f"q{i}", "comp_capacity": c, "coupling": line_coupling(c),
+          "comm_qubits": 1} for i, c in enumerate(caps)],
+        [{"a": i, "b": i + 1, "cost_factor": 1.0} for i in range(1, len(caps))],
+    )
+
+
+def memoised_random_placement(n_qubits: int, caps: list[int], seed: int) -> tuple[int, ...]:
+    """Reference sampler: completion counts by recursion over the tuple of
+    remaining capacities, memoised (exponential in the number of QPUs)."""
+    rng = random.Random(seed)
+    memo: dict[tuple[int, ...], int] = {}
+
+    def completions(rem: tuple[int, ...], m: int) -> int:
+        if m == 0:
+            return 1
+        if sum(rem) < m:
+            return 0
+        if rem not in memo:
+            memo[rem] = sum(
+                completions(rem[:i] + (rem[i] - 1,) + rem[i + 1:], m - 1)
+                for i in range(len(rem)) if rem[i] > 0
+            )
+        return memo[rem]
+
+    rem = tuple(caps)
+    out = []
+    for placed in range(n_qubits):
+        weights = [
+            completions(rem[:i] + (rem[i] - 1,) + rem[i + 1:], n_qubits - placed - 1)
+            if rem[i] > 0 else 0
+            for i in range(len(rem))
+        ]
+        draw = rng.randrange(sum(weights))
+        acc = 0
+        for i, w in enumerate(weights):
+            acc += w
+            if draw < acc:
+                out.append(i + 1)
+                rem = rem[:i] + (rem[i] - 1,) + rem[i + 1:]
+                break
+    return tuple(out)
