@@ -9,7 +9,12 @@ against it. The best assignment seen is returned, so the result is never
 worse than the initial one.
 
 The search state keeps one qubit bitmask per QPU, so a move's layout-cache
-keys are the current masks with the moved bits flipped. compile builds one
+keys are the current masks with the moved bits flipped. A move whose lower
+bound on dE (see SegmentCostEvaluator.delta) is positive is surely uphill,
+so it takes its draw before the exact dE; when that draw rejects the bound,
+the move is rejected without building the layouts of its new QPU sets. The
+random stream, every accept decision and the exact dE of every other move
+are those of evaluating every move exactly. compile builds one
 SegmentCostEvaluator per segment and reads the step's costs and final
 intra-QPU layouts from the same cache the annealing chain filled.
 """
@@ -192,7 +197,13 @@ def calibrate_t0(
 
 @dataclass
 class TraceEntry:
-    """One annealing step, recorded when tracing is requested."""
+    """One annealing step, recorded when tracing is requested.
+
+    delta_e is the exact dE, except for a move rejected on its lower bound
+    (see SegmentCostEvaluator.delta): there it is the bound used, which is
+    positive, at most dE, and fails the draw, so
+    accepted == (draw < exp(-delta_e / temperature)) holds for every uphill
+    entry."""
 
     k: int
     temperature: float
@@ -225,17 +236,28 @@ def anneal_segment(
     if t0 is None:
         t0 = calibrate_t0(ev, state, random.Random(split_seed(ap.seed, "t0")))
 
+    draw = None
+
+    def surely_rejected(lb: float) -> bool:
+        # A positive lower bound makes the move uphill, so its draw is taken
+        # now, as it would be after the exact dE; a draw that rejects the
+        # bound rejects the exact dE too.
+        nonlocal draw
+        if lb <= 0:
+            return False
+        draw = rng.random()
+        return draw >= math.exp(-lb / temperature)
+
     for k in range(iters):
         move = propose(state, rng, ap.relocate_weight, ap.swap_weight)
         if move is None:
             break
         temperature = cooling(t0, rate, k)
-        de = ev.delta(state.qpu_of, state.masks, move)
-        if de <= 0:
-            accepted, draw = True, None
-        else:
+        draw = None
+        de = ev.delta(state.qpu_of, state.masks, move, surely_rejected)
+        if draw is None and de > 0:
             draw = rng.random()
-            accepted = draw < math.exp(-de / temperature)
+        accepted = draw is None or draw < math.exp(-de / temperature)
         if trace is not None:
             trace.append(TraceEntry(k=k, temperature=temperature, delta_e=de,
                                     draw=draw, accepted=accepted))

@@ -261,6 +261,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args, seed)
     cluster = _load_topology(args, seed)
     seg_params = _seg_params(args)
+    if seg_params is not None and seg_params.top_k > circuit.n_qubits:
+        raise InputError(f"--top-k {seg_params.top_k} exceeds the circuit's "
+                         f"{circuit.n_qubits} qubits")
     ap = _anneal_params(args)
 
     if args.command == "map":

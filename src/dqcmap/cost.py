@@ -15,10 +15,17 @@ gate and every teleport.
 SegmentCostEvaluator recomputes only the terms a move touches, caching
 intra-QPU layouts by (QPU, qubit bitmask); deltas agree with full
 recomputation to float roundoff. A layout costs work in proportion to the
-QPU's members and their adjacency lists, not to the whole segment.
+QPU's members and their adjacency lists, not to the whole segment; the
+per-QPU constants it needs (distance rows, first pick, per-hop gate cost)
+are computed once per evaluator.
+
+Building new layouts is the expensive part of a delta, so a delta can first
+offer a lower bound that builds none, with each new QPU set at its cx floor
+(cx_cost times the summed gate count of its pairs); see delta.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
@@ -104,38 +111,48 @@ def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:
     return adj
 
 
-def _greedy_layout(qpu: QPU, qubits: list[int], adj, table) -> IntraLayout:
-    """Greedy deterministic embedding of logical qubits into a coupling map.
-
-    Qubits are placed in order of decreasing interaction weight among the
-    co-located set (ties toward lower qubit index). The first goes to the
-    physical qubit of highest coupling degree; each later one to the free
-    physical qubit minimizing the weighted coupling distance to its already
-    placed partners (ties toward the lower physical index). adj is the
-    segment's adjacency (see _adjacency); counts and hops are integers, so
-    the scores are exact whatever the order they are summed in.
-    """
-    qset = set(qubits)
-    if len(qset) != len(qubits):
-        raise ValueError("duplicate qubits in layout request")
-    n_phys = qpu.comp_capacity
-    if len(qubits) > n_phys:
-        raise InfeasibleError(
-            f"{len(qubits)} qubits exceed capacity {n_phys} of '{qpu.name}'"
-        )
-    partners = {q: [(o, c) for o, c in adj.get(q, ()) if o in qset] for q in qubits}
-    order = sorted(qubits, key=lambda q: (-sum(c for _, c in partners[q]), q))
-
-    degree = [0] * n_phys
+def _hub(qpu: QPU) -> int:
+    """The physical qubit of highest coupling degree, lowest index on ties."""
+    degree = [0] * qpu.comp_capacity
     for i, j in qpu.coupling:
         degree[i] += 1
         degree[j] += 1
+    return max(range(qpu.comp_capacity), key=degree.__getitem__)
+
+
+def _partners(mask: int, adj) -> dict[int, list[tuple[int, int]]]:
+    """Each qubit of mask, ascending -> its partners within mask, ascending,
+    as [(partner, count), ...]; adj is the segment's adjacency (see
+    _adjacency)."""
+    return {q: [(o, c) for o, c in adj.get(q, ()) if mask >> o & 1] for q in _members(mask)}
+
+
+def _greedy_layout(qpu: QPU, partners, table, hub: int) -> IntraLayout:
+    """Greedy deterministic embedding of logical qubits into a coupling map.
+
+    partners maps each qubit to place to its partners among them (see
+    _partners). Qubits are placed in order of decreasing interaction weight
+    among the co-located set (ties toward lower qubit index). The first goes
+    to `hub`, the physical qubit of highest coupling degree (see _hub); each
+    later one to the free physical qubit minimizing the weighted coupling
+    distance to its already placed partners (ties toward the lower physical
+    index). table holds the QPU's distance rows; counts and hops are
+    integers, so the scores are exact whatever the order they are summed in.
+    """
+    n_phys = qpu.comp_capacity
+    if len(partners) > n_phys:
+        raise InfeasibleError(
+            f"{len(partners)} qubits exceed capacity {n_phys} of '{qpu.name}'"
+        )
+    order = sorted(partners, key=lambda q: (-sum([c for _, c in partners[q]]), q))
 
     phys_of: dict[int, int] = {}
     free: list[int] = list(range(n_phys))
     for q in order:
         if not phys_of:
-            pick = max(free, key=degree.__getitem__)  # first, so lowest index
+            pick = hub
+        elif len(free) == 1:
+            pick = free[0]
         else:
             # Score every physical qubit, one placed partner's distance row
             # at a time; min() keeps the lowest free index among ties.
@@ -154,8 +171,13 @@ def _greedy_layout(qpu: QPU, qubits: list[int], adj, table) -> IntraLayout:
 
 def intra_layout(qpu: QPU, qubits: list[int], interactions) -> IntraLayout:
     """Standalone layout call; distances from the cluster's intra-QPU table."""
+    mask = 0
+    for q in qubits:
+        mask |= 1 << q
+    if mask.bit_count() != len(qubits):
+        raise ValueError("duplicate qubits in layout request")
     pairs = [(i, j, c) for (i, j), c in sorted(interactions.pairs.items())]
-    return _greedy_layout(qpu, sorted(qubits), _adjacency(pairs), _intra_table(qpu))
+    return _greedy_layout(qpu, _partners(mask, _adjacency(pairs)), _intra_table(qpu), _hub(qpu))
 
 
 def qpu_masks(qpu_of, n_qpus: int) -> list[int]:
@@ -211,35 +233,48 @@ class SegmentCostEvaluator:
             [0.0] + [inter_cost[(p, r)] for r in range(1, n + 1)] for p in range(1, n + 1)
         ]
         self._caps = [0] + cluster.capacities()
-        # upper[i]: the pairs (i, j) with j > i, j ascending, so walking the
-        # members in ascending order visits pairs in ascending (i, j) order.
-        self._upper = {i: [(j, c) for j, c in row if j > i] for i, row in self.adj.items()}
-        self._layout_cache: dict[tuple[int, int], tuple[IntraLayout, float]] = {}
+        # Per QPU, index pid: the distance rows, the first physical pick of a
+        # layout, and pen[d] = cx + swap * max(0, d - 1), the cost of one gate
+        # across d coupling hops.
+        cx, swap = cp.cx_cost, cp.swap_cost
+        self._qpu_consts = [()] + [
+            (table, _hub(qpu), [cx + swap * max(0, d - 1) for d in range(qpu.comp_capacity)])
+            for qpu, table in zip(cluster.qpus, cluster.distances.intra)
+        ]
+        self._layout_cache: dict[tuple[int, int], tuple[IntraLayout, float, int]] = {}
 
     # -- per-QPU local term ------------------------------------------------
 
-    def layout_and_local(self, pid: int, mask: int) -> tuple[IntraLayout, float]:
-        """Layout of the qubits in `mask` on QPU pid and their local cost."""
+    def layout_and_local(self, pid: int, mask: int) -> tuple[IntraLayout, float, int]:
+        """Layout of the qubits in `mask` on QPU pid, their local cost, and
+        W, the summed gate count of their pairs. Since swap_cost >= 0 the
+        local cost is at least cx_cost * W."""
         key = (pid, mask)
         hit = self._layout_cache.get(key)
         if hit is not None:
             return hit
-        members = _members(mask)
-        table = self.cluster.distances.intra[pid - 1]
-        lay = _greedy_layout(self.cluster.qpus[pid - 1], members, self.adj, table)
+        table, hub, pen = self._qpu_consts[pid]
+        partners = _partners(mask, self.adj)
+        lay = _greedy_layout(self.cluster.qpus[pid - 1], partners, table, hub)
         phys_of = lay.phys_of
-        cx, swap = self.cp.cx_cost, self.cp.swap_cost
-        upper = self._upper
         cost = 0.0
-        for i in members:
+        weight = 0
+        # pairs in ascending (i, j) order, a fixed float summation order
+        for i, ps in partners.items():
             row = table[phys_of[i]]
-            for j, c in upper.get(i, ()):
-                if mask >> j & 1:
-                    d = row[phys_of[j]]
-                    cost += c * (cx + swap * max(0, d - 1))
-        out = (lay, cost)
+            for j, c in ps:
+                if j > i:
+                    cost += c * pen[row[phys_of[j]]]
+                    weight += c
+        out = (lay, cost, weight)
         self._layout_cache[key] = out
         return out
+
+    def _floor(self, pid: int, mask: int, weight: int) -> float:
+        """The local cost of `mask` on QPU pid if its layout is cached, else
+        its lower bound cx_cost * weight; no layout is built."""
+        hit = self._layout_cache.get((pid, mask))
+        return hit[1] if hit is not None else self.cp.cx_cost * weight
 
     # -- full evaluation -----------------------------------------------------
 
@@ -272,7 +307,8 @@ class SegmentCostEvaluator:
 
     # -- incremental evaluation ----------------------------------------------
 
-    def delta(self, qpu_of: list[int], masks, move: Move) -> float:
+    def delta(self, qpu_of: list[int], masks, move: Move,
+              reject: Callable[[float], bool] | None = None) -> float:
         """Objective change if `move` were applied to the current state.
 
         qpu_of and masks describe the current assignment and are not
@@ -280,10 +316,20 @@ class SegmentCostEvaluator:
         keys of the changed QPUs are the current masks with the moved bits
         flipped. Relocations into a full QPU raise InfeasibleError; null
         moves cost 0.
+
+        reject, if given, is called once with a lower bound lb on the change
+        before any layout of a changed QPU set is built. lb takes the exact
+        inter and move terms, the cached local costs of the current sets, and
+        for each new set its cached local cost or else cx_cost * W, minus a
+        margin of 1e-9 * (1 + the sum of the terms' magnitudes) for float
+        rounding. When reject(lb) is true, delta returns lb; otherwise it
+        returns the exact change.
         """
         cp = self.cp
         rows = self._cost_rows
         local = self.layout_and_local
+        # Each kind yields the inter and move terms and its two changed QPU
+        # sets as (pid, current mask, new mask, W(new) - W(current)).
         if move.kind == "relocate":
             q, src, dst = move.a, qpu_of[move.a], move.dest
             if dst == src:
@@ -292,51 +338,53 @@ class SegmentCostEvaluator:
             if m_dst.bit_count() >= self._caps[dst]:
                 raise InfeasibleError(f"QPU {dst} is full")
             d_inter = 0.0
+            w_src = w_dst = 0
             row_dst, row_src = rows[dst], rows[src]
             for o, c in self.adj.get(q, ()):
                 po = qpu_of[o]
                 d_inter += c * (row_dst[po] - row_src[po])
+                if po == src:
+                    w_src += c
+                elif po == dst:
+                    w_dst += c
             d_inter *= cp.remote_op_cost
             bit = 1 << q
             m_src = masks[src]
-            rest = m_src ^ bit
-            d_local = (
-                local(src, rest)[1] - local(src, m_src)[1]
-                if rest else -local(src, m_src)[1]
-            )
-            d_local += local(dst, m_dst | bit)[1] - (
-                local(dst, m_dst)[1] if m_dst else 0.0
-            )
+            sides = ((src, m_src, m_src ^ bit, -w_src), (dst, m_dst, m_dst | bit, w_dst))
             d_move = 0.0
             if self.prev is not None:
                 pq = self.prev.qpu_of[q]
                 d_move = cp.teleport_cost * (rows[pq][dst] - rows[pq][src])
-            return cp.gamma1 * d_inter + cp.gamma2 * d_local + cp.gamma3 * d_move
-
-        if move.kind == "swap":
+        elif move.kind == "swap":
             qa, qb = move.a, move.b
             pa, pb = qpu_of[qa], qpu_of[qb]
             if qa == qb or pa == pb:
                 return 0.0
             d_inter = 0.0
+            wa_a = wa_b = wb_a = wb_b = 0  # wx_y: gates of qx with the rest of QPU py
             row_a, row_b = rows[pa], rows[pb]
             for o, c in self.adj.get(qa, ()):
                 if o == qb:
                     continue  # their own pair stays at the same distance
                 po = qpu_of[o]
                 d_inter += c * (row_b[po] - row_a[po])
+                if po == pa:
+                    wa_a += c
+                elif po == pb:
+                    wa_b += c
             for o, c in self.adj.get(qb, ()):
                 if o == qa:
                     continue
                 po = qpu_of[o]
                 d_inter += c * (row_a[po] - row_b[po])
+                if po == pa:
+                    wb_a += c
+                elif po == pb:
+                    wb_b += c
             d_inter *= cp.remote_op_cost
             flip = (1 << qa) | (1 << qb)
             m_a, m_b = masks[pa], masks[pb]
-            d_local = (
-                local(pa, m_a ^ flip)[1] - local(pa, m_a)[1]
-                + local(pb, m_b ^ flip)[1] - local(pb, m_b)[1]
-            )
+            sides = ((pa, m_a, m_a ^ flip, wb_a - wa_a), (pb, m_b, m_b ^ flip, wa_b - wb_b))
             d_move = 0.0
             if self.prev is not None:
                 po = self.prev.qpu_of
@@ -344,51 +392,29 @@ class SegmentCostEvaluator:
                     rows[po[qa]][pb] - rows[po[qa]][pa]
                     + rows[po[qb]][pa] - rows[po[qb]][pb]
                 )
-            return cp.gamma1 * d_inter + cp.gamma2 * d_local + cp.gamma3 * d_move
+        else:
+            raise ValueError(f"unknown move kind '{move.kind}'")
 
-        raise ValueError(f"unknown move kind '{move.kind}'")
+        (p1, old1, new1, dw1), (p2, old2, new2, dw2) = sides
+        e1, e2 = local(p1, old1), local(p2, old2)
+        if reject is not None:
+            f1 = self._floor(p1, new1, e1[2] + dw1)
+            f2 = self._floor(p2, new2, e2[2] + dw2)
+            g_inter, g_move = cp.gamma1 * d_inter, cp.gamma3 * d_move
+            lb = g_inter + cp.gamma2 * ((f1 - e1[1]) + (f2 - e2[1])) + g_move
+            lb -= 1e-9 * (1.0 + abs(g_inter) + abs(g_move)
+                          + cp.gamma2 * (f1 + e1[1] + f2 + e2[1]))
+            if reject(lb):
+                return lb
+        d_local = local(p1, new1)[1] - e1[1]
+        if move.kind == "relocate":  # each kind keeps its own summation order
+            d_local += local(p2, new2)[1] - e2[1]
+        else:
+            d_local = d_local + local(p2, new2)[1] - e2[1]
+        return cp.gamma1 * d_inter + cp.gamma2 * d_local + cp.gamma3 * d_move
 
     def layouts(self, a: Assignment) -> dict[int, IntraLayout]:
         return {
             pid: self.layout_and_local(pid, mask)[0]
             for pid, mask in enumerate(qpu_masks(a.qpu_of, self.cluster.n_qpus)) if mask
         }
-
-
-# -- module-level operation forms ---------------------------------------------
-
-def e_local(a: Assignment, seg: Segment, cluster: ClusterTopology, cp: CostParams) -> float:
-    """Intra-QPU overhead of co-located interacting pairs."""
-    ev = SegmentCostEvaluator(cluster, seg, cp)
-    return ev.breakdown(a).e_local
-
-
-def e_inter(a: Assignment, seg: Segment, cluster: ClusterTopology, cp: CostParams) -> float:
-    """Remote-operation overhead of cut pairs."""
-    ev = SegmentCostEvaluator(cluster, seg, cp)
-    return ev.breakdown(a).e_inter
-
-
-def e_move(prev: Assignment | None, cur: Assignment, cluster: ClusterTopology,
-           cp: CostParams) -> float:
-    """Teleportation charge for qubits whose QPU changed between segments."""
-    if prev is None:
-        return 0.0
-    inter_cost = cluster.distances.inter_cost
-    out = 0.0
-    for q in range(len(cur.qpu_of)):
-        if prev.qpu_of[q] != cur.qpu_of[q]:
-            out += cp.teleport_cost * inter_cost[(prev.qpu_of[q], cur.qpu_of[q])]
-    return out
-
-
-def total(a: Assignment, seg: Segment, prev: Assignment | None,
-          cluster: ClusterTopology, cp: CostParams) -> CostBreakdown:
-    """Full objective with components and EPR count for one segment."""
-    ev = SegmentCostEvaluator(cluster, seg, cp, prev=prev)
-    return ev.breakdown(a)
-
-
-def delta_total(ev: SegmentCostEvaluator, a: Assignment, move: Move) -> float:
-    """Incremental objective change of `move` applied to assignment `a`."""
-    return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus), move)

@@ -1,10 +1,15 @@
-"""Shared builders for the test suite plus the acceptance summary hook."""
+"""Shared builders, property-test instances and one-call cost forms for the
+test suite, plus the acceptance summary hook."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
-from dqcmap.circuit import Circuit, GateOp
+from dqcmap.circuit import Circuit, GateOp, InteractionCount
+from dqcmap.cost import CostBreakdown, CostParams, Move, SegmentCostEvaluator, qpu_masks
 from dqcmap.hardware import ClusterTopology, build_cluster
+from dqcmap.placement import Assignment, random_placement
+from dqcmap.segmentation import Segment
 
 
 def line_coupling(k: int) -> list[list[int]]:
@@ -45,6 +50,83 @@ def triangle_cluster(caps=(6, 6, 8), cost_factors=(1.0, 2.0, 1.5)) -> ClusterTop
 def cx_chain(n_qubits: int, pairs: list[tuple[int, int]], name: str = "chain") -> Circuit:
     gates = tuple(GateOp("cx", (a, b), ()) for a, b in pairs)
     return Circuit(n_qubits=n_qubits, gates=gates, name=name)
+
+
+# -- random segment instances for property tests -----------------------------
+
+
+def random_case(data, with_prev: bool):
+    """(cluster, segment, assignment, previous assignment or None): 4-8
+    qubits with random pair counts on three line-coupled QPUs of 2-4 qubits
+    with one spare slot, on a line interconnect with one random cost factor."""
+    n = data.draw(st.integers(min_value=4, max_value=8))
+    caps = [data.draw(st.integers(min_value=2, max_value=4)) for _ in range(3)]
+    while sum(caps) < n + 1:
+        caps[caps.index(min(caps))] += 1
+    ct = build_cluster(
+        [{"name": f"p{i}", "comp_capacity": c,
+          "coupling": line_coupling(c), "comm_qubits": 1}
+         for i, c in enumerate(caps)],
+        [{"a": 1, "b": 2, "cost_factor": 1.0},
+         {"a": 2, "b": 3, "cost_factor": round(data.draw(
+             st.floats(min_value=0.5, max_value=2.5)), 2)}],
+    )
+    pairs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if data.draw(st.booleans()):
+                pairs[(i, j)] = data.draw(st.integers(min_value=1, max_value=4))
+    seg = Segment(index=1, from_layer=1, to_layer=2, interactions=InteractionCount(pairs))
+    cur = random_placement(n, ct, seed=data.draw(st.integers(0, 10_000)))
+    prev = (random_placement(n, ct, seed=data.draw(st.integers(0, 10_000)))
+            if with_prev else None)
+    return ct, seg, cur, prev
+
+
+def cost_params(data) -> CostParams:
+    """Fractional cost factors and weights, zero included; swap_cost is often 0."""
+    price = st.floats(min_value=0.0, max_value=4.0).map(lambda x: round(x, 3))
+    return CostParams(
+        cx_cost=data.draw(price), swap_cost=data.draw(st.sampled_from([0.0, 0.7, 3.0]) | price),
+        remote_op_cost=data.draw(price), teleport_cost=data.draw(price),
+        gamma1=data.draw(price), gamma2=data.draw(price), gamma3=data.draw(price))
+
+
+# -- one-call forms of the cost terms, each on a fresh evaluator -------------
+
+
+def e_local(a: Assignment, seg: Segment, cluster: ClusterTopology, cp: CostParams) -> float:
+    """Intra-QPU overhead of co-located interacting pairs."""
+    return SegmentCostEvaluator(cluster, seg, cp).breakdown(a).e_local
+
+
+def e_inter(a: Assignment, seg: Segment, cluster: ClusterTopology, cp: CostParams) -> float:
+    """Remote-operation overhead of cut pairs."""
+    return SegmentCostEvaluator(cluster, seg, cp).breakdown(a).e_inter
+
+
+def e_move(prev: Assignment | None, cur: Assignment, cluster: ClusterTopology,
+           cp: CostParams) -> float:
+    """Teleportation charge for qubits whose QPU changed between segments."""
+    if prev is None:
+        return 0.0
+    inter_cost = cluster.distances.inter_cost
+    out = 0.0
+    for q in range(len(cur.qpu_of)):
+        if prev.qpu_of[q] != cur.qpu_of[q]:
+            out += cp.teleport_cost * inter_cost[(prev.qpu_of[q], cur.qpu_of[q])]
+    return out
+
+
+def total(a: Assignment, seg: Segment, prev: Assignment | None,
+          cluster: ClusterTopology, cp: CostParams) -> CostBreakdown:
+    """Full objective with components and EPR count for one segment."""
+    return SegmentCostEvaluator(cluster, seg, cp, prev=prev).breakdown(a)
+
+
+def delta_total(ev: SegmentCostEvaluator, a: Assignment, move: Move) -> float:
+    """Incremental objective change of `move` applied to assignment `a`."""
+    return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus), move)
 
 
 # -- acceptance criteria reporting ------------------------------------------

@@ -22,7 +22,7 @@ from dqcmap.anneal import (
 )
 from dqcmap.bench import gen_adder, gen_qaoa, gen_qft
 from dqcmap.circuit import Circuit, GateOp, InteractionCount, layerize
-from dqcmap.cost import CostParams, SegmentCostEvaluator, e_inter, e_local, e_move, total
+from dqcmap.cost import CostParams, SegmentCostEvaluator
 from dqcmap.harness import render_json, run_ablate, run_map, run_sweep_ratio
 from dqcmap.hardware import TOPOLOGY_KINDS, build_cluster, gen_topology
 from dqcmap.placement import (
@@ -34,7 +34,16 @@ from dqcmap.placement import (
 )
 from dqcmap.segmentation import Segment, density, jaccard, segment, windowed_density
 
-from conftest import cx_chain, line_coupling, triangle_cluster, two_qpu_line
+from conftest import (
+    cx_chain,
+    e_inter,
+    e_local,
+    e_move,
+    line_coupling,
+    total,
+    triangle_cluster,
+    two_qpu_line,
+)
 
 
 def close(got: float, want: float) -> bool:

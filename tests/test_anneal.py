@@ -23,13 +23,15 @@ from dqcmap.anneal import (
     replay_epr,
 )
 from dqcmap.circuit import Circuit, InteractionCount, layerize
-from dqcmap.cost import CostParams, SegmentCostEvaluator, total
+from dqcmap.cost import CostParams, SegmentCostEvaluator
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import build_cluster
 from dqcmap.placement import Assignment, random_placement
 from dqcmap.segmentation import Segment, segment
 
-from conftest import cx_chain, line_coupling, two_qpu_line
+from dqcmap.seeding import split_seed
+
+from conftest import cost_params, cx_chain, line_coupling, random_case, total, two_qpu_line
 
 CHAIN = cx_chain(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -152,6 +154,40 @@ class TestPropose:
         assert calibrate_t0(busy, state, random.Random(0)) > 0.0
 
 
+def reference_anneal(init, ev, ap, trace):
+    """anneal_segment with the exact dE of every move and no early rejection:
+    the oracle for the bound-rejecting loop."""
+    state = SearchState(init, ev.cluster)
+    cur_cost = ev.breakdown(init).e_total
+    best, best_cost = list(state.qpu_of), cur_cost
+    iters = ap.iters_per_segment
+    rate = ap.cooling_rate if ap.cooling_rate is not None else 10.0 / iters
+    rng = random.Random(split_seed(ap.seed, "chain"))
+    t0 = ap.t0
+    if t0 is None:
+        t0 = calibrate_t0(ev, state, random.Random(split_seed(ap.seed, "t0")))
+    for k in range(iters):
+        move = propose(state, rng, ap.relocate_weight, ap.swap_weight)
+        if move is None:
+            break
+        temperature = cooling(t0, rate, k)
+        de = ev.delta(state.qpu_of, state.masks, move)
+        if de <= 0:
+            accepted, draw = True, None
+        else:
+            draw = rng.random()
+            accepted = draw < math.exp(-de / temperature)
+        trace.append(TraceEntry(k=k, temperature=temperature, delta_e=de,
+                                draw=draw, accepted=accepted))
+        if accepted:
+            state.apply(move)
+            cur_cost += de
+            if cur_cost < best_cost:
+                best_cost, best = cur_cost, list(state.qpu_of)
+    final = Assignment(tuple(best), segment=ev.seg.index)
+    return final, ev.breakdown(final)
+
+
 class TestAnnealSegment:
     def _instance(self):
         ct = two_qpu_line(3, 3)
@@ -209,6 +245,29 @@ class TestAnnealSegment:
                 uphill_rej += not e.accepted
         # the band must actually be exercised on both sides
         assert uphill_acc > 0 and uphill_rej > 0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_decisions_as_exact_reference(self, data):
+        # Early rejection on the lower bound changes no draw, no decision and
+        # no result; only a bound-rejected step records the bound it used.
+        ct, seg, init, prev = random_case(data, with_prev=data.draw(st.booleans()))
+        cp = cost_params(data)
+        ap = AnnealParams(
+            iters_per_segment=data.draw(st.integers(50, 400)),
+            t0=data.draw(st.sampled_from([None, 0.05, 1.0, 20.0])),
+            relocate_weight=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
+            swap_weight=data.draw(st.sampled_from([0.5, 1.0])),
+            seed=data.draw(st.integers(0, 10_000)))
+        ours, ref = [], []
+        got = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp, prev=prev), ap, trace=ours)
+        want = reference_anneal(init, SegmentCostEvaluator(ct, seg, cp, prev=prev), ap, ref)
+        assert got == want
+        assert len(ours) == len(ref)
+        for a, b in zip(ours, ref):
+            assert (a.k, a.temperature, a.draw, a.accepted) == (b.k, b.temperature, b.draw, b.accepted)
+            if a.delta_e != b.delta_e:  # rejected on the bound
+                assert not a.accepted and 0 < a.delta_e <= b.delta_e
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=20, deadline=None)

@@ -149,6 +149,15 @@ class TestMap:
         assert out == ""
         assert "--format csv" in err
 
+    @pytest.mark.parametrize("command", ["map", "ablate", "sweep-ratio"])
+    def test_top_k_above_qubit_count_rejected(self, command, capsys):
+        code, out, err = run_cli(capsys, command, "--bench", "qft", "--size", "6",
+                                 "--gen", "ring", "--sizes", "4,4", "--window", "1",
+                                 "--top-k", "9", "--theta", "0.5")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--top-k 9" in err
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--bench", "nosuch", "--size", "4",

@@ -8,23 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqcmap.circuit import InteractionCount
-from dqcmap.cost import (
-    CostParams,
-    Move,
-    SegmentCostEvaluator,
+from dqcmap.cost import CostParams, Move, SegmentCostEvaluator, intra_layout, qpu_masks
+from dqcmap.errors import InfeasibleError
+from dqcmap.hardware import build_cluster
+from dqcmap.placement import Assignment
+from dqcmap.segmentation import Segment
+
+from conftest import (
+    cost_params,
     delta_total,
     e_inter,
     e_local,
     e_move,
-    intra_layout,
+    line_coupling,
+    random_case,
     total,
+    two_qpu_line,
 )
-from dqcmap.errors import InfeasibleError
-from dqcmap.hardware import build_cluster
-from dqcmap.placement import Assignment, random_placement
-from dqcmap.segmentation import Segment
-
-from conftest import line_coupling, two_qpu_line
 
 
 def seg_of(pairs: dict, index: int = 1) -> Segment:
@@ -158,31 +158,6 @@ class TestInterAndMoveTerms:
         assert ten == pytest.approx(10.0 * one)
 
 
-def random_case(data, with_prev: bool):
-    n = data.draw(st.integers(min_value=4, max_value=8))
-    caps = [data.draw(st.integers(min_value=2, max_value=4)) for _ in range(3)]
-    while sum(caps) < n + 1:
-        caps[caps.index(min(caps))] += 1
-    ct = build_cluster(
-        [{"name": f"p{i}", "comp_capacity": c,
-          "coupling": line_coupling(c), "comm_qubits": 1}
-         for i, c in enumerate(caps)],
-        [{"a": 1, "b": 2, "cost_factor": 1.0},
-         {"a": 2, "b": 3, "cost_factor": round(data.draw(
-             st.floats(min_value=0.5, max_value=2.5)), 2)}],
-    )
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if data.draw(st.booleans()):
-                pairs[(i, j)] = data.draw(st.integers(min_value=1, max_value=4))
-    seg = seg_of(pairs)
-    cur = random_placement(n, ct, seed=data.draw(st.integers(0, 10_000)))
-    prev = (random_placement(n, ct, seed=data.draw(st.integers(0, 10_000)))
-            if with_prev else None)
-    return ct, seg, cur, prev
-
-
 def apply_move(a: Assignment, move: Move) -> Assignment:
     qo = list(a.qpu_of)
     if move.kind == "relocate":
@@ -252,6 +227,55 @@ class TestDelta:
         members = 0b111  # qubits 0, 1 and 2
         first = ev.layout_and_local(1, members)
         assert ev.layout_and_local(1, members) is first
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lower_bound_never_exceeds_delta(self, data):
+        # The bound delta hands to `reject` is at most the exact change, both
+        # before the new QPU sets' layouts are built (cx floor) and after
+        # (their exact cached costs, less the rounding margin).
+        ct, seg, cur, prev = random_case(data, with_prev=data.draw(st.booleans()))
+        ev = SegmentCostEvaluator(ct, seg, cost_params(data), prev=prev)
+        n = len(cur.qpu_of)
+        if data.draw(st.booleans()):
+            q = data.draw(st.integers(0, n - 1))
+            open_qpus = [p for p in (1, 2, 3)
+                         if len(cur.qubits_on(p)) < ct.qpu(p).comp_capacity
+                         or p == cur.qpu_of[q]]
+            move = Move(kind="relocate", a=q, dest=data.draw(st.sampled_from(open_qpus)))
+        else:
+            move = Move(kind="swap", a=data.draw(st.integers(0, n - 1)),
+                        b=data.draw(st.integers(0, n - 1)))
+        qo, masks = list(cur.qpu_of), qpu_masks(cur.qpu_of, 3)
+        bounds = []
+
+        def reject(lb):
+            bounds.append(lb)
+            return True
+
+        first = ev.delta(qo, masks, move, reject)
+        exact = ev.delta(qo, masks, move)
+        again = ev.delta(qo, masks, move, reject)
+        assert exact == delta_total(ev, cur, move)
+        if not bounds:  # a null move: no bound, no change
+            assert first == exact == again == 0.0
+            return
+        assert bounds == [first, again]
+        assert first <= exact
+        assert again <= exact
+        assert again == pytest.approx(exact, rel=1e-6, abs=1e-6)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cached_weight_is_pair_count(self, data):
+        ct, seg, cur, _ = random_case(data, with_prev=False)
+        ev = SegmentCostEvaluator(ct, seg, cost_params(data))
+        for p, mask in enumerate(qpu_masks(cur.qpu_of, 3)):
+            if mask:
+                on = set(cur.qubits_on(p))
+                want = sum(c for (i, j), c in seg.interactions.pairs.items()
+                           if i in on and j in on)
+                assert ev.layout_and_local(p, mask)[2] == want
 
     def test_layouts_cover_occupied_qpus_only(self):
         ct = line3_cluster()
