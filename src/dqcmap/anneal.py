@@ -15,8 +15,9 @@ so it takes its draw before the exact dE; when that draw rejects the bound,
 the move is rejected without building the layouts of its new QPU sets. The
 random stream, every accept decision and the exact dE of every other move
 are those of evaluating every move exactly. compile builds one
-SegmentCostEvaluator per segment and reads the step's costs and final
-intra-QPU layouts from the same cache the annealing chain filled.
+SegmentCostEvaluator per segment and reads the step's costs from the same
+cache the annealing chain filled; the evaluator builds the final intra-QPU
+layouts.
 """
 from __future__ import annotations
 
@@ -60,14 +61,15 @@ class AnnealParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t0 is not None and self.t0 <= 0:
-            raise ValueError("t0 must be positive")
-        if self.cooling_rate is not None and self.cooling_rate <= 0:
-            raise ValueError("cooling_rate must be positive")
+        for fieldname in ("t0", "cooling_rate"):
+            value = getattr(self, fieldname)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{fieldname} must be finite and positive")
         if self.iters_per_segment is not None and self.iters_per_segment < 1:
             raise ValueError("iters_per_segment must be >= 1")
-        if self.relocate_weight < 0 or self.swap_weight < 0:
-            raise ValueError("move weights must be >= 0")
+        if not all(math.isfinite(w) and w >= 0
+                   for w in (self.relocate_weight, self.swap_weight)):
+            raise ValueError("move weights must be finite and >= 0")
         if self.relocate_weight + self.swap_weight == 0:
             raise ValueError("at least one move weight must be positive")
 
@@ -447,8 +449,9 @@ def compile(
     interaction graph, clustering placement for the first segment (or a
     random feasible one when initial is "random"), then per-segment annealing
     chained through the movement cost. All randomness derives from `seed`.
-    Each segment gets one SegmentCostEvaluator, whose layout cache serves
-    the annealing chain, the step's breakdown and its final layouts.
+    Each segment gets one SegmentCostEvaluator, whose cost cache serves
+    the annealing chain and the step's breakdown, and which builds the
+    step's final layouts.
     `prepared`, the result of prepare(circuit, seg_params), skips the
     layering and segmentation; seg_params is then not read.
     """

@@ -8,6 +8,7 @@ input, 3 infeasible instance, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -114,8 +115,8 @@ def _parse_ratios(raw: str) -> list[float]:
                 val = float(part)
             except ValueError:
                 raise InputError(f"bad ratio '{part}'") from None
-        if val <= 0:
-            raise InputError(f"ratio must be positive, got '{part}'")
+        if not (math.isfinite(val) and val > 0):
+            raise InputError(f"ratio must be finite and positive, got '{part}'")
         out.append(val)
     if not out:
         raise InputError("no ratios given")
@@ -178,6 +179,12 @@ def _cost_params(args: argparse.Namespace, ratio: float | None = None) -> CostPa
                                      gamma3=args.gamma3)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _decay(args: argparse.Namespace) -> float | None:
+    if args.decay is not None and not (math.isfinite(args.decay) and args.decay >= 0):
+        raise InputError(f"--lambda must be finite and >= 0, got {args.decay}")
+    return args.decay
 
 
 def _anneal_params(args: argparse.Namespace) -> AnnealParams | None:
@@ -265,23 +272,25 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise InputError(f"--top-k {seg_params.top_k} exceeds the circuit's "
                          f"{circuit.n_qubits} qubits")
     ap = _anneal_params(args)
+    decay = _decay(args)
 
     if args.command == "map":
         report = run_map(circuit, cluster, seed=seed, seg_params=seg_params,
-                         cost_params=_cost_params(args), anneal_params=ap)
+                         cost_params=_cost_params(args), anneal_params=ap, decay=decay)
         _emit(render_json(report), args.out)
         return EXIT_OK
 
     if args.command == "ablate":
         report = run_ablate(circuit, cluster, seed=seed, seg_params=seg_params,
-                            cost_params=_cost_params(args), anneal_params=ap)
+                            cost_params=_cost_params(args), anneal_params=ap,
+                            decay=decay)
         _emit(render_json(report), args.out)
         return EXIT_OK
 
     if args.command == "sweep-ratio":
         rows = run_sweep_ratio(circuit, cluster, _parse_ratios(args.ratios),
                                seed=seed, seg_params=seg_params, anneal_params=ap,
-                               cost_params=_cost_params(args))
+                               cost_params=_cost_params(args), decay=decay)
         if args.format == "json":
             _emit(render_json({"schema_version": 1, "rows": rows}), args.out)
         else:

@@ -13,18 +13,25 @@ EPR usage is the integer companion: one pair per link hop for every remote
 gate and every teleport.
 
 SegmentCostEvaluator recomputes only the terms a move touches, caching
-intra-QPU layouts by (QPU, qubit bitmask); deltas agree with full
-recomputation to float roundoff. A layout costs work in proportion to the
-QPU's members and their adjacency lists, not to the whole segment; the
-per-QPU constants it needs (distance rows, first pick, per-hop gate cost)
-are computed once per evaluator.
+intra-QPU costs by (QPU, qubit bitmask); deltas agree with full
+recomputation to float roundoff. A set's local cost depends only on its
+partnered core, the members with a gate partner inside the set: the greedy
+layout places the partnerless members after all others, and they add no
+pair term. So a cache miss is answered from the core's entry, and a layout
+is built only when the core itself is new. A layout costs work in
+proportion to the core's members and their adjacency lists, not to the
+whole segment; the per-QPU constants it needs (distance rows, first pick,
+per-hop gate cost, coupling edge count) are computed once per evaluator.
 
-Building new layouts is the expensive part of a delta, so a delta can first
-offer a lower bound that builds none, with each new QPU set at its cx floor
-(cx_cost times the summed gate count of its pairs); see delta.
+Building new layouts is the expensive part of a delta. A QPU set where the
+moved qubits have no partner keeps its core and so its cost, and needs no
+layout at all. For the other new sets a delta can first offer a lower
+bound that builds none, each such set at its pair-count floor (see
+SegmentCostEvaluator.delta).
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -45,18 +52,17 @@ class CostParams:
     gamma3: float = 1.0
 
     def __post_init__(self):
-        for fieldname in ("cx_cost", "swap_cost", "remote_op_cost", "teleport_cost"):
-            if getattr(self, fieldname) < 0:
-                raise ValueError(f"{fieldname} must be >= 0")
-        for fieldname in ("gamma1", "gamma2", "gamma3"):
-            if getattr(self, fieldname) < 0:
-                raise ValueError(f"{fieldname} must be >= 0")
+        for fieldname in ("cx_cost", "swap_cost", "remote_op_cost", "teleport_cost",
+                          "gamma1", "gamma2", "gamma3"):
+            value = getattr(self, fieldname)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{fieldname} must be finite and >= 0")
 
     @classmethod
     def from_ratio(cls, ratio: float, **overrides) -> "CostParams":
         """Inter:intra cost ratio r sets remote_op_cost = teleport_cost = r * cx_cost."""
-        if ratio <= 0:
-            raise ValueError("ratio must be positive")
+        if not (math.isfinite(ratio) and ratio > 0):
+            raise ValueError("ratio must be finite and positive")
         base = dict(cx_cost=1.0, swap_cost=3.0)
         base.update(overrides)
         cx = base["cx_cost"]
@@ -127,6 +133,11 @@ def _partners(mask: int, adj) -> dict[int, list[tuple[int, int]]]:
     return {q: [(o, c) for o, c in adj.get(q, ()) if mask >> o & 1] for q in _members(mask)}
 
 
+def _check_fits(qpu: QPU, n: int) -> None:
+    if n > qpu.comp_capacity:
+        raise InfeasibleError(f"{n} qubits exceed capacity {qpu.comp_capacity} of '{qpu.name}'")
+
+
 def _greedy_layout(qpu: QPU, partners, table, hub: int) -> IntraLayout:
     """Greedy deterministic embedding of logical qubits into a coupling map.
 
@@ -140,10 +151,7 @@ def _greedy_layout(qpu: QPU, partners, table, hub: int) -> IntraLayout:
     integers, so the scores are exact whatever the order they are summed in.
     """
     n_phys = qpu.comp_capacity
-    if len(partners) > n_phys:
-        raise InfeasibleError(
-            f"{len(partners)} qubits exceed capacity {n_phys} of '{qpu.name}'"
-        )
+    _check_fits(qpu, len(partners))
     order = sorted(partners, key=lambda q: (-sum([c for _, c in partners[q]]), q))
 
     phys_of: dict[int, int] = {}
@@ -202,12 +210,16 @@ class SegmentCostEvaluator:
     """Objective evaluation for one segment against one cluster.
 
     Holds the per-pair gate counts, the distance tables, and a cache of
-    intra-QPU layouts keyed by (QPU id, qubit bitmask), bit q set when qubit
-    q sits on the QPU. The cache is sound because the segment's interactions
-    are fixed for the evaluator's lifetime, and compile builds one evaluator
-    per segment: annealing, the step's exact breakdown and its final layouts
-    all read the same cache. prev is the previous segment's assignment, or
-    None for the first segment (no movement charge).
+    intra-QPU costs keyed by (QPU id, qubit bitmask), bit q set when qubit q
+    sits on the QPU. A miss is answered from the entry of the set's
+    partnered core, the members with a gate partner inside the set, and is
+    stored under both keys; a layout is built only for a new core. The cache
+    is sound because the segment's interactions are fixed for the
+    evaluator's lifetime, and compile builds one evaluator per segment:
+    annealing and the step's exact breakdown read the same cache, and
+    layouts builds the final sets' full layouts. prev is the previous
+    segment's assignment, or None for the first segment (no movement
+    charge).
     """
 
     def __init__(
@@ -221,10 +233,13 @@ class SegmentCostEvaluator:
         self.seg = seg
         self.cp = cp
         self.prev = prev
+        # A pair with no gates costs nothing and partners nobody.
         self.pairs: list[tuple[int, int, int]] = [
-            (i, j, c) for (i, j), c in sorted(seg.interactions.pairs.items())
+            (i, j, c) for (i, j), c in sorted(seg.interactions.pairs.items()) if c > 0
         ]
         self.adj = _adjacency(self.pairs)
+        # _partner_bits[q] has bit o set when qubits q and o share a gate.
+        self._partner_bits = {q: sum(1 << o for o, _ in ps) for q, ps in self.adj.items()}
         n = cluster.n_qpus
         inter_cost = cluster.distances.inter_cost
         # _cost_rows[p][r] is inter_cost[(p, r)]; _caps[p] the capacity of
@@ -234,47 +249,77 @@ class SegmentCostEvaluator:
         ]
         self._caps = [0] + cluster.capacities()
         # Per QPU, index pid: the distance rows, the first physical pick of a
-        # layout, and pen[d] = cx + swap * max(0, d - 1), the cost of one gate
-        # across d coupling hops.
+        # layout, pen[d] = cx + swap * max(0, d - 1), the cost of one gate
+        # across d coupling hops, and the number of coupling edges.
         cx, swap = cp.cx_cost, cp.swap_cost
         self._qpu_consts = [()] + [
-            (table, _hub(qpu), [cx + swap * max(0, d - 1) for d in range(qpu.comp_capacity)])
+            (table, _hub(qpu), [cx + swap * max(0, d - 1) for d in range(qpu.comp_capacity)],
+             len(qpu.coupling))
             for qpu, table in zip(cluster.qpus, cluster.distances.intra)
         ]
-        self._layout_cache: dict[tuple[int, int], tuple[IntraLayout, float, int]] = {}
+        self._layout_cache: dict[tuple[int, int], tuple[IntraLayout, float, int, int]] = {}
 
     # -- per-QPU local term ------------------------------------------------
 
-    def layout_and_local(self, pid: int, mask: int) -> tuple[IntraLayout, float, int]:
-        """Layout of the qubits in `mask` on QPU pid, their local cost, and
-        W, the summed gate count of their pairs. Since swap_cost >= 0 the
-        local cost is at least cx_cost * W."""
+    def _core(self, mask: int) -> int:
+        """The members of mask with a gate partner in mask."""
+        bits = self._partner_bits
+        core = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if bits.get(low.bit_length() - 1, 0) & mask:
+                core |= low
+            rest ^= low
+        return core
+
+    def layout_and_local(self, pid: int, mask: int) -> tuple[IntraLayout, float, int, int]:
+        """The layout of the partnered core of `mask` on QPU pid, the local
+        cost of mask, W, the summed gate count of its pairs, and P, the
+        number of its pairs. Partnerless members are placed after all others
+        and pay nothing, so mask shares its core's entry. Since swap_cost >= 0
+        the local cost is at least the pair-count floor (see _floor)."""
+        cache = self._layout_cache
         key = (pid, mask)
-        hit = self._layout_cache.get(key)
+        hit = cache.get(key)
         if hit is not None:
             return hit
-        table, hub, pen = self._qpu_consts[pid]
-        partners = _partners(mask, self.adj)
-        lay = _greedy_layout(self.cluster.qpus[pid - 1], partners, table, hub)
-        phys_of = lay.phys_of
-        cost = 0.0
-        weight = 0
-        # pairs in ascending (i, j) order, a fixed float summation order
-        for i, ps in partners.items():
-            row = table[phys_of[i]]
-            for j, c in ps:
-                if j > i:
-                    cost += c * pen[row[phys_of[j]]]
-                    weight += c
-        out = (lay, cost, weight)
-        self._layout_cache[key] = out
+        qpu = self.cluster.qpus[pid - 1]
+        _check_fits(qpu, mask.bit_count())
+        core = self._core(mask)
+        out = cache.get((pid, core))
+        if out is None:
+            table, hub, pen, _ = self._qpu_consts[pid]
+            partners = _partners(core, self.adj)
+            lay = _greedy_layout(qpu, partners, table, hub)
+            phys_of = lay.phys_of
+            cost = 0.0
+            weight = npairs = 0
+            # pairs in ascending (i, j) order, a fixed float summation order
+            for i, ps in partners.items():
+                row = table[phys_of[i]]
+                for j, c in ps:
+                    if j > i:
+                        cost += c * pen[row[phys_of[j]]]
+                        weight += c
+                        npairs += 1
+            out = (lay, cost, weight, npairs)
+            cache[(pid, core)] = out
+        cache[key] = out
         return out
 
-    def _floor(self, pid: int, mask: int, weight: int) -> float:
-        """The local cost of `mask` on QPU pid if its layout is cached, else
-        its lower bound cx_cost * weight; no layout is built."""
+    def _floor(self, pid: int, mask: int, weight: int, npairs: int) -> float:
+        """The local cost of `mask` on QPU pid if it is cached, else the
+        pair-count floor cx_cost * W + swap_cost * max(0, P - E) from its W,
+        its P pairs and the QPU's E coupling edges; no layout is built.
+        Under any layout at most E of the pairs sit on coupling edges, and
+        every other pair is two or more hops apart and has at least one
+        gate, so it pays swap_cost at least once."""
         hit = self._layout_cache.get((pid, mask))
-        return hit[1] if hit is not None else self.cp.cx_cost * weight
+        if hit is not None:
+            return hit[1]
+        cp = self.cp
+        return cp.cx_cost * weight + cp.swap_cost * max(0, npairs - self._qpu_consts[pid][3])
 
     # -- full evaluation -----------------------------------------------------
 
@@ -315,21 +360,24 @@ class SegmentCostEvaluator:
         modified; masks[p] is the bitmask of the qubits on QPU p. The layout
         keys of the changed QPUs are the current masks with the moved bits
         flipped. Relocations into a full QPU raise InfeasibleError; null
-        moves cost 0.
+        moves cost 0. A changed QPU set where no moved qubit shares a gate
+        with the set's other members keeps its partnered core, so its new
+        local cost is its current one, known without a lookup.
 
         reject, if given, is called once with a lower bound lb on the change
         before any layout of a changed QPU set is built. lb takes the exact
         inter and move terms, the cached local costs of the current sets, and
-        for each new set its cached local cost or else cx_cost * W, minus a
-        margin of 1e-9 * (1 + the sum of the terms' magnitudes) for float
-        rounding. When reject(lb) is true, delta returns lb; otherwise it
-        returns the exact change.
+        for each new set its known or cached local cost or else its
+        pair-count floor (see _floor), minus a margin of 1e-9 * (1 + the sum
+        of the terms' magnitudes) for float rounding. When reject(lb) is
+        true, delta returns lb; otherwise it returns the exact change.
         """
         cp = self.cp
         rows = self._cost_rows
         local = self.layout_and_local
         # Each kind yields the inter and move terms and its two changed QPU
-        # sets as (pid, current mask, new mask, W(new) - W(current)).
+        # sets as (pid, current mask, new mask, W(new) - W(current),
+        # P(new) - P(current), whether a moved qubit has a partner there).
         if move.kind == "relocate":
             q, src, dst = move.a, qpu_of[move.a], move.dest
             if dst == src:
@@ -338,19 +386,22 @@ class SegmentCostEvaluator:
             if m_dst.bit_count() >= self._caps[dst]:
                 raise InfeasibleError(f"QPU {dst} is full")
             d_inter = 0.0
-            w_src = w_dst = 0
+            w_src = w_dst = n_src = n_dst = 0
             row_dst, row_src = rows[dst], rows[src]
             for o, c in self.adj.get(q, ()):
                 po = qpu_of[o]
                 d_inter += c * (row_dst[po] - row_src[po])
                 if po == src:
                     w_src += c
+                    n_src += 1
                 elif po == dst:
                     w_dst += c
+                    n_dst += 1
             d_inter *= cp.remote_op_cost
             bit = 1 << q
             m_src = masks[src]
-            sides = ((src, m_src, m_src ^ bit, -w_src), (dst, m_dst, m_dst | bit, w_dst))
+            sides = ((src, m_src, m_src ^ bit, -w_src, -n_src, n_src),
+                     (dst, m_dst, m_dst | bit, w_dst, n_dst, n_dst))
             d_move = 0.0
             if self.prev is not None:
                 pq = self.prev.qpu_of[q]
@@ -361,7 +412,8 @@ class SegmentCostEvaluator:
             if qa == qb or pa == pb:
                 return 0.0
             d_inter = 0.0
-            wa_a = wa_b = wb_a = wb_b = 0  # wx_y: gates of qx with the rest of QPU py
+            # wx_y, nx_y: gates and partners of qx with the rest of QPU py
+            wa_a = wa_b = wb_a = wb_b = na_a = na_b = nb_a = nb_b = 0
             row_a, row_b = rows[pa], rows[pb]
             for o, c in self.adj.get(qa, ()):
                 if o == qb:
@@ -370,8 +422,10 @@ class SegmentCostEvaluator:
                 d_inter += c * (row_b[po] - row_a[po])
                 if po == pa:
                     wa_a += c
+                    na_a += 1
                 elif po == pb:
                     wa_b += c
+                    na_b += 1
             for o, c in self.adj.get(qb, ()):
                 if o == qa:
                     continue
@@ -379,12 +433,15 @@ class SegmentCostEvaluator:
                 d_inter += c * (row_a[po] - row_b[po])
                 if po == pa:
                     wb_a += c
+                    nb_a += 1
                 elif po == pb:
                     wb_b += c
+                    nb_b += 1
             d_inter *= cp.remote_op_cost
             flip = (1 << qa) | (1 << qb)
             m_a, m_b = masks[pa], masks[pb]
-            sides = ((pa, m_a, m_a ^ flip, wb_a - wa_a), (pb, m_b, m_b ^ flip, wa_b - wb_b))
+            sides = ((pa, m_a, m_a ^ flip, wb_a - wa_a, nb_a - na_a, na_a or nb_a),
+                     (pb, m_b, m_b ^ flip, wa_b - wb_b, na_b - nb_b, na_b or nb_b))
             d_move = 0.0
             if self.prev is not None:
                 po = self.prev.qpu_of
@@ -395,26 +452,33 @@ class SegmentCostEvaluator:
         else:
             raise ValueError(f"unknown move kind '{move.kind}'")
 
-        (p1, old1, new1, dw1), (p2, old2, new2, dw2) = sides
+        (p1, old1, new1, dw1, dp1, changed1), (p2, old2, new2, dw2, dp2, changed2) = sides
         e1, e2 = local(p1, old1), local(p2, old2)
         if reject is not None:
-            f1 = self._floor(p1, new1, e1[2] + dw1)
-            f2 = self._floor(p2, new2, e2[2] + dw2)
+            f1 = self._floor(p1, new1, e1[2] + dw1, e1[3] + dp1) if changed1 else e1[1]
+            f2 = self._floor(p2, new2, e2[2] + dw2, e2[3] + dp2) if changed2 else e2[1]
             g_inter, g_move = cp.gamma1 * d_inter, cp.gamma3 * d_move
             lb = g_inter + cp.gamma2 * ((f1 - e1[1]) + (f2 - e2[1])) + g_move
             lb -= 1e-9 * (1.0 + abs(g_inter) + abs(g_move)
                           + cp.gamma2 * (f1 + e1[1] + f2 + e2[1]))
             if reject(lb):
                 return lb
-        d_local = local(p1, new1)[1] - e1[1]
+        x1 = local(p1, new1)[1] if changed1 else e1[1]
+        x2 = local(p2, new2)[1] if changed2 else e2[1]
+        d_local = x1 - e1[1]
         if move.kind == "relocate":  # each kind keeps its own summation order
-            d_local += local(p2, new2)[1] - e2[1]
+            d_local += x2 - e2[1]
         else:
-            d_local = d_local + local(p2, new2)[1] - e2[1]
+            d_local = d_local + x2 - e2[1]
         return cp.gamma1 * d_inter + cp.gamma2 * d_local + cp.gamma3 * d_move
 
     def layouts(self, a: Assignment) -> dict[int, IntraLayout]:
-        return {
-            pid: self.layout_and_local(pid, mask)[0]
-            for pid, mask in enumerate(qpu_masks(a.qpu_of, self.cluster.n_qpus)) if mask
-        }
+        """The full greedy layout of every occupied QPU's set; a set with no
+        partnered member has its first member on the QPU's hub."""
+        out = {}
+        for pid, mask in enumerate(qpu_masks(a.qpu_of, self.cluster.n_qpus)):
+            if mask:
+                table, hub = self._qpu_consts[pid][:2]
+                out[pid] = _greedy_layout(self.cluster.qpus[pid - 1],
+                                          _partners(mask, self.adj), table, hub)
+        return out

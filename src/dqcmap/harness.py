@@ -96,14 +96,17 @@ def run_map(
     cost_params: CostParams | None = None,
     anneal_params: AnnealParams | None = None,
     baseline_samples: int = 10,
+    decay: float | None = None,
 ) -> dict:
     """Full pipeline on one circuit; report includes a random-placement
     baseline (median of `baseline_samples` static draws) for context. The
-    circuit is layered and segmented once for the plan and every draw."""
+    circuit is layered and segmented once for the plan and every draw.
+    decay is the interaction graph decay of the clustering (None: the
+    compile default)."""
     cp = cost_params if cost_params is not None else CostParams()
     prep = prepare(circuit, seg_params)
     plan = compile(circuit, cluster, seed=seed, cost_params=cp,
-                   anneal_params=anneal_params, prepared=prep)
+                   anneal_params=anneal_params, decay=decay, prepared=prep)
     base_totals = []
     for i in range(baseline_samples):
         base = compile(circuit, cluster, seed=split_seed(seed, f"baseline:{i}"),
@@ -129,6 +132,7 @@ def run_ablate(
     seg_params: SegmentationParams | None = None,
     cost_params: CostParams | None = None,
     anneal_params: AnnealParams | None = None,
+    decay: float | None = None,
 ) -> dict:
     """Four-arm comparison isolating each pipeline stage.
 
@@ -137,7 +141,8 @@ def run_ablate(
     annealing. L3: the full pipeline. Arms share cost parameters and derive
     their randomness from the run seed; reductions are relative to baseline.
     All arms share one layering and pattern segmentation; L2 takes its
-    segment count from the pattern segments.
+    segment count from the pattern segments. decay is the interaction graph
+    decay of the three clustering arms (None: the compile default).
     """
     cp = cost_params if cost_params is not None else CostParams()
     prep = prepare(circuit, seg_params)
@@ -145,12 +150,12 @@ def run_ablate(
         "baseline": compile(circuit, cluster, seed=seed, cost_params=cp,
                             initial="random", do_anneal=False, prepared=prep),
         "L1": compile(circuit, cluster, seed=seed, cost_params=cp,
-                      do_anneal=False, prepared=prep),
+                      decay=decay, do_anneal=False, prepared=prep),
         "L2": compile(circuit, cluster, seed=seed, cost_params=cp,
-                      anneal_params=anneal_params, segmentation_mode="random",
-                      prepared=prep),
+                      anneal_params=anneal_params, decay=decay,
+                      segmentation_mode="random", prepared=prep),
         "L3": compile(circuit, cluster, seed=seed, cost_params=cp,
-                      anneal_params=anneal_params, prepared=prep),
+                      anneal_params=anneal_params, decay=decay, prepared=prep),
     }
     base_total = plans["baseline"].total_cost
     report = _run_header("ablate", seed, circuit, cluster, cp, prep.layered.depth)
@@ -180,10 +185,13 @@ def run_sweep_ratio(
     seg_params: SegmentationParams | None = None,
     anneal_params: AnnealParams | None = None,
     cost_params: CostParams | None = None,
+    decay: float | None = None,
 ) -> list[dict]:
     """Compile once per inter:intra cost ratio; shares are the gamma-weighted
     component magnitudes, so the intra column tracks the local overhead in
-    absolute terms while the total falls with cheaper interconnects."""
+    absolute terms while the total falls with cheaper interconnects. decay
+    is the interaction graph decay of the clustering (None: the compile
+    default)."""
     if not ratios:
         raise ValueError("no ratios given")
     prep = prepare(circuit, seg_params)
@@ -196,7 +204,7 @@ def run_sweep_ratio(
         else:
             cp = CostParams.from_ratio(r)
         plan = compile(circuit, cluster, seed=seed, cost_params=cp,
-                       anneal_params=anneal_params, prepared=prep)
+                       anneal_params=anneal_params, decay=decay, prepared=prep)
         rows.append({
             "ratio": r,
             "e_inter_share": cp.gamma1 * plan.totals.e_inter,

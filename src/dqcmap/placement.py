@@ -78,8 +78,8 @@ def build_graph(segments: list[Segment], decay: float) -> InteractionGraph:
     exp(-decay * s). Qubit count is taken from the widest pair seen plus the
     caller's circuit; pass n_qubits explicitly via segments' source circuit
     when isolating this step."""
-    if decay < 0:
-        raise ValueError("decay must be >= 0")
+    if not (math.isfinite(decay) and decay >= 0):
+        raise ValueError("decay must be finite and >= 0")
     weights: dict[tuple[int, int], float] = {}
     top = -1
     for seg in segments:

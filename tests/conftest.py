@@ -6,7 +6,18 @@ import pytest
 from hypothesis import strategies as st
 
 from dqcmap.circuit import Circuit, GateOp, InteractionCount
-from dqcmap.cost import CostBreakdown, CostParams, Move, SegmentCostEvaluator, qpu_masks
+from dqcmap.cost import (
+    CostBreakdown,
+    CostParams,
+    IntraLayout,
+    Move,
+    SegmentCostEvaluator,
+    _adjacency,
+    _greedy_layout,
+    _hub,
+    _partners,
+    qpu_masks,
+)
 from dqcmap.hardware import ClusterTopology, build_cluster
 from dqcmap.placement import Assignment, random_placement
 from dqcmap.segmentation import Segment
@@ -127,6 +138,26 @@ def total(a: Assignment, seg: Segment, prev: Assignment | None,
 def delta_total(ev: SegmentCostEvaluator, a: Assignment, move: Move) -> float:
     """Incremental objective change of `move` applied to assignment `a`."""
     return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus), move)
+
+
+def full_layout_and_local(ev: SegmentCostEvaluator, pid: int,
+                          mask: int) -> tuple[IntraLayout, float, int]:
+    """Oracle for ev.layout_and_local: the greedy layout of every member of
+    mask built afresh, its local cost summed over the segment's pairs in
+    ascending (i, j) order, and W, their summed gate count."""
+    qpu = ev.cluster.qpu(pid)
+    table = ev.cluster.distances.intra[pid - 1]
+    pairs = sorted(ev.seg.interactions.pairs.items())
+    adj = _adjacency([(i, j, c) for (i, j), c in pairs])
+    lay = _greedy_layout(qpu, _partners(mask, adj), table, _hub(qpu))
+    cp = ev.cp
+    cost, weight = 0.0, 0
+    for (i, j), c in pairs:
+        if mask >> i & 1 and mask >> j & 1:
+            d = table[lay.phys_of[i]][lay.phys_of[j]]
+            cost += c * (cp.cx_cost + cp.swap_cost * max(0, d - 1))
+            weight += c
+    return lay, cost, weight
 
 
 # -- acceptance criteria reporting ------------------------------------------

@@ -77,6 +77,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             AnnealParams(relocate_weight=0.0, swap_weight=0.0)
 
+    @pytest.mark.parametrize("field", ["t0", "cooling_rate", "relocate_weight", "swap_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            AnnealParams(**{field: value})
+
 
 class TestPropose:
     def test_moves_stay_feasible(self):

@@ -5,9 +5,13 @@ import json
 
 import pytest
 
+from dqcmap.anneal import AnnealParams
+from dqcmap.bench import gen_adder
 from dqcmap.circuit import parse_qasm
 from dqcmap.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
-from dqcmap.hardware import load_cluster
+from dqcmap.cost import CostParams
+from dqcmap.hardware import gen_topology, load_cluster
+from dqcmap.harness import render_json, run_map
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -158,6 +162,31 @@ class TestMap:
         assert out == ""
         assert "--top-k 9" in err
 
+    def test_lambda_reaches_clustering(self, capsys):
+        args = ("map", "--bench", "adder", "--size", "16", "--gen", "line",
+                "--sizes", "6,6,8", "--iters", "300")
+        code, flat, _ = run_cli(capsys, *args, "--lambda", "0")
+        assert code == EXIT_OK
+        want = run_map(gen_adder(16), gen_topology("line", [6, 6, 8], 0), seed=0,
+                       cost_params=CostParams.from_ratio(5.0),
+                       anneal_params=AnnealParams(iters_per_segment=300), decay=0.0)
+        assert flat == render_json(want)
+        _, default, _ = run_cli(capsys, *args)
+        assert flat != default
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda", "-1"), ("--lambda", "nan"),
+        ("--ratio", "nan"), ("--ratio", "inf"), ("--gamma2", "nan"),
+        ("--t0", "nan"), ("--cooling-rate", "inf"),
+    ])
+    def test_non_finite_or_negative_param_rejected(self, flag, value, capsys):
+        code, out, err = run_cli(capsys, "map", "--bench", "qft", "--size", "6",
+                                 "--gen", "line", "--sizes", "4,4", "--iters", "50",
+                                 flag, value)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "finite" in err
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--bench", "nosuch", "--size", "4",
@@ -198,3 +227,11 @@ class TestAblateAndSweep:
                                "--ratios", "0")
         assert code == EXIT_INPUT
         assert "ratio" in err
+
+    @pytest.mark.parametrize("ratios", ["nan", "3,inf"])
+    def test_non_finite_ratio(self, topo_file, capsys, ratios):
+        code, _, err = run_cli(capsys, "sweep-ratio", "--bench", "qft",
+                               "--size", "6", "--topology", topo_file,
+                               "--ratios", ratios)
+        assert code == EXIT_INPUT
+        assert "finite" in err

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dqcmap.circuit import InteractionCount
 from dqcmap.cost import CostParams, Move, SegmentCostEvaluator, intra_layout, qpu_masks
 from dqcmap.errors import InfeasibleError
-from dqcmap.hardware import build_cluster
+from dqcmap.hardware import _COUPLING_BUILDERS, build_cluster
 from dqcmap.placement import Assignment
 from dqcmap.segmentation import Segment
 
@@ -20,6 +20,8 @@ from conftest import (
     e_inter,
     e_local,
     e_move,
+    full_coupling,
+    full_layout_and_local,
     line_coupling,
     random_case,
     total,
@@ -60,6 +62,18 @@ class TestCostParams:
             CostParams(gamma2=-0.1)
         with pytest.raises(ValueError):
             CostParams.from_ratio(0)
+
+    @pytest.mark.parametrize("field", ["cx_cost", "swap_cost", "remote_op_cost",
+                                       "teleport_cost", "gamma1", "gamma2", "gamma3"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CostParams(**{field: value})
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_non_finite_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="ratio"):
+            CostParams.from_ratio(ratio)
 
     def test_breakdown_as_dict(self):
         seg = seg_of({(0, 1): 1})
@@ -283,3 +297,119 @@ class TestDelta:
         lays = ev.layouts(Assignment((1, 1, 3)))
         assert set(lays) == {1, 3}
         assert sorted(lays[1].phys_of) == [0, 1]
+
+
+def one_qpu(coupling: str, k: int):
+    return build_cluster(
+        [{"name": "solo", "comp_capacity": k, "comm_qubits": 1,
+          "coupling": (full_coupling(k) if coupling == "complete"
+                       else [list(e) for e in _COUPLING_BUILDERS[coupling](k)])}],
+        [],
+    )
+
+
+def members_mask(qubits) -> int:
+    return sum(1 << q for q in qubits)
+
+
+class TestPartneredCore:
+    """The cache answers a set from its partnered core, the members with a
+    gate partner inside the set; full_layout_and_local is the oracle."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cached_cost_matches_full_build(self, data):
+        ct, seg, cur, _ = random_case(data, with_prev=False)
+        ev = SegmentCostEvaluator(ct, seg, cost_params(data))
+        n = len(cur.qpu_of)
+        pid = data.draw(st.integers(1, 3))
+        cap = ct.qpu(pid).comp_capacity
+        qubits = st.lists(st.integers(0, n - 1), unique=True, max_size=cap)
+        target = members_mask(data.draw(qubits))
+        # Sub- and supersets of the target first, so it may be answered from
+        # entries stored by others.
+        masks = []
+        for extra in data.draw(st.lists(qubits, max_size=6)):
+            mask = (target & data.draw(st.integers(0, (1 << n) - 1))) | members_mask(extra)
+            if mask.bit_count() <= cap:
+                masks.append(mask)
+        for mask in masks + [target]:
+            _, cost, weight, npairs = ev.layout_and_local(pid, mask)
+            _, want_cost, want_weight = full_layout_and_local(ev, pid, mask)
+            assert (cost, weight) == (want_cost, want_weight)
+            assert npairs == sum(1 for i, j in seg.interactions.pairs
+                                 if mask >> i & 1 and mask >> j & 1)
+
+    def test_partnerless_members_share_the_core_entry(self):
+        ct = two_qpu_line(4, 4)
+        # a pair without gates partners nobody and is not counted in P
+        ev = SegmentCostEvaluator(ct, seg_of({(0, 1): 2, (1, 2): 1, (2, 3): 0}), CostParams())
+        core = ev.layout_and_local(1, 0b0111)
+        assert ev.layout_and_local(1, 0b1111) is core  # qubit 3 has no partner
+        assert core[2:] == (3, 2)
+        empty = ev.layout_and_local(1, 0b1001)  # neither has a partner in the set
+        assert empty[1:] == (0.0, 0, 0)
+        assert ev.layout_and_local(1, 0b1000) is empty
+        for mask in (0b0111, 0b1111, 0b1001, 0b1000):
+            assert ev.layout_and_local(1, mask)[1:3] == full_layout_and_local(ev, 1, mask)[1:]
+
+    def test_over_capacity_set_rejected_with_small_core(self):
+        ct = two_qpu_line(2, 2)
+        ev = SegmentCostEvaluator(ct, seg_of({(0, 1): 1}), CostParams())
+        ev.layout_and_local(1, 0b011)
+        with pytest.raises(InfeasibleError):
+            ev.layout_and_local(1, 0b111)
+
+    @pytest.mark.parametrize("coupling", ["line", "ring", "grid", "complete"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_pair_count_floor_never_exceeds_local_cost(self, coupling, data):
+        k = data.draw(st.integers(2, 6))
+        ct = one_qpu(coupling, k)
+        pairs = {(i, j): data.draw(st.integers(1, 4))
+                 for i in range(k) for j in range(i + 1, k) if data.draw(st.booleans())}
+        seg = seg_of(pairs)
+        cp = cost_params(data)
+        for mask in range(1, 1 << k):
+            inside = [c for (i, j), c in pairs.items() if mask >> i & 1 and mask >> j & 1]
+            floor = SegmentCostEvaluator(ct, seg, cp)._floor(1, mask, sum(inside), len(inside))
+            exact = SegmentCostEvaluator(ct, seg, cp).layout_and_local(1, mask)[1]
+            # within the rounding margin delta subtracts from its bound
+            assert floor <= exact + 1e-9 * (1.0 + exact)
+
+    def test_floor_hand_case(self):
+        # 4 all-to-all qubits on a 4-qubit line: 6 pairs, 3 coupling edges,
+        # so at least 3 pairs pay a swap
+        ct = one_qpu("line", 4)
+        cp = CostParams(cx_cost=1.5, swap_cost=2.0)
+        ev = SegmentCostEvaluator(ct, seg_of({(i, j): 1 for i in range(4)
+                                              for j in range(i + 1, 4)}), cp)
+        assert ev._floor(1, 0b1111, 6, 6) == 1.5 * 6 + 3 * 2.0
+        assert ev._floor(1, 0b1111, 6, 6) <= ev.layout_and_local(1, 0b1111)[1]
+        assert ev._floor(1, 0b1111, 6, 6) == ev.layout_and_local(1, 0b1111)[1]  # cached now
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_layouts_equal_intra_layout(self, data):
+        ct, seg, cur, _ = random_case(data, with_prev=False)
+        ev = SegmentCostEvaluator(ct, seg, cost_params(data))
+        ev.breakdown(cur)  # warm the cache with the same sets
+        lays = ev.layouts(cur)
+        for p, lay in lays.items():
+            assert lay == intra_layout(ct.qpu(p), list(cur.qubits_on(p)), seg.interactions)
+
+    def test_layout_of_partnerless_set_starts_on_the_hub(self):
+        ct = build_cluster(
+            [{"name": "a", "comp_capacity": 3, "coupling": line_coupling(3), "comm_qubits": 1},
+             {"name": "b", "comp_capacity": 3, "coupling": line_coupling(3), "comm_qubits": 1}],
+            [{"a": 1, "b": 2, "cost_factor": 1.0}],
+        )
+        seg = seg_of({(0, 1): 2, (2, 4): 1})
+        a = Assignment((1, 1, 2, 2, 1))  # QPU 2 holds qubits 2 and 3, no pair
+        ev = SegmentCostEvaluator(ct, seg, CostParams())
+        ev.breakdown(a)
+        lays = ev.layouts(a)
+        assert set(lays) == {1, 2}
+        for p in (1, 2):
+            assert lays[p] == intra_layout(ct.qpu(p), list(a.qubits_on(p)), seg.interactions)
+        assert lays[2].phys_of == {2: 1, 3: 0}  # the middle of the line is the hub

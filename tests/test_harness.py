@@ -8,7 +8,7 @@ import pytest
 
 from dqcmap import anneal, harness
 from dqcmap.anneal import AnnealParams, compile, prepare
-from dqcmap.bench import gen_qft
+from dqcmap.bench import gen_adder, gen_qft
 from dqcmap.cost import CostParams
 from dqcmap.harness import (
     ARMS,
@@ -111,6 +111,17 @@ class TestRunAblate:
         assert render_json(run_ablate(CIRC, ct, seed=4, anneal_params=FAST)) == \
             render_json(run_ablate(CIRC, ct, seed=4, anneal_params=FAST))
 
+    def test_decay_reaches_clustering_arms(self):
+        # an instance whose clustering the decay changes
+        circ, ct = gen_adder(6), triangle_cluster()
+        rep = run_ablate(circ, ct, seed=1, anneal_params=FAST, decay=0.0)
+        assert rep != run_ablate(circ, ct, seed=1, anneal_params=FAST)
+        for arm, kw in (("L1", dict(do_anneal=False)),
+                        ("L2", dict(anneal_params=FAST, segmentation_mode="random")),
+                        ("L3", dict(anneal_params=FAST))):
+            plan = compile(circ, ct, seed=1, decay=0.0, **kw)
+            assert rep["arms"][arm]["totals"] == plan.totals.as_dict()
+
 
 class TestSweepRatio:
     def test_rows_and_columns(self):
@@ -128,6 +139,14 @@ class TestSweepRatio:
         direct = compile(CIRC, ct, seed=0, anneal_params=FAST,
                          cost_params=CostParams.from_ratio(2))
         assert rows[0]["total"] == pytest.approx(direct.total_cost)
+
+    def test_decay_reaches_compile(self):
+        circ, ct = gen_adder(6), triangle_cluster()
+        rows = run_sweep_ratio(circ, ct, [5.0], seed=1, anneal_params=FAST, decay=0.0)
+        assert rows != run_sweep_ratio(circ, ct, [5.0], seed=1, anneal_params=FAST)
+        plan = compile(circ, ct, seed=1, cost_params=CostParams.from_ratio(5.0),
+                       anneal_params=FAST, decay=0.0)
+        assert rows[0]["total"] == plan.totals.e_total
 
     def test_empty_ratio_list(self):
         with pytest.raises(ValueError):
