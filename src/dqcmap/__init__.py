@@ -8,7 +8,6 @@ from .anneal import (
     PlanStep,
     Prepared,
     anneal_segment,
-    brute_force_optimum,
     compile,
     prepare,
 )
@@ -22,7 +21,7 @@ from .circuit import (
     parse_qasm,
     serialize_qasm,
 )
-from .cost import CostBreakdown, CostParams, IntraLayout, Move, SegmentCostEvaluator
+from .cost import CostBreakdown, CostParams, Move, SegmentCostEvaluator
 from .errors import InfeasibleError, InputError, QasmError, ValidationError
 from .hardware import ClusterTopology, QPU, QuantumSwitch, gen_topology, load_cluster
 from .placement import (
@@ -39,10 +38,10 @@ from .segmentation import Segment, SegmentationParams, jaccard, random_segment, 
 __all__ = [
     "AnnealParams", "Assignment", "Circuit", "ClusterTopology", "CostBreakdown",
     "CostParams", "GateOp", "InfeasibleError", "InputError", "InteractionCount",
-    "InteractionGraph", "IntraLayout", "LayeredCircuit", "Move", "Plan",
+    "InteractionGraph", "LayeredCircuit", "Move", "Plan",
     "PlanStep", "Prepared", "QPU", "QasmError", "QuantumSwitch",
     "Segment", "SegmentCostEvaluator", "SegmentationParams", "ValidationError",
-    "anneal_segment", "brute_force_optimum", "build_graph", "cluster_graph",
+    "anneal_segment", "build_graph", "cluster_graph",
     "compile", "count_interactions", "edge_cut", "gen_topology", "jaccard",
     "layerize", "load_cluster", "parse_qasm", "prepare", "random_placement",
     "random_segment", "repair_capacity", "segment", "serialize_qasm",

@@ -16,8 +16,9 @@ the move is rejected without building the layouts of its new QPU sets. The
 random stream, every accept decision and the exact dE of every other move
 are those of evaluating every move exactly. compile builds one
 SegmentCostEvaluator per segment and reads the step's costs from the same
-cache the annealing chain filled; the evaluator builds the final intra-QPU
-layouts.
+cache the annealing chain filled. A plan step holds the segment, its
+qubit->QPU assignment and its costs; the intra-QPU layouts that price the
+local term stay inside the evaluator.
 """
 from __future__ import annotations
 
@@ -26,14 +27,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .circuit import Circuit, LayeredCircuit, layerize
-from .cost import (
-    CostBreakdown,
-    CostParams,
-    IntraLayout,
-    Move,
-    SegmentCostEvaluator,
-    qpu_masks,
-)
+from .cost import CostBreakdown, CostParams, Move, SegmentCostEvaluator, qpu_masks
 from .errors import InfeasibleError
 from .hardware import ClusterTopology, QuantumSwitch, record_remote_op, record_teleport
 from .placement import (
@@ -56,8 +50,6 @@ class AnnealParams:
     t0: float | None = None
     cooling_rate: float | None = None
     iters_per_segment: int | None = None
-    relocate_weight: float = 1.0
-    swap_weight: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -67,11 +59,6 @@ class AnnealParams:
                 raise ValueError(f"{fieldname} must be finite and positive")
         if self.iters_per_segment is not None and self.iters_per_segment < 1:
             raise ValueError("iters_per_segment must be >= 1")
-        if not all(math.isfinite(w) and w >= 0
-                   for w in (self.relocate_weight, self.swap_weight)):
-            raise ValueError("move weights must be finite and >= 0")
-        if self.relocate_weight + self.swap_weight == 0:
-            raise ValueError("at least one move weight must be positive")
 
 
 def cooling(t0: float, rate: float, k: int) -> float:
@@ -142,41 +129,29 @@ def _nth_bit(mask: int, k: int) -> int:
     return lo
 
 
-def propose(
-    state: SearchState,
-    rng: random.Random,
-    relocate_weight: float = 1.0,
-    swap_weight: float = 1.0,
-) -> Move | None:
+def propose(state: SearchState, rng: random.Random) -> Move | None:
     """Draw one capacity-feasible move, or None when no move exists.
 
-    The move kind is drawn by the configured weights. A relocation picks a
-    uniform qubit and a uniform destination among QPUs with slack; when none
-    has slack it falls back to a swap. A swap picks a uniform qubit and a
+    Each kind is drawn with probability 1/2. A relocation picks a uniform
+    qubit and a uniform destination among QPUs with slack; when none has
+    slack it falls back to a swap. A swap picks a uniform qubit and a
     uniform partner among qubits on other QPUs, in ascending order, read
     from the union of the other QPUs' masks.
     """
     n = len(state.qpu_of)
     if state.cluster.n_qpus < 2 or n < 1:
         return None
-    wsum = relocate_weight + swap_weight
-    want_relocate = wsum > 0 and rng.random() < relocate_weight / wsum
-
-    def draw_swap() -> Move | None:
-        qa = rng.randrange(n)
-        others = ((1 << n) - 1) ^ state.masks[state.qpu_of[qa]]
-        count = others.bit_count()
-        if not count:
-            return None
-        return Move(kind="swap", a=qa, b=_nth_bit(others, rng.randrange(count)))
-
-    if want_relocate:
+    if rng.random() < 0.5:
         q = rng.randrange(n)
         dests = state.slack_qpus(exclude=state.qpu_of[q])
         if dests:
             return Move(kind="relocate", a=q, dest=dests[rng.randrange(len(dests))])
-        return draw_swap()
-    return draw_swap()
+    qa = rng.randrange(n)
+    others = ((1 << n) - 1) ^ state.masks[state.qpu_of[qa]]
+    count = others.bit_count()
+    if not count:
+        return None
+    return Move(kind="swap", a=qa, b=_nth_bit(others, rng.randrange(count)))
 
 
 def calibrate_t0(
@@ -251,7 +226,7 @@ def anneal_segment(
         return draw >= math.exp(-lb / temperature)
 
     for k in range(iters):
-        move = propose(state, rng, ap.relocate_weight, ap.swap_weight)
+        move = propose(state, rng)
         if move is None:
             break
         temperature = cooling(t0, rate, k)
@@ -270,97 +245,8 @@ def anneal_segment(
                 best_cost = cur_cost
                 best = list(state.qpu_of)
 
-    final = Assignment(tuple(best), segment=ev.seg.index)
+    final = Assignment(tuple(best))
     return final, ev.breakdown(final)
-
-
-# -- exhaustive reference ------------------------------------------------------
-
-def _feasible_assignments(n_qubits: int, caps: list[int]) -> list[tuple[int, ...]]:
-    """All capacity-feasible qubit->QPU tuples, lexicographic order."""
-    out = []
-    state = [0] * n_qubits
-
-    def rec(q: int, loads: list[int]):
-        if q == n_qubits:
-            out.append(tuple(state))
-            return
-        for p in range(len(caps)):
-            if loads[p] < caps[p]:
-                loads[p] += 1
-                state[q] = p + 1
-                rec(q + 1, loads)
-                loads[p] -= 1
-
-    rec(0, [0] * len(caps))
-    return out
-
-
-def brute_force_optimum(
-    circuit: Circuit,
-    cluster: ClusterTopology,
-    cp: CostParams,
-    seg_params: SegmentationParams | None = None,
-    segments: list[Segment] | None = None,
-) -> tuple[list[Assignment], float]:
-    """Exact minimum of the chained per-segment objective by enumeration.
-
-    Dynamic program over all capacity-feasible assignments per segment with
-    the movement charge linking stages. Refuses instances beyond 10 qubits or
-    3 QPUs.
-    """
-    if circuit.n_qubits > 10 or cluster.n_qpus > 3:
-        raise ValueError("instance too large for exhaustive search")
-    if cluster.total_capacity < circuit.n_qubits:
-        raise InfeasibleError("circuit does not fit the cluster")
-    if segments is None:
-        segments = prepare(circuit, seg_params).segments
-    if not segments:
-        return [], 0.0
-
-    states = _feasible_assignments(circuit.n_qubits, cluster.capacities())
-    inter_cost = cluster.distances.inter_cost
-    tele = cp.teleport_cost
-    g3 = cp.gamma3
-
-    def stage_cost(seg_: Segment) -> list[float]:
-        ev = SegmentCostEvaluator(cluster, seg_, cp, prev=None)
-        return [ev.breakdown(Assignment(s, segment=seg_.index)).e_total for s in states]
-
-    costs = stage_cost(segments[0])
-    back: list[list[int]] = []
-    for seg_ in segments[1:]:
-        stage = stage_cost(seg_)
-        nxt = [0.0] * len(states)
-        arg = [0] * len(states)
-        for bi, b in enumerate(states):
-            best_val, best_ai = math.inf, 0
-            for ai, a in enumerate(states):
-                mv = costs[ai]
-                if mv >= best_val:
-                    continue
-                hop = 0.0
-                for q in range(len(a)):
-                    if a[q] != b[q]:
-                        hop += inter_cost[(a[q], b[q])]
-                val = mv + g3 * tele * hop
-                if val < best_val:
-                    best_val, best_ai = val, ai
-            nxt[bi] = stage[bi] + best_val
-            arg[bi] = best_ai
-        costs = nxt
-        back.append(arg)
-
-    best_idx = min(range(len(states)), key=lambda i: (costs[i], i))
-    best_total = costs[best_idx]
-    chain = [best_idx]
-    for arg in reversed(back):
-        chain.append(arg[chain[-1]])
-    chain.reverse()
-    plan = [
-        Assignment(states[idx], segment=s + 1) for s, idx in enumerate(chain)
-    ]
-    return plan, best_total
 
 
 # -- pipeline -------------------------------------------------------------------
@@ -385,7 +271,6 @@ def prepare(circuit: Circuit, seg_params: SegmentationParams | None = None) -> P
 class PlanStep:
     segment: Segment
     assignment: Assignment
-    layouts: dict[int, IntraLayout]
     costs: CostBreakdown
 
 
@@ -406,11 +291,10 @@ class Plan:
         return self.totals.e_total
 
 
-def replay_epr(plan: Plan, cluster: ClusterTopology,
-               switch: QuantumSwitch | None = None) -> QuantumSwitch:
-    """Walk a plan through a switch, consuming EPR pairs per remote gate and
-    per teleport, one per link hop. Returns the switch used."""
-    sw = switch if switch is not None else cluster.fresh_switch()
+def replay_epr(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
+    """Walk a plan through a fresh switch, consuming EPR pairs per remote
+    gate and per teleport, one per link hop. Returns the switch."""
+    sw = cluster.fresh_switch()
     prev: Assignment | None = None
     for step in plan.steps:
         qo = step.assignment.qpu_of
@@ -435,23 +319,21 @@ def compile(
     cost_params: CostParams | None = None,
     anneal_params: AnnealParams | None = None,
     decay: float | None = None,
-    partitions: int | None = None,
     segmentation_mode: str = "pattern",
-    n_segments: int | None = None,
     initial: str = "cluster",
     do_anneal: bool = True,
     prepared: Prepared | None = None,
 ) -> Plan:
     """Map a circuit onto a cluster.
 
-    Pipeline: ASAP layering, segmentation (interaction-pattern based, or
-    uniform random boundaries when segmentation_mode is "random"), decayed
-    interaction graph, clustering placement for the first segment (or a
-    random feasible one when initial is "random"), then per-segment annealing
-    chained through the movement cost. All randomness derives from `seed`.
-    Each segment gets one SegmentCostEvaluator, whose cost cache serves
-    the annealing chain and the step's breakdown, and which builds the
-    step's final layouts.
+    Pipeline: ASAP layering, segmentation (interaction-pattern based, or as
+    many segments at uniform random boundaries when segmentation_mode is
+    "random"), decayed interaction graph, clustering placement for the first
+    segment (or a random feasible one when initial is "random"), then
+    per-segment annealing chained through the movement cost. All
+    randomness derives from `seed`. Each segment gets one
+    SegmentCostEvaluator, whose cost cache serves the annealing chain and
+    the step's breakdown.
     `prepared`, the result of prepare(circuit, seg_params), skips the
     layering and segmentation; seg_params is then not read.
     """
@@ -473,9 +355,7 @@ def compile(
         raise ValueError("prepared is for another circuit")
     lc, pattern = prepared.layered, prepared.segments
     if segmentation_mode == "random":
-        count = n_segments if n_segments is not None else max(1, len(pattern))
-        segments = random_segment(lc, count if lc.depth else 0,
-                                  split_seed(seed, "segmentation"))
+        segments = random_segment(lc, len(pattern), split_seed(seed, "segmentation"))
     else:
         segments = pattern
 
@@ -489,28 +369,23 @@ def compile(
     else:
         graph = build_graph(segments, decay if decay is not None
                             else default_decay(len(segments)))
-        parts = partitions if partitions is not None else min(
-            cluster.n_qpus, max(1, circuit.n_qubits)
-        )
-        first = cluster_graph(graph, cluster, parts, n_qubits=circuit.n_qubits)
+        first = cluster_graph(graph, cluster, min(cluster.n_qpus, circuit.n_qubits),
+                              n_qubits=circuit.n_qubits)
 
     steps: list[PlanStep] = []
     prev: Assignment | None = None
     current = first
     for seg_ in segments:
-        init = replace(current, segment=seg_.index)
         ev = SegmentCostEvaluator(cluster, seg_, cp, prev=prev)
         if do_anneal:
             # Per-segment chains draw from the run seed, not ap.seed, so one
             # top-level seed governs the whole compilation.
             seg_ap = replace(ap, seed=split_seed(seed, f"anneal:{seg_.index}"))
-            final, costs = anneal_segment(init, ev, seg_ap)
+            current, costs = anneal_segment(current, ev, seg_ap)
         else:
-            final, costs = init, ev.breakdown(init)
-        steps.append(PlanStep(segment=seg_, assignment=final,
-                              layouts=ev.layouts(final), costs=costs))
-        prev = final
-        current = final
+            costs = ev.breakdown(current)
+        steps.append(PlanStep(segment=seg_, assignment=current, costs=costs))
+        prev = current
 
     totals = CostBreakdown(
         e_inter=sum(s.costs.e_inter for s in steps),

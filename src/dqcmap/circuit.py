@@ -120,10 +120,6 @@ class InteractionCount:
     def total(self) -> int:
         return sum(self.pairs.values())
 
-    def weight_on(self, q: int) -> int:
-        """Total count of interactions that touch qubit q."""
-        return sum(c for (i, j), c in self.pairs.items() if q == i or q == j)
-
 
 def layerize(circuit: Circuit) -> LayeredCircuit:
     """Assign every gate its earliest layer.

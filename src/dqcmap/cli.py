@@ -197,6 +197,21 @@ def _anneal_params(args: argparse.Namespace) -> AnnealParams | None:
         raise InputError(str(exc)) from exc
 
 
+def _require_finite(report) -> None:
+    """Refuse a report whose numbers overflowed: finite but huge cost
+    parameters can push a run's totals to inf, and its ratios to nan."""
+    stack = [report]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, float) and not math.isfinite(x):
+            raise InputError("a run's totals are not finite; lower the cost parameters "
+                             "(--ratio or --ratios, --gamma1, --gamma2, --gamma3)")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as f:
@@ -277,6 +292,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "map":
         report = run_map(circuit, cluster, seed=seed, seg_params=seg_params,
                          cost_params=_cost_params(args), anneal_params=ap, decay=decay)
+        _require_finite(report)
         _emit(render_json(report), args.out)
         return EXIT_OK
 
@@ -284,6 +300,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         report = run_ablate(circuit, cluster, seed=seed, seg_params=seg_params,
                             cost_params=_cost_params(args), anneal_params=ap,
                             decay=decay)
+        _require_finite(report)
         _emit(render_json(report), args.out)
         return EXIT_OK
 
@@ -291,6 +308,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         rows = run_sweep_ratio(circuit, cluster, _parse_ratios(args.ratios),
                                seed=seed, seg_params=seg_params, anneal_params=ap,
                                cost_params=_cost_params(args), decay=decay)
+        _require_finite(rows)
         if args.format == "json":
             _emit(render_json({"schema_version": 1, "rows": rows}), args.out)
         else:

@@ -12,16 +12,18 @@ distance for every qubit whose QPU changed since the previous segment.
 EPR usage is the integer companion: one pair per link hop for every remote
 gate and every teleport.
 
-SegmentCostEvaluator recomputes only the terms a move touches, caching
-intra-QPU costs by (QPU, qubit bitmask); deltas agree with full
-recomputation to float roundoff. A set's local cost depends only on its
-partnered core, the members with a gate partner inside the set: the greedy
-layout places the partnerless members after all others, and they add no
-pair term. So a cache miss is answered from the core's entry, and a layout
-is built only when the core itself is new. A layout costs work in
-proportion to the core's members and their adjacency lists, not to the
-whole segment; the per-QPU constants it needs (distance rows, first pick,
-per-hop gate cost, coupling edge count) are computed once per evaluator.
+The intra-QPU layout only prices e_local: it is built, summed and
+dropped, and no plan carries it. SegmentCostEvaluator recomputes only the
+terms a move touches, caching intra-QPU costs by (QPU, qubit bitmask);
+deltas agree with full recomputation to float roundoff. A set's local cost
+depends only on its partnered core, the members with a gate partner inside
+the set: the greedy layout places the partnerless members after all
+others, and they add no pair term. So a cache miss is answered from the
+core's entry, and a layout is built only when the core itself is new. A
+layout costs work in proportion to the core's members and their adjacency
+lists, not to the whole segment; the per-QPU constants it needs (distance
+rows, first pick, per-hop gate cost, coupling edge count) are computed once
+per evaluator.
 
 Building new layouts is the expensive part of a delta. A QPU set where the
 moved qubits have no partner keeps its core and so its cost, and needs no
@@ -36,7 +38,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .hardware import ClusterTopology, QPU, _intra_table
+from .hardware import ClusterTopology, QPU
 from .placement import Assignment
 from .segmentation import Segment
 
@@ -90,14 +92,6 @@ class CostBreakdown:
 
 
 @dataclass(frozen=True)
-class IntraLayout:
-    """Logical qubit -> physical qubit index on one QPU."""
-
-    qpu_id: int
-    phys_of: dict[int, int]
-
-
-@dataclass(frozen=True)
 class Move:
     """A candidate reassignment: relocate one qubit or swap two across QPUs."""
 
@@ -133,13 +127,9 @@ def _partners(mask: int, adj) -> dict[int, list[tuple[int, int]]]:
     return {q: [(o, c) for o, c in adj.get(q, ()) if mask >> o & 1] for q in _members(mask)}
 
 
-def _check_fits(qpu: QPU, n: int) -> None:
-    if n > qpu.comp_capacity:
-        raise InfeasibleError(f"{n} qubits exceed capacity {qpu.comp_capacity} of '{qpu.name}'")
-
-
-def _greedy_layout(qpu: QPU, partners, table, hub: int) -> IntraLayout:
-    """Greedy deterministic embedding of logical qubits into a coupling map.
+def _greedy_layout(qpu: QPU, partners, table, hub: int) -> dict[int, int]:
+    """Greedy deterministic embedding of logical qubits into a coupling map,
+    as logical qubit -> physical qubit index.
 
     partners maps each qubit to place to its partners among them (see
     _partners). Qubits are placed in order of decreasing interaction weight
@@ -151,7 +141,6 @@ def _greedy_layout(qpu: QPU, partners, table, hub: int) -> IntraLayout:
     integers, so the scores are exact whatever the order they are summed in.
     """
     n_phys = qpu.comp_capacity
-    _check_fits(qpu, len(partners))
     order = sorted(partners, key=lambda q: (-sum([c for _, c in partners[q]]), q))
 
     phys_of: dict[int, int] = {}
@@ -174,18 +163,7 @@ def _greedy_layout(qpu: QPU, partners, table, hub: int) -> IntraLayout:
             pick = free[0] if score is None else min(free, key=score.__getitem__)
         phys_of[q] = pick
         free.remove(pick)
-    return IntraLayout(qpu_id=qpu.id, phys_of=phys_of)
-
-
-def intra_layout(qpu: QPU, qubits: list[int], interactions) -> IntraLayout:
-    """Standalone layout call; distances from the cluster's intra-QPU table."""
-    mask = 0
-    for q in qubits:
-        mask |= 1 << q
-    if mask.bit_count() != len(qubits):
-        raise ValueError("duplicate qubits in layout request")
-    pairs = [(i, j, c) for (i, j), c in sorted(interactions.pairs.items())]
-    return _greedy_layout(qpu, _partners(mask, _adjacency(pairs)), _intra_table(qpu), _hub(qpu))
+    return phys_of
 
 
 def qpu_masks(qpu_of, n_qpus: int) -> list[int]:
@@ -216,10 +194,9 @@ class SegmentCostEvaluator:
     stored under both keys; a layout is built only for a new core. The cache
     is sound because the segment's interactions are fixed for the
     evaluator's lifetime, and compile builds one evaluator per segment:
-    annealing and the step's exact breakdown read the same cache, and
-    layouts builds the final sets' full layouts. prev is the previous
-    segment's assignment, or None for the first segment (no movement
-    charge).
+    annealing and the step's exact breakdown read the same cache. prev is
+    the previous segment's assignment, or None for the first segment (no
+    movement charge).
     """
 
     def __init__(
@@ -257,7 +234,7 @@ class SegmentCostEvaluator:
              len(qpu.coupling))
             for qpu, table in zip(cluster.qpus, cluster.distances.intra)
         ]
-        self._layout_cache: dict[tuple[int, int], tuple[IntraLayout, float, int, int]] = {}
+        self._layout_cache: dict[tuple[int, int], tuple[float, int, int]] = {}
 
     # -- per-QPU local term ------------------------------------------------
 
@@ -273,9 +250,9 @@ class SegmentCostEvaluator:
             rest ^= low
         return core
 
-    def layout_and_local(self, pid: int, mask: int) -> tuple[IntraLayout, float, int, int]:
-        """The layout of the partnered core of `mask` on QPU pid, the local
-        cost of mask, W, the summed gate count of its pairs, and P, the
+    def layout_and_local(self, pid: int, mask: int) -> tuple[float, int, int]:
+        """The local cost of `mask` on QPU pid under the greedy layout of its
+        partnered core, W, the summed gate count of its pairs, and P, the
         number of its pairs. Partnerless members are placed after all others
         and pay nothing, so mask shares its core's entry. Since swap_cost >= 0
         the local cost is at least the pair-count floor (see _floor)."""
@@ -285,14 +262,15 @@ class SegmentCostEvaluator:
         if hit is not None:
             return hit
         qpu = self.cluster.qpus[pid - 1]
-        _check_fits(qpu, mask.bit_count())
+        if mask.bit_count() > qpu.comp_capacity:
+            raise InfeasibleError(f"{mask.bit_count()} qubits exceed capacity "
+                                  f"{qpu.comp_capacity} of '{qpu.name}'")
         core = self._core(mask)
         out = cache.get((pid, core))
         if out is None:
             table, hub, pen, _ = self._qpu_consts[pid]
             partners = _partners(core, self.adj)
-            lay = _greedy_layout(qpu, partners, table, hub)
-            phys_of = lay.phys_of
+            phys_of = _greedy_layout(qpu, partners, table, hub)
             cost = 0.0
             weight = npairs = 0
             # pairs in ascending (i, j) order, a fixed float summation order
@@ -303,7 +281,7 @@ class SegmentCostEvaluator:
                         cost += c * pen[row[phys_of[j]]]
                         weight += c
                         npairs += 1
-            out = (lay, cost, weight, npairs)
+            out = (cost, weight, npairs)
             cache[(pid, core)] = out
         cache[key] = out
         return out
@@ -317,7 +295,7 @@ class SegmentCostEvaluator:
         gate, so it pays swap_cost at least once."""
         hit = self._layout_cache.get((pid, mask))
         if hit is not None:
-            return hit[1]
+            return hit[0]
         cp = self.cp
         return cp.cx_cost * weight + cp.swap_cost * max(0, npairs - self._qpu_consts[pid][3])
 
@@ -338,7 +316,7 @@ class SegmentCostEvaluator:
         e_local = 0.0
         for pid, mask in enumerate(qpu_masks(qo, self.cluster.n_qpus)):
             if mask:
-                e_local += self.layout_and_local(pid, mask)[1]
+                e_local += self.layout_and_local(pid, mask)[0]
         e_move = 0.0
         if self.prev is not None:
             po = self.prev.qpu_of
@@ -453,32 +431,21 @@ class SegmentCostEvaluator:
             raise ValueError(f"unknown move kind '{move.kind}'")
 
         (p1, old1, new1, dw1, dp1, changed1), (p2, old2, new2, dw2, dp2, changed2) = sides
-        e1, e2 = local(p1, old1), local(p2, old2)
+        (c1, w1, n1), (c2, w2, n2) = local(p1, old1), local(p2, old2)
         if reject is not None:
-            f1 = self._floor(p1, new1, e1[2] + dw1, e1[3] + dp1) if changed1 else e1[1]
-            f2 = self._floor(p2, new2, e2[2] + dw2, e2[3] + dp2) if changed2 else e2[1]
+            f1 = self._floor(p1, new1, w1 + dw1, n1 + dp1) if changed1 else c1
+            f2 = self._floor(p2, new2, w2 + dw2, n2 + dp2) if changed2 else c2
             g_inter, g_move = cp.gamma1 * d_inter, cp.gamma3 * d_move
-            lb = g_inter + cp.gamma2 * ((f1 - e1[1]) + (f2 - e2[1])) + g_move
+            lb = g_inter + cp.gamma2 * ((f1 - c1) + (f2 - c2)) + g_move
             lb -= 1e-9 * (1.0 + abs(g_inter) + abs(g_move)
-                          + cp.gamma2 * (f1 + e1[1] + f2 + e2[1]))
+                          + cp.gamma2 * (f1 + c1 + f2 + c2))
             if reject(lb):
                 return lb
-        x1 = local(p1, new1)[1] if changed1 else e1[1]
-        x2 = local(p2, new2)[1] if changed2 else e2[1]
-        d_local = x1 - e1[1]
+        x1 = local(p1, new1)[0] if changed1 else c1
+        x2 = local(p2, new2)[0] if changed2 else c2
+        d_local = x1 - c1
         if move.kind == "relocate":  # each kind keeps its own summation order
-            d_local += x2 - e2[1]
+            d_local += x2 - c2
         else:
-            d_local = d_local + x2 - e2[1]
+            d_local = d_local + x2 - c2
         return cp.gamma1 * d_inter + cp.gamma2 * d_local + cp.gamma3 * d_move
-
-    def layouts(self, a: Assignment) -> dict[int, IntraLayout]:
-        """The full greedy layout of every occupied QPU's set; a set with no
-        partnered member has its first member on the QPU's hub."""
-        out = {}
-        for pid, mask in enumerate(qpu_masks(a.qpu_of, self.cluster.n_qpus)):
-            if mask:
-                table, hub = self._qpu_consts[pid][:2]
-                out[pid] = _greedy_layout(self.cluster.qpus[pid - 1],
-                                          _partners(mask, self.adj), table, hub)
-        return out

@@ -45,13 +45,6 @@ class QuantumSwitch:
         self.remote_ops = 0
         self.teleports = 0
 
-    def reset(self) -> None:
-        for lk in self.per_link_epr:
-            self.per_link_epr[lk] = 0
-        self.epr_consumed = 0
-        self.remote_ops = 0
-        self.teleports = 0
-
     def _consume(self, link_path: tuple[Link, ...]) -> None:
         if not link_path:
             raise ValueError("empty link path")
@@ -214,6 +207,12 @@ def _inter_tables(
     return cost, hops, path
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool: JSON true/false load as bool, an int
+    subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def build_cluster(
     qpu_specs: list[dict], link_specs: list[dict]
 ) -> ClusterTopology:
@@ -232,14 +231,14 @@ def build_cluster(
         if name in names:
             raise ValidationError(f"qpu {pos}: duplicate name '{name}'")
         names.add(name)
-        if not isinstance(cap, int) or cap < 1:
+        if not _is_int(cap) or cap < 1:
             raise ValidationError(f"qpu '{name}': comp_capacity must be a positive integer")
-        if not isinstance(comm, int) or comm < 1:
+        if not _is_int(comm) or comm < 1:
             raise ValidationError(f"qpu '{name}': comm_qubits must be a positive integer")
         edges = []
         for e in coupling:
             if (not isinstance(e, (list, tuple)) or len(e) != 2
-                    or not all(isinstance(x, int) for x in e)):
+                    or not all(_is_int(x) for x in e)):
                 raise ValidationError(f"qpu '{name}': coupling edges must be integer pairs")
             i, j = e
             if i == j:
@@ -256,7 +255,7 @@ def build_cluster(
     seen: set[Link] = set()
     for spec in link_specs:
         a, b, c = spec["a"], spec["b"], spec["cost_factor"]
-        if not isinstance(a, int) or not isinstance(b, int):
+        if not _is_int(a) or not _is_int(b):
             raise ValidationError("link endpoints must be integer QPU ids")
         if not (1 <= a <= len(qpus) and 1 <= b <= len(qpus)):
             raise ValidationError(f"link ({a}, {b}) references an unknown QPU id")

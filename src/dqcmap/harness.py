@@ -25,7 +25,9 @@ ARMS = ("baseline", "L1", "L2", "L3")
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON; a non-finite number raises ValueError, as JSON has no
+    spelling for it."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _plan_dict(plan: Plan) -> dict:

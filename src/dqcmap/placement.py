@@ -50,7 +50,6 @@ class Assignment:
     """Logical qubit -> QPU id (1-based), valid for one segment."""
 
     qpu_of: tuple[int, ...]
-    segment: int = 1
 
     @property
     def n_qubits(self) -> int:
@@ -186,7 +185,7 @@ def cluster_graph(
         for q in grp:
             qpu_of[q] = pid
 
-    a = Assignment(tuple(qpu_of), segment=1)
+    a = Assignment(tuple(qpu_of))
     a = _refine_cut(g, a, cluster, chosen)
     return repair_capacity(a, g, cluster)
 
@@ -284,7 +283,7 @@ def _refine_cut(
             changed = True
         if not changed:
             break
-    return Assignment(tuple(qpu_of), segment=a.segment)
+    return Assignment(tuple(qpu_of))
 
 
 def repair_capacity(
@@ -303,13 +302,6 @@ def repair_capacity(
     loads = [0] * cluster.n_qpus
     for p in qpu_of:
         loads[p - 1] += 1
-
-    def internal_weight(q: int) -> float:
-        pid = qpu_of[q]
-        return sum(
-            w for (i, j), w in g.weights.items()
-            if (i == q and qpu_of[j] == pid) or (j == q and qpu_of[i] == pid)
-        )
 
     def attraction(q: int, pid: int) -> float:
         return sum(
@@ -336,7 +328,7 @@ def repair_capacity(
     for pid in range(1, cluster.n_qpus + 1):
         while loads[pid - 1] > caps[pid - 1]:
             members = [q for q in range(len(qpu_of)) if qpu_of[q] == pid]
-            q = min(members, key=lambda x: (internal_weight(x), x))
+            q = min(members, key=lambda x: (attraction(x, pid), x))
             pool = slack_ring(pid)
             if not pool:
                 raise InfeasibleError("no QPU with spare capacity reachable")
@@ -344,7 +336,7 @@ def repair_capacity(
             qpu_of[q] = dest
             loads[pid - 1] -= 1
             loads[dest - 1] += 1
-    return Assignment(tuple(qpu_of), segment=a.segment)
+    return Assignment(tuple(qpu_of))
 
 
 def random_placement(n_qubits: int, cluster: ClusterTopology, seed: int) -> Assignment:
@@ -420,4 +412,4 @@ def random_placement(n_qubits: int, cluster: ClusterTopology, seed: int) -> Assi
             ways = ways[:m]
         out.append(idx + 1)
         rem[idx] -= 1
-    return Assignment(tuple(out), segment=1)
+    return Assignment(tuple(out))

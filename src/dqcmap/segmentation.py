@@ -77,36 +77,12 @@ def _cumulative_counts(lc: LayeredCircuit) -> list[list[int]]:
     return per_layer
 
 
-def density(lc: LayeredCircuit, q: int, l: int) -> float:
-    """Cumulative interaction density of qubit q through layer l."""
-    if not 0 <= q < lc.n_qubits:
-        raise ValueError(f"qubit {q} out of range")
-    if not 1 <= l <= lc.depth:
-        raise ValueError(f"layer {l} out of range for depth {lc.depth}")
-    hits = 0
-    for idx, g in enumerate(lc.circuit.gates):
-        if g.is_two_qubit and q in g.qubits and lc.layer_of[idx] <= l:
-            hits += 1
-    return hits / l
-
-
-def windowed_density(lc: LayeredCircuit, q: int, l: int, w: int) -> float:
-    """Mean of density(q, i) over i in [max(1, l-w), min(depth, l+w)].
-
-    The mean runs over the layers actually inside the circuit, so edge
-    windows are not diluted by missing terms.
-    """
-    if w < 1:
-        raise ValueError("window must be >= 1")
-    if not 1 <= l <= lc.depth:
-        raise ValueError(f"layer {l} out of range for depth {lc.depth}")
-    lo = max(1, l - w)
-    hi = min(lc.depth, l + w)
-    return sum(density(lc, q, i) for i in range(lo, hi + 1)) / (hi - lo + 1)
-
-
 def _windowed_matrix(lc: LayeredCircuit, w: int) -> list[list[float]]:
-    """wd[q][l] = windowed_density(lc, q, l, w), computed via prefix sums."""
+    """wd[q][l], the activity of qubit q at layer l: the mean over layers i
+    in [max(1, l-w), min(depth, l+w)] of its density rho(q, i), its
+    two-qubit gates in layers 1..i divided by i. The mean runs over the
+    layers inside the circuit, so edge windows are not diluted by missing
+    terms. Computed via prefix sums."""
     depth = lc.depth
     cum = _cumulative_counts(lc)
     out = []
@@ -124,17 +100,6 @@ def _windowed_matrix(lc: LayeredCircuit, w: int) -> list[list[float]]:
             row[l] = (pref[hi] - pref[lo - 1]) / (hi - lo + 1)
         out.append(row)
     return out
-
-
-def top_k_set(lc: LayeredCircuit, l: int, params: SegmentationParams) -> frozenset[int]:
-    """The k most active qubits at layer l; density ties go to lower indices."""
-    if params.top_k > lc.n_qubits:
-        raise ValueError("top_k exceeds qubit count")
-    if not 1 <= l <= lc.depth:
-        raise ValueError(f"layer {l} out of range for depth {lc.depth}")
-    scores = [(-windowed_density(lc, q, l, params.window), q) for q in range(lc.n_qubits)]
-    scores.sort()
-    return frozenset(q for _, q in scores[: params.top_k])
 
 
 def jaccard(a: frozenset[int], b: frozenset[int]) -> float:

@@ -1,15 +1,17 @@
-"""Shared builders, property-test instances and one-call cost forms for the
-test suite, plus the acceptance summary hook."""
+"""Shared builders, property-test instances, one-call cost forms and
+reference oracles for the test suite, plus the acceptance summary hook."""
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import strategies as st
 
-from dqcmap.circuit import Circuit, GateOp, InteractionCount
+from dqcmap.anneal import prepare
+from dqcmap.circuit import Circuit, GateOp, InteractionCount, LayeredCircuit
 from dqcmap.cost import (
     CostBreakdown,
     CostParams,
-    IntraLayout,
     Move,
     SegmentCostEvaluator,
     _adjacency,
@@ -18,9 +20,10 @@ from dqcmap.cost import (
     _partners,
     qpu_masks,
 )
+from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import ClusterTopology, build_cluster
 from dqcmap.placement import Assignment, random_placement
-from dqcmap.segmentation import Segment
+from dqcmap.segmentation import Segment, SegmentationParams
 
 
 def line_coupling(k: int) -> list[list[int]]:
@@ -140,24 +143,150 @@ def delta_total(ev: SegmentCostEvaluator, a: Assignment, move: Move) -> float:
     return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus), move)
 
 
-def full_layout_and_local(ev: SegmentCostEvaluator, pid: int,
-                          mask: int) -> tuple[IntraLayout, float, int]:
-    """Oracle for ev.layout_and_local: the greedy layout of every member of
-    mask built afresh, its local cost summed over the segment's pairs in
-    ascending (i, j) order, and W, their summed gate count."""
+def full_layout_and_local(ev: SegmentCostEvaluator, pid: int, mask: int) -> tuple[float, int]:
+    """Oracle for ev.layout_and_local: the local cost of mask under the
+    greedy layout of every member built afresh, summed over the segment's
+    pairs in ascending (i, j) order, and W, their summed gate count."""
     qpu = ev.cluster.qpu(pid)
     table = ev.cluster.distances.intra[pid - 1]
     pairs = sorted(ev.seg.interactions.pairs.items())
     adj = _adjacency([(i, j, c) for (i, j), c in pairs])
-    lay = _greedy_layout(qpu, _partners(mask, adj), table, _hub(qpu))
+    phys_of = _greedy_layout(qpu, _partners(mask, adj), table, _hub(qpu))
     cp = ev.cp
     cost, weight = 0.0, 0
     for (i, j), c in pairs:
         if mask >> i & 1 and mask >> j & 1:
-            d = table[lay.phys_of[i]][lay.phys_of[j]]
+            d = table[phys_of[i]][phys_of[j]]
             cost += c * (cp.cx_cost + cp.swap_cost * max(0, d - 1))
             weight += c
-    return lay, cost, weight
+    return cost, weight
+
+
+# -- exhaustive reference -----------------------------------------------------
+
+def _feasible_assignments(n_qubits: int, caps: list[int]) -> list[tuple[int, ...]]:
+    """All capacity-feasible qubit->QPU tuples, lexicographic order."""
+    out = []
+    state = [0] * n_qubits
+
+    def rec(q: int, loads: list[int]):
+        if q == n_qubits:
+            out.append(tuple(state))
+            return
+        for p in range(len(caps)):
+            if loads[p] < caps[p]:
+                loads[p] += 1
+                state[q] = p + 1
+                rec(q + 1, loads)
+                loads[p] -= 1
+
+    rec(0, [0] * len(caps))
+    return out
+
+
+def brute_force_optimum(
+    circuit: Circuit,
+    cluster: ClusterTopology,
+    cp: CostParams,
+    seg_params: SegmentationParams | None = None,
+    segments: list[Segment] | None = None,
+) -> tuple[list[Assignment], float]:
+    """Exact minimum of the chained per-segment objective by enumeration.
+
+    Dynamic program over all capacity-feasible assignments per segment with
+    the movement charge linking stages. Refuses instances beyond 10 qubits or
+    3 QPUs.
+    """
+    if circuit.n_qubits > 10 or cluster.n_qpus > 3:
+        raise ValueError("instance too large for exhaustive search")
+    if cluster.total_capacity < circuit.n_qubits:
+        raise InfeasibleError("circuit does not fit the cluster")
+    if segments is None:
+        segments = prepare(circuit, seg_params).segments
+    if not segments:
+        return [], 0.0
+
+    states = _feasible_assignments(circuit.n_qubits, cluster.capacities())
+    inter_cost = cluster.distances.inter_cost
+    tele = cp.teleport_cost
+    g3 = cp.gamma3
+
+    def stage_cost(seg_: Segment) -> list[float]:
+        ev = SegmentCostEvaluator(cluster, seg_, cp, prev=None)
+        return [ev.breakdown(Assignment(s)).e_total for s in states]
+
+    costs = stage_cost(segments[0])
+    back: list[list[int]] = []
+    for seg_ in segments[1:]:
+        stage = stage_cost(seg_)
+        nxt = [0.0] * len(states)
+        arg = [0] * len(states)
+        for bi, b in enumerate(states):
+            best_val, best_ai = math.inf, 0
+            for ai, a in enumerate(states):
+                mv = costs[ai]
+                if mv >= best_val:
+                    continue
+                hop = 0.0
+                for q in range(len(a)):
+                    if a[q] != b[q]:
+                        hop += inter_cost[(a[q], b[q])]
+                val = mv + g3 * tele * hop
+                if val < best_val:
+                    best_val, best_ai = val, ai
+            nxt[bi] = stage[bi] + best_val
+            arg[bi] = best_ai
+        costs = nxt
+        back.append(arg)
+
+    best_idx = min(range(len(states)), key=lambda i: (costs[i], i))
+    best_total = costs[best_idx]
+    chain = [best_idx]
+    for arg in reversed(back):
+        chain.append(arg[chain[-1]])
+    chain.reverse()
+    return [Assignment(states[idx]) for idx in chain], best_total
+
+
+# -- looped forms of the segmentation activity measures ------------------------
+
+def density(lc: LayeredCircuit, q: int, l: int) -> float:
+    """Cumulative interaction density of qubit q through layer l."""
+    if not 0 <= q < lc.n_qubits:
+        raise ValueError(f"qubit {q} out of range")
+    if not 1 <= l <= lc.depth:
+        raise ValueError(f"layer {l} out of range for depth {lc.depth}")
+    hits = 0
+    for idx, g in enumerate(lc.circuit.gates):
+        if g.is_two_qubit and q in g.qubits and lc.layer_of[idx] <= l:
+            hits += 1
+    return hits / l
+
+
+def windowed_density(lc: LayeredCircuit, q: int, l: int, w: int) -> float:
+    """Mean of density(q, i) over i in [max(1, l-w), min(depth, l+w)].
+
+    The mean runs over the layers actually inside the circuit, so edge
+    windows are not diluted by missing terms.
+    """
+    if w < 1:
+        raise ValueError("window must be >= 1")
+    if not 1 <= l <= lc.depth:
+        raise ValueError(f"layer {l} out of range for depth {lc.depth}")
+    lo = max(1, l - w)
+    hi = min(lc.depth, l + w)
+    return sum(density(lc, q, i) for i in range(lo, hi + 1)) / (hi - lo + 1)
+
+
+def top_k_set(lc: LayeredCircuit, l: int, params: SegmentationParams) -> frozenset[int]:
+    """The k most active qubits at layer l; density ties go to lower indices."""
+    if params.top_k > lc.n_qubits:
+        raise ValueError("top_k exceeds qubit count")
+    if not 1 <= l <= lc.depth:
+        raise ValueError(f"layer {l} out of range for depth {lc.depth}")
+    scores = [(-windowed_density(lc, q, l, params.window), q) for q in range(lc.n_qubits)]
+    scores.sort()
+    return frozenset(q for _, q in scores[: params.top_k])
 
 
 # -- acceptance criteria reporting ------------------------------------------

@@ -14,7 +14,6 @@ import time
 from dqcmap.anneal import (
     SearchState,
     accept_probability,
-    brute_force_optimum,
     compile,
     cooling,
     propose,
@@ -32,10 +31,12 @@ from dqcmap.placement import (
     edge_cut,
     random_placement,
 )
-from dqcmap.segmentation import Segment, density, jaccard, segment, windowed_density
+from dqcmap.segmentation import Segment, jaccard, segment
 
 from conftest import (
+    brute_force_optimum,
     cx_chain,
+    density,
     e_inter,
     e_local,
     e_move,
@@ -43,6 +44,7 @@ from conftest import (
     total,
     triangle_cluster,
     two_qpu_line,
+    windowed_density,
 )
 
 

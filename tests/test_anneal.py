@@ -15,7 +15,6 @@ from dqcmap.anneal import (
     TraceEntry,
     accept_probability,
     anneal_segment,
-    brute_force_optimum,
     calibrate_t0,
     compile,
     cooling,
@@ -31,7 +30,15 @@ from dqcmap.segmentation import Segment, segment
 
 from dqcmap.seeding import split_seed
 
-from conftest import cost_params, cx_chain, line_coupling, random_case, total, two_qpu_line
+from conftest import (
+    brute_force_optimum,
+    cost_params,
+    cx_chain,
+    line_coupling,
+    random_case,
+    total,
+    two_qpu_line,
+)
 
 CHAIN = cx_chain(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -72,12 +79,8 @@ class TestSchedule:
             AnnealParams(cooling_rate=-1.0)
         with pytest.raises(ValueError):
             AnnealParams(iters_per_segment=0)
-        with pytest.raises(ValueError):
-            AnnealParams(relocate_weight=-0.5)
-        with pytest.raises(ValueError):
-            AnnealParams(relocate_weight=0.0, swap_weight=0.0)
 
-    @pytest.mark.parametrize("field", ["t0", "cooling_rate", "relocate_weight", "swap_weight"])
+    @pytest.mark.parametrize("field", ["t0", "cooling_rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_params_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -113,35 +116,37 @@ class TestPropose:
         sigma = math.sqrt(0.25 / n_draws)
         assert abs(relocs / n_draws - 0.5) <= 3 * sigma
 
-    def test_pure_weights(self):
-        ct = two_qpu_line(3, 3)
-        state = SearchState(Assignment((1, 1, 2, 2)), ct)
-        rng = random.Random(3)
-        assert all(propose(state, rng, 0.0, 1.0).kind == "swap"
-                   for _ in range(100))
-        assert all(propose(state, rng, 1.0, 0.0).kind == "relocate"
-                   for _ in range(100))
-
     def test_full_cluster_falls_back_to_swap(self):
         ct = two_qpu_line(2, 2)
         state = SearchState(Assignment((1, 1, 2, 2)), ct)
         rng = random.Random(5)
-        assert all(propose(state, rng, 1.0, 0.0).kind == "swap"
-                   for _ in range(100))
+        assert all(propose(state, rng).kind == "swap" for _ in range(100))
 
     def test_swap_partner_matches_list_scan(self):
         # The partner is the k-th qubit on another QPU in ascending order,
         # drawn by the same rng calls as indexing a list of those qubits.
-        ct = two_qpu_line(8, 9)
+        # The reference mirrors the relocation branch's calls too, and the
+        # small QPUs fill up, so both kinds and the fallback occur.
+        ct = two_qpu_line(6, 7)
+        caps = {1: 6, 2: 7}
         for seed in range(20):
             state = SearchState(random_placement(12, ct, seed=seed), ct)
             ours, ref = random.Random(seed), random.Random(seed)
             for _ in range(50):
-                move = propose(state, ours, 0.0, 1.0)
-                ref.random()
+                move = propose(state, ours)
+                if ref.random() < 0.5:
+                    q = ref.randrange(12)
+                    dests = [p for p in (1, 2) if p != state.qpu_of[q]
+                             and state.qpu_of.count(p) < caps[p]]
+                    if dests:
+                        want = ("relocate", q, dests[ref.randrange(len(dests))])
+                        assert (move.kind, move.a, move.dest) == want
+                        state.apply(move)
+                        continue
                 qa = ref.randrange(12)
                 others = [q for q in range(12) if state.qpu_of[q] != state.qpu_of[qa]]
-                assert (move.a, move.b) == (qa, others[ref.randrange(len(others))])
+                want = ("swap", qa, others[ref.randrange(len(others))])
+                assert (move.kind, move.a, move.b) == want
                 state.apply(move)
 
     def test_single_qpu_has_no_moves(self):
@@ -173,7 +178,7 @@ def reference_anneal(init, ev, ap, trace):
     if t0 is None:
         t0 = calibrate_t0(ev, state, random.Random(split_seed(ap.seed, "t0")))
     for k in range(iters):
-        move = propose(state, rng, ap.relocate_weight, ap.swap_weight)
+        move = propose(state, rng)
         if move is None:
             break
         temperature = cooling(t0, rate, k)
@@ -190,7 +195,7 @@ def reference_anneal(init, ev, ap, trace):
             cur_cost += de
             if cur_cost < best_cost:
                 best_cost, best = cur_cost, list(state.qpu_of)
-    final = Assignment(tuple(best), segment=ev.seg.index)
+    final = Assignment(tuple(best))
     return final, ev.breakdown(final)
 
 
@@ -262,8 +267,6 @@ class TestAnnealSegment:
         ap = AnnealParams(
             iters_per_segment=data.draw(st.integers(50, 400)),
             t0=data.draw(st.sampled_from([None, 0.05, 1.0, 20.0])),
-            relocate_weight=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
-            swap_weight=data.draw(st.sampled_from([0.5, 1.0])),
             seed=data.draw(st.integers(0, 10_000)))
         ours, ref = [], []
         got = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp, prev=prev), ap, trace=ours)
@@ -377,13 +380,19 @@ class TestCompile:
         assert all(s.assignment.qpu_of == first for s in plan.steps)
         assert plan.totals.e_move == 0.0
 
-    def test_random_segmentation_count(self):
+    def test_random_segmentation_matches_pattern_count(self):
+        # The random-segmentation arm cuts as many segments as the pattern
+        # segmentation finds, at its own boundaries, covering every layer.
         ct = two_qpu_line(3, 3)
-        plan = compile(CHAIN, ct, seed=2, segmentation_mode="random", n_segments=2)
-        assert len(plan.steps) == 2
-        spans = [(s.segment.from_layer, s.segment.to_layer) for s in plan.steps]
-        assert spans[0][0] == 1 and spans[-1][1] == layerize(CHAIN).depth
-        assert spans[0][1] + 1 == spans[1][0]
+        depth = layerize(CHAIN).depth
+        pattern = segment(layerize(CHAIN))
+        assert len(pattern) == 2
+        for seed in range(5):
+            plan = compile(CHAIN, ct, seed=seed, segmentation_mode="random")
+            assert len(plan.steps) == len(pattern)
+            spans = [(s.segment.from_layer, s.segment.to_layer) for s in plan.steps]
+            assert spans[0][0] == 1 and spans[-1][1] == depth
+            assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
 
     def test_empty_circuit_plan(self):
         empty = Circuit(name="empty", n_qubits=3, gates=())

@@ -182,7 +182,6 @@ class TestInteractionCount:
         ic = count_interactions(lc, 1, lc.depth)
         assert ic.pairs == {(0, 1): 2, (1, 2): 1}
         assert ic.total() == 3
-        assert ic.weight_on(1) == 3
 
     def test_range_validation(self):
         lc = layerize(cx_chain(2, [(0, 1)]))

@@ -187,6 +187,32 @@ class TestMap:
         assert out == ""
         assert "finite" in err
 
+    def test_bool_link_endpoint_rejected(self, topo_file, tmp_path, capsys):
+        # JSON true would otherwise pass as QPU 1 and name the link "True-2"
+        with open(topo_file, encoding="utf-8") as f:
+            topo = json.load(f)
+        topo["links"][0]["a"] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(topo))
+        code, out, err = run_cli(capsys, "map", "--bench", "qft", "--size", "6",
+                                 "--topology", str(path), "--iters", "20")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "integer" in err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("map", "--ratio", "1e308"), ("map", "--gamma1", "1e308"),
+        ("ablate", "--ratio", "1e308"), ("sweep-ratio", "--ratios", "1e308"),
+    ])
+    def test_overflowing_totals_rejected(self, command, flag, value, capsys):
+        # finite but huge cost parameters overflow the totals to inf
+        code, out, err = run_cli(capsys, command, "--bench", "qft", "--size", "6",
+                                 "--gen", "ring", "--sizes", "3,3", "--iters", "20",
+                                 flag, value)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "not finite" in err and "--gamma1" in err
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--bench", "nosuch", "--size", "4",

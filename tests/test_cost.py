@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqcmap.circuit import InteractionCount
-from dqcmap.cost import CostParams, Move, SegmentCostEvaluator, intra_layout, qpu_masks
+from dqcmap.cost import (
+    CostParams,
+    Move,
+    SegmentCostEvaluator,
+    _greedy_layout,
+    _hub,
+    _partners,
+    qpu_masks,
+)
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import _COUPLING_BUILDERS, build_cluster
 from dqcmap.placement import Assignment
@@ -118,15 +126,19 @@ class TestLocalTerm:
 
     def test_intra_layout_injective_and_bounded(self):
         ct = line3_cluster()
-        lay = intra_layout(ct.qpu(1), [0, 1, 2], InteractionCount({(0, 1): 2}))
-        assert sorted(lay.phys_of) == [0, 1, 2]
-        assert len(set(lay.phys_of.values())) == 3
-        assert all(0 <= ph < 3 for ph in lay.phys_of.values())
+        qpu = ct.qpu(1)
+        partners = _partners(0b111, {0: [(1, 2)], 1: [(0, 2)]})
+        phys_of = _greedy_layout(qpu, partners, ct.distances.intra[0], _hub(qpu))
+        assert sorted(phys_of) == [0, 1, 2]
+        assert len(set(phys_of.values())) == 3
+        assert all(0 <= ph < 3 for ph in phys_of.values())
 
     def test_intra_layout_over_capacity(self):
+        # no pair, so no layout is built, yet the set is refused
         ct = two_qpu_line(2, 2)
+        ev = SegmentCostEvaluator(ct, seg_of({}), CostParams())
         with pytest.raises(InfeasibleError):
-            intra_layout(ct.qpu(1), [0, 1, 2], InteractionCount({}))
+            ev.layout_and_local(1, 0b111)
 
 
 class TestInterAndMoveTerms:
@@ -289,14 +301,7 @@ class TestDelta:
                 on = set(cur.qubits_on(p))
                 want = sum(c for (i, j), c in seg.interactions.pairs.items()
                            if i in on and j in on)
-                assert ev.layout_and_local(p, mask)[2] == want
-
-    def test_layouts_cover_occupied_qpus_only(self):
-        ct = line3_cluster()
-        ev = SegmentCostEvaluator(ct, seg_of({(0, 1): 2}), CostParams())
-        lays = ev.layouts(Assignment((1, 1, 3)))
-        assert set(lays) == {1, 3}
-        assert sorted(lays[1].phys_of) == [0, 1]
+                assert ev.layout_and_local(p, mask)[1] == want
 
 
 def one_qpu(coupling: str, k: int):
@@ -334,9 +339,8 @@ class TestPartneredCore:
             if mask.bit_count() <= cap:
                 masks.append(mask)
         for mask in masks + [target]:
-            _, cost, weight, npairs = ev.layout_and_local(pid, mask)
-            _, want_cost, want_weight = full_layout_and_local(ev, pid, mask)
-            assert (cost, weight) == (want_cost, want_weight)
+            cost, weight, npairs = ev.layout_and_local(pid, mask)
+            assert (cost, weight) == full_layout_and_local(ev, pid, mask)
             assert npairs == sum(1 for i, j in seg.interactions.pairs
                                  if mask >> i & 1 and mask >> j & 1)
 
@@ -346,12 +350,12 @@ class TestPartneredCore:
         ev = SegmentCostEvaluator(ct, seg_of({(0, 1): 2, (1, 2): 1, (2, 3): 0}), CostParams())
         core = ev.layout_and_local(1, 0b0111)
         assert ev.layout_and_local(1, 0b1111) is core  # qubit 3 has no partner
-        assert core[2:] == (3, 2)
+        assert core[1:] == (3, 2)
         empty = ev.layout_and_local(1, 0b1001)  # neither has a partner in the set
-        assert empty[1:] == (0.0, 0, 0)
+        assert empty == (0.0, 0, 0)
         assert ev.layout_and_local(1, 0b1000) is empty
         for mask in (0b0111, 0b1111, 0b1001, 0b1000):
-            assert ev.layout_and_local(1, mask)[1:3] == full_layout_and_local(ev, 1, mask)[1:]
+            assert ev.layout_and_local(1, mask)[:2] == full_layout_and_local(ev, 1, mask)
 
     def test_over_capacity_set_rejected_with_small_core(self):
         ct = two_qpu_line(2, 2)
@@ -373,7 +377,7 @@ class TestPartneredCore:
         for mask in range(1, 1 << k):
             inside = [c for (i, j), c in pairs.items() if mask >> i & 1 and mask >> j & 1]
             floor = SegmentCostEvaluator(ct, seg, cp)._floor(1, mask, sum(inside), len(inside))
-            exact = SegmentCostEvaluator(ct, seg, cp).layout_and_local(1, mask)[1]
+            exact = SegmentCostEvaluator(ct, seg, cp).layout_and_local(1, mask)[0]
             # within the rounding margin delta subtracts from its bound
             assert floor <= exact + 1e-9 * (1.0 + exact)
 
@@ -385,31 +389,11 @@ class TestPartneredCore:
         ev = SegmentCostEvaluator(ct, seg_of({(i, j): 1 for i in range(4)
                                               for j in range(i + 1, 4)}), cp)
         assert ev._floor(1, 0b1111, 6, 6) == 1.5 * 6 + 3 * 2.0
-        assert ev._floor(1, 0b1111, 6, 6) <= ev.layout_and_local(1, 0b1111)[1]
-        assert ev._floor(1, 0b1111, 6, 6) == ev.layout_and_local(1, 0b1111)[1]  # cached now
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_layouts_equal_intra_layout(self, data):
-        ct, seg, cur, _ = random_case(data, with_prev=False)
-        ev = SegmentCostEvaluator(ct, seg, cost_params(data))
-        ev.breakdown(cur)  # warm the cache with the same sets
-        lays = ev.layouts(cur)
-        for p, lay in lays.items():
-            assert lay == intra_layout(ct.qpu(p), list(cur.qubits_on(p)), seg.interactions)
+        assert ev._floor(1, 0b1111, 6, 6) <= ev.layout_and_local(1, 0b1111)[0]
+        assert ev._floor(1, 0b1111, 6, 6) == ev.layout_and_local(1, 0b1111)[0]  # cached now
 
     def test_layout_of_partnerless_set_starts_on_the_hub(self):
-        ct = build_cluster(
-            [{"name": "a", "comp_capacity": 3, "coupling": line_coupling(3), "comm_qubits": 1},
-             {"name": "b", "comp_capacity": 3, "coupling": line_coupling(3), "comm_qubits": 1}],
-            [{"a": 1, "b": 2, "cost_factor": 1.0}],
-        )
-        seg = seg_of({(0, 1): 2, (2, 4): 1})
-        a = Assignment((1, 1, 2, 2, 1))  # QPU 2 holds qubits 2 and 3, no pair
-        ev = SegmentCostEvaluator(ct, seg, CostParams())
-        ev.breakdown(a)
-        lays = ev.layouts(a)
-        assert set(lays) == {1, 2}
-        for p in (1, 2):
-            assert lays[p] == intra_layout(ct.qpu(p), list(a.qubits_on(p)), seg.interactions)
-        assert lays[2].phys_of == {2: 1, 3: 0}  # the middle of the line is the hub
+        ct = two_qpu_line(3, 3)
+        qpu = ct.qpu(2)
+        phys_of = _greedy_layout(qpu, {2: [], 3: []}, ct.distances.intra[1], _hub(qpu))
+        assert phys_of == {2: 1, 3: 0}  # the middle of the line is the hub

@@ -37,6 +37,12 @@ class TestRenderJson:
         assert out.index('"y"') < out.index('"z"')
         assert json.loads(out) == {"b": 1, "a": {"z": 2, "y": 3}}
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_number_refused(self, value):
+        # JSON has no spelling for these; json.dumps would write Infinity/NaN
+        with pytest.raises(ValueError):
+            render_json({"total": value})
+
     def test_byte_stable(self):
         ct = two_qpu_line(4, 4)
         one = render_json(run_map(CIRC, ct, seed=5, anneal_params=FAST))

@@ -9,15 +9,12 @@ from dqcmap.circuit import Circuit, GateOp, count_interactions, layerize
 from dqcmap.segmentation import (
     SegmentationParams,
     default_params,
-    density,
     jaccard,
     random_segment,
     segment,
-    top_k_set,
-    windowed_density,
 )
 
-from conftest import cx_chain
+from conftest import cx_chain, density, top_k_set, windowed_density
 
 
 # Chain circuit: cx(0,1) in layer 1, cx(1,2) in layer 2, cx(2,3) in layer 3.
