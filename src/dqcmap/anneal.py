@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .circuit import Circuit, LayeredCircuit, layerize
-from .cost import CostBreakdown, CostParams, Move, SegmentCostEvaluator, qpu_masks
+from .cost import CostBreakdown, CostParams, Move, SegmentCostEvaluator, qpu_masks, transfers
 from .errors import InfeasibleError
 from .hardware import ClusterTopology, QuantumSwitch, record_remote_op, record_teleport
 from .placement import (
@@ -72,15 +72,6 @@ def cooling(t0: float, rate: float, k: int) -> float:
     return t0 / (1.0 + rate * k)
 
 
-def accept_probability(delta_e: float, temperature: float) -> float:
-    """1 for downhill or flat moves, exp(-dE/T) uphill."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if delta_e <= 0:
-        return 1.0
-    return math.exp(-delta_e / temperature)
-
-
 class SearchState:
     """Mutable assignment the annealer walks on.
 
@@ -101,19 +92,11 @@ class SearchState:
         ]
 
     def apply(self, move: Move) -> None:
-        if move.kind == "relocate":
-            bit = 1 << move.a
-            self.masks[self.qpu_of[move.a]] &= ~bit
-            self.masks[move.dest] |= bit
-            self.qpu_of[move.a] = move.dest
-        elif move.kind == "swap":
-            pa, pb = self.qpu_of[move.a], self.qpu_of[move.b]
-            flip = (1 << move.a) ^ (1 << move.b)
-            self.masks[pa] ^= flip
-            self.masks[pb] ^= flip
-            self.qpu_of[move.a], self.qpu_of[move.b] = pb, pa
-        else:
-            raise ValueError(f"unknown move kind '{move.kind}'")
+        masks, qpu_of = self.masks, self.qpu_of
+        for q, frm, to in transfers(move, qpu_of):
+            masks[frm] ^= 1 << q
+            masks[to] ^= 1 << q
+            qpu_of[q] = to
 
 
 def _nth_bit(mask: int, k: int) -> int:
@@ -278,9 +261,6 @@ class PlanStep:
 class Plan:
     """Finished compilation: one step per segment plus run totals."""
 
-    circuit_name: str
-    n_qubits: int
-    seed: int
     steps: tuple[PlanStep, ...]
     totals: CostBreakdown
     epr_total: int
@@ -361,8 +341,7 @@ def compile(
 
     if not segments:
         empty = CostBreakdown(0.0, 0.0, 0.0, 0.0, 0)
-        return Plan(circuit_name=circuit.name, n_qubits=circuit.n_qubits,
-                    seed=seed, steps=(), totals=empty, epr_total=0)
+        return Plan(steps=(), totals=empty, epr_total=0)
 
     if initial == "random":
         first = random_placement(circuit.n_qubits, cluster, split_seed(seed, "init"))
@@ -394,8 +373,7 @@ def compile(
         e_total=sum(s.costs.e_total for s in steps),
         epr_pairs=sum(s.costs.epr_pairs for s in steps),
     )
-    plan = Plan(circuit_name=circuit.name, n_qubits=circuit.n_qubits, seed=seed,
-                steps=tuple(steps), totals=totals, epr_total=0)
+    plan = Plan(steps=tuple(steps), totals=totals, epr_total=0)
     switch = replay_epr(plan, cluster)
     return replace(plan, epr_total=switch.epr_consumed,
                    per_link_epr=dict(switch.per_link_epr))

@@ -25,10 +25,15 @@ lists, not to the whole segment; the per-QPU constants it needs (distance
 rows, first pick, per-hop gate cost, coupling edge count) are computed once
 per evaluator.
 
-Building new layouts is the expensive part of a delta. A QPU set where the
-moved qubits have no partner keeps its core and so its cost, and needs no
-layout at all. For the other new sets a delta can first offer a lower
-bound that builds none, each such set at its pair-count floor (see
+A move, a relocation or a swap, is seen as its transfers (qubit, from
+QPU, to QPU): one for a relocation, two for a swap. A delta walks each
+moved qubit's gate partners once, the same walk for both kinds, and gets
+the inter and move terms and, for the two changed QPU sets, their change
+in summed gate count and pair count. Building new layouts is the
+expensive part of a delta. A QPU set where the moved qubits have no
+partner keeps its core and so its cost, and needs no layout at all. For
+the other new sets a delta can first offer a lower bound that builds
+none, each such set at its pair-count floor (see
 SegmentCostEvaluator.delta).
 """
 from __future__ import annotations
@@ -99,6 +104,19 @@ class Move:
     a: int
     dest: int = 0  # relocate target QPU id
     b: int = -1  # swap partner qubit
+
+
+def transfers(move: Move, qpu_of) -> tuple[tuple[int, int, int], ...]:
+    """The qubits `move` reassigns from the assignment qpu_of, as
+    (qubit, from QPU, to QPU): one for a relocation, two for a swap. A null
+    move, a relocation to the qubit's own QPU or a swap within one QPU
+    (a qubit with itself included), has from == to."""
+    if move.kind == "relocate":
+        return ((move.a, qpu_of[move.a], move.dest),)
+    if move.kind == "swap":
+        pa, pb = qpu_of[move.a], qpu_of[move.b]
+        return ((move.a, pa, pb), (move.b, pb, pa))
+    raise ValueError(f"unknown move kind '{move.kind}'")
 
 
 def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:
@@ -256,15 +274,14 @@ class SegmentCostEvaluator:
         number of its pairs. Partnerless members are placed after all others
         and pay nothing, so mask shares its core's entry. Since swap_cost >= 0
         the local cost is at least the pair-count floor (see _floor)."""
-        cache = self._layout_cache
-        key = (pid, mask)
-        hit = cache.get(key)
+        hit = self._layout_cache.get((pid, mask))
         if hit is not None:
             return hit
         qpu = self.cluster.qpus[pid - 1]
         if mask.bit_count() > qpu.comp_capacity:
             raise InfeasibleError(f"{mask.bit_count()} qubits exceed capacity "
                                   f"{qpu.comp_capacity} of '{qpu.name}'")
+        cache = self._layout_cache
         core = self._core(mask)
         out = cache.get((pid, core))
         if out is None:
@@ -283,7 +300,7 @@ class SegmentCostEvaluator:
                         npairs += 1
             out = (cost, weight, npairs)
             cache[(pid, core)] = out
-        cache[key] = out
+        cache[(pid, mask)] = out
         return out
 
     def _floor(self, pid: int, mask: int, weight: int, npairs: int) -> float:
@@ -335,12 +352,16 @@ class SegmentCostEvaluator:
         """Objective change if `move` were applied to the current state.
 
         qpu_of and masks describe the current assignment and are not
-        modified; masks[p] is the bitmask of the qubits on QPU p. The layout
-        keys of the changed QPUs are the current masks with the moved bits
-        flipped. Relocations into a full QPU raise InfeasibleError; null
-        moves cost 0. A changed QPU set where no moved qubit shares a gate
-        with the set's other members keeps its partnered core, so its new
-        local cost is its current one, known without a lookup.
+        modified; masks[p] is the bitmask of the qubits on QPU p. The move
+        is read as its transfers (see transfers), and one walk over each
+        moved qubit's partners gives the inter and move terms and, for
+        each changed QPU, its change in W and P and whether a moved qubit
+        has a partner there. The layout keys of the changed QPUs are the
+        current masks with the moved bits flipped. Relocations into a full
+        QPU raise InfeasibleError; null moves cost 0. A changed QPU set
+        where no moved qubit shares a gate with the set's other members
+        keeps its partnered core, so its new local cost is its current one,
+        known without a lookup.
 
         reject, if given, is called once with a lower bound lb on the change
         before any layout of a changed QPU set is built. lb takes the exact
@@ -350,101 +371,70 @@ class SegmentCostEvaluator:
         of the terms' magnitudes) for float rounding. When reject(lb) is
         true, delta returns lb; otherwise it returns the exact change.
         """
+        moved = transfers(move, qpu_of)
+        q1, p1, p2 = moved[0]
+        if p1 == p2:
+            return 0.0
+        q2 = moved[-1][0]
+        old1, old2 = masks[p1], masks[p2]
+        if q1 == q2 and old2.bit_count() >= self._caps[p2]:  # a relocation
+            raise InfeasibleError(f"QPU {p2} is full")
         cp = self.cp
         rows = self._cost_rows
-        local = self.layout_and_local
-        # Each kind yields the inter and move terms and its two changed QPU
-        # sets as (pid, current mask, new mask, W(new) - W(current),
-        # P(new) - P(current), whether a moved qubit has a partner there).
-        if move.kind == "relocate":
-            q, src, dst = move.a, qpu_of[move.a], move.dest
-            if dst == src:
-                return 0.0
-            m_dst = masks[dst]
-            if m_dst.bit_count() >= self._caps[dst]:
-                raise InfeasibleError(f"QPU {dst} is full")
-            d_inter = 0.0
-            w_src = w_dst = n_src = n_dst = 0
-            row_dst, row_src = rows[dst], rows[src]
-            for o, c in self.adj.get(q, ()):
+        adj = self.adj
+        prev = self.prev
+        # One walk over each moved qubit's partners skips the other moved
+        # qubit (their pair keeps its distance; it sits on p1 or p2). For
+        # QPUs p1 and p2 it counts dw and dp, the changes in W and P, and h,
+        # whether a moved qubit has a partner there; s is +1 for a transfer
+        # p1 -> p2, -1 for p2 -> p1. d_move adds and subtracts term by term
+        # from 0.0: x - y for a relocation, x1 - y1 + x2 - y2 for a swap.
+        d_inter = d_move = 0.0
+        dw1 = dw2 = dp1 = dp2 = 0
+        h1 = h2 = False
+        for q, frm, to in moved:
+            other = q1 + q2 - q
+            s = 1 if frm == p1 else -1
+            row_to, row_frm = rows[to], rows[frm]
+            for o, c in adj.get(q, ()):
                 po = qpu_of[o]
-                d_inter += c * (row_dst[po] - row_src[po])
-                if po == src:
-                    w_src += c
-                    n_src += 1
-                elif po == dst:
-                    w_dst += c
-                    n_dst += 1
-            d_inter *= cp.remote_op_cost
-            bit = 1 << q
-            m_src = masks[src]
-            sides = ((src, m_src, m_src ^ bit, -w_src, -n_src, n_src),
-                     (dst, m_dst, m_dst | bit, w_dst, n_dst, n_dst))
-            d_move = 0.0
-            if self.prev is not None:
-                pq = self.prev.qpu_of[q]
-                d_move = cp.teleport_cost * (rows[pq][dst] - rows[pq][src])
-        elif move.kind == "swap":
-            qa, qb = move.a, move.b
-            pa, pb = qpu_of[qa], qpu_of[qb]
-            if qa == qb or pa == pb:
-                return 0.0
-            d_inter = 0.0
-            # wx_y, nx_y: gates and partners of qx with the rest of QPU py
-            wa_a = wa_b = wb_a = wb_b = na_a = na_b = nb_a = nb_b = 0
-            row_a, row_b = rows[pa], rows[pb]
-            for o, c in self.adj.get(qa, ()):
-                if o == qb:
-                    continue  # their own pair stays at the same distance
-                po = qpu_of[o]
-                d_inter += c * (row_b[po] - row_a[po])
-                if po == pa:
-                    wa_a += c
-                    na_a += 1
-                elif po == pb:
-                    wa_b += c
-                    na_b += 1
-            for o, c in self.adj.get(qb, ()):
-                if o == qa:
-                    continue
-                po = qpu_of[o]
-                d_inter += c * (row_a[po] - row_b[po])
-                if po == pa:
-                    wb_a += c
-                    nb_a += 1
-                elif po == pb:
-                    wb_b += c
-                    nb_b += 1
-            d_inter *= cp.remote_op_cost
-            flip = (1 << qa) | (1 << qb)
-            m_a, m_b = masks[pa], masks[pb]
-            sides = ((pa, m_a, m_a ^ flip, wb_a - wa_a, nb_a - na_a, na_a or nb_a),
-                     (pb, m_b, m_b ^ flip, wa_b - wb_b, na_b - nb_b, na_b or nb_b))
-            d_move = 0.0
-            if self.prev is not None:
-                po = self.prev.qpu_of
-                d_move = cp.teleport_cost * (
-                    rows[po[qa]][pb] - rows[po[qa]][pa]
-                    + rows[po[qb]][pa] - rows[po[qb]][pb]
-                )
-        else:
-            raise ValueError(f"unknown move kind '{move.kind}'")
+                if po == p1:
+                    if o == other:
+                        continue
+                    dw1 -= s * c
+                    dp1 -= s
+                    h1 = True
+                elif po == p2:
+                    if o == other:
+                        continue
+                    dw2 += s * c
+                    dp2 += s
+                    h2 = True
+                d_inter += c * (row_to[po] - row_frm[po])
+            if prev is not None:
+                row = rows[prev.qpu_of[q]]
+                d_move += row[to]
+                d_move -= row[frm]
+        d_inter *= cp.remote_op_cost
+        d_move *= cp.teleport_cost
+        flip = (1 << q1) | (1 << q2)
+        new1, new2 = old1 ^ flip, old2 ^ flip
 
-        (p1, old1, new1, dw1, dp1, changed1), (p2, old2, new2, dw2, dp2, changed2) = sides
+        local = self.layout_and_local
         (c1, w1, n1), (c2, w2, n2) = local(p1, old1), local(p2, old2)
         if reject is not None:
-            f1 = self._floor(p1, new1, w1 + dw1, n1 + dp1) if changed1 else c1
-            f2 = self._floor(p2, new2, w2 + dw2, n2 + dp2) if changed2 else c2
+            f1 = self._floor(p1, new1, w1 + dw1, n1 + dp1) if h1 else c1
+            f2 = self._floor(p2, new2, w2 + dw2, n2 + dp2) if h2 else c2
             g_inter, g_move = cp.gamma1 * d_inter, cp.gamma3 * d_move
             lb = g_inter + cp.gamma2 * ((f1 - c1) + (f2 - c2)) + g_move
             lb -= 1e-9 * (1.0 + abs(g_inter) + abs(g_move)
                           + cp.gamma2 * (f1 + c1 + f2 + c2))
             if reject(lb):
                 return lb
-        x1 = local(p1, new1)[0] if changed1 else c1
-        x2 = local(p2, new2)[0] if changed2 else c2
+        x1 = local(p1, new1)[0] if h1 else c1
+        x2 = local(p2, new2)[0] if h2 else c2
         d_local = x1 - c1
-        if move.kind == "relocate":  # each kind keeps its own summation order
+        if q1 == q2:  # a relocation; each kind keeps its own summation order
             d_local += x2 - c2
         else:
             d_local = d_local + x2 - c2

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -23,7 +25,9 @@ Link = tuple[int, int]  # (a, b) with a < b, 1-based QPU ids
 
 @dataclass(frozen=True)
 class QPU:
-    """One processor: id is its 1-based position in the cluster."""
+    """One processor: id is its 1-based position in the cluster.
+    comm_qubits is informational: validated and serialized, but read by no
+    cost term and no EPR replay."""
 
     id: int
     name: str
@@ -196,6 +200,9 @@ def _inter_tables(
             if dst not in best:
                 raise ValidationError("interconnect graph is not connected")
             c, h = best[dst]
+            if math.isinf(c):
+                raise ValidationError(f"topology: the cheapest path from QPU {src} to "
+                                      f"QPU {dst} costs more than a float can hold")
             cost[(src, dst)] = c
             hops[(src, dst)] = h
             chain: list[Link] = []
@@ -261,8 +268,11 @@ def build_cluster(
             raise ValidationError(f"link ({a}, {b}) references an unknown QPU id")
         if a == b:
             raise ValidationError(f"link ({a}, {b}) is a self-loop")
-        if not isinstance(c, (int, float)) or isinstance(c, bool) or c <= 0:
-            raise ValidationError(f"link ({a}, {b}): cost_factor must be positive")
+        # NaN fails both comparisons; an int too large for a float fails the second
+        if (not isinstance(c, (int, float)) or isinstance(c, bool)
+                or not 0 < c <= sys.float_info.max):
+            raise ValidationError(f"topology link ({a}, {b}): cost_factor must be "
+                                  "finite and positive")
         key = (min(a, b), max(a, b))
         if key in seen:
             raise ValidationError(f"duplicate link {key}")
@@ -289,7 +299,9 @@ def load_cluster(text: str) -> ClusterTopology:
 
     Schema: {"qpus": [{"name", "comp_capacity", "coupling", "comm_qubits"}],
     "links": [{"a", "b", "cost_factor"}]} where a/b are 1-based positions in
-    the qpus array. Unknown fields anywhere are rejected.
+    the qpus array. Unknown fields anywhere are rejected. cost_factor and
+    every cheapest path cost must be finite and positive. comm_qubits is
+    informational: no cost term and no EPR replay reads it.
     """
     try:
         doc = json.loads(text)

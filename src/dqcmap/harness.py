@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 from dataclasses import replace
 
@@ -193,18 +194,17 @@ def run_sweep_ratio(
     component magnitudes, so the intra column tracks the local overhead in
     absolute terms while the total falls with cheaper interconnects. decay
     is the interaction graph decay of the clustering (None: the compile
-    default)."""
+    default). Each row sets remote_op_cost = teleport_cost = ratio * cx_cost
+    in cost_params (None: CostParams())."""
     if not ratios:
         raise ValueError("no ratios given")
+    if not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError("ratio must be finite and positive")
+    base = cost_params if cost_params is not None else CostParams()
     prep = prepare(circuit, seg_params)
     rows = []
     for r in ratios:
-        if cost_params is not None:
-            cp = replace(cost_params,
-                         remote_op_cost=r * cost_params.cx_cost,
-                         teleport_cost=r * cost_params.cx_cost)
-        else:
-            cp = CostParams.from_ratio(r)
+        cp = replace(base, remote_op_cost=r * base.cx_cost, teleport_cost=r * base.cx_cost)
         plan = compile(circuit, cluster, seed=seed, cost_params=cp,
                        anneal_params=anneal_params, decay=decay, prepared=prep)
         rows.append({

@@ -162,6 +162,17 @@ def full_layout_and_local(ev: SegmentCostEvaluator, pid: int, mask: int) -> tupl
     return cost, weight
 
 
+# -- the annealer's acceptance rule, as a formula -----------------------------
+
+def accept_probability(delta_e: float, temperature: float) -> float:
+    """1 for downhill or flat moves, exp(-dE/T) uphill."""
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    if delta_e <= 0:
+        return 1.0
+    return math.exp(-delta_e / temperature)
+
+
 # -- exhaustive reference -----------------------------------------------------
 
 def _feasible_assignments(n_qubits: int, caps: list[int]) -> list[tuple[int, ...]]:

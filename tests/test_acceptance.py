@@ -13,7 +13,6 @@ import time
 
 from dqcmap.anneal import (
     SearchState,
-    accept_probability,
     compile,
     cooling,
     propose,
@@ -34,6 +33,7 @@ from dqcmap.placement import (
 from dqcmap.segmentation import Segment, jaccard, segment
 
 from conftest import (
+    accept_probability,
     brute_force_optimum,
     cx_chain,
     density,

@@ -13,7 +13,6 @@ from dqcmap.anneal import (
     Plan,
     SearchState,
     TraceEntry,
-    accept_probability,
     anneal_segment,
     calibrate_t0,
     compile,
@@ -22,7 +21,7 @@ from dqcmap.anneal import (
     replay_epr,
 )
 from dqcmap.circuit import Circuit, InteractionCount, layerize
-from dqcmap.cost import CostParams, SegmentCostEvaluator
+from dqcmap.cost import CostParams, Move, SegmentCostEvaluator, qpu_masks
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import build_cluster
 from dqcmap.placement import Assignment, random_placement
@@ -31,12 +30,14 @@ from dqcmap.segmentation import Segment, segment
 from dqcmap.seeding import split_seed
 
 from conftest import (
+    accept_probability,
     brute_force_optimum,
     cost_params,
     cx_chain,
     line_coupling,
     random_case,
     total,
+    triangle_cluster,
     two_qpu_line,
 )
 
@@ -197,6 +198,43 @@ def reference_anneal(init, ev, ap, trace):
                 best_cost, best = cur_cost, list(state.qpu_of)
     final = Assignment(tuple(best))
     return final, ev.breakdown(final)
+
+
+class TestSearchState:
+    @pytest.mark.parametrize("move", [
+        Move(kind="relocate", a=1, dest=1),
+        Move(kind="swap", a=0, b=1),
+        Move(kind="swap", a=2, b=2),
+    ], ids=["relocate_to_own_qpu", "swap_within_one_qpu", "swap_with_itself"])
+    def test_null_move_changes_nothing(self, move):
+        ct = two_qpu_line(3, 3)
+        state = SearchState(Assignment((1, 1, 2, 2)), ct)
+        qpu_of, masks = list(state.qpu_of), list(state.masks)
+        state.apply(move)
+        assert state.qpu_of == qpu_of
+        assert state.masks == masks
+
+    def test_masks_track_qpu_of(self):
+        # proposed moves, with a null move of either kind mixed in
+        ct = triangle_cluster()
+        for seed in range(5):
+            state = SearchState(random_placement(16, ct, seed=seed), ct)
+            rng = random.Random(seed)
+            for _ in range(300):
+                move = propose(state, rng)
+                if rng.random() < 0.1:
+                    q = move.a
+                    move = (Move(kind="relocate", a=q, dest=state.qpu_of[q])
+                            if move.kind == "relocate" else Move(kind="swap", a=q, b=q))
+                state.apply(move)
+                assert state.masks == qpu_masks(state.qpu_of, ct.n_qpus)
+
+    def test_unknown_move_kind(self):
+        ct = two_qpu_line(2, 2)
+        state = SearchState(Assignment((1, 2)), ct)
+        with pytest.raises(ValueError, match="teleport"):
+            state.apply(Move(kind="teleport", a=0, dest=2))
+        assert state.qpu_of == [1, 2]
 
 
 class TestAnnealSegment:

@@ -200,6 +200,23 @@ class TestMap:
         assert out == ""
         assert "integer" in err
 
+    @pytest.mark.parametrize("links", [
+        '[{"a": 1, "b": 2, "cost_factor": NaN}]',
+        '[{"a": 1, "b": 2, "cost_factor": Infinity}]',
+        '[{"a": 1, "b": 2, "cost_factor": 1e308}, {"a": 2, "b": 3, "cost_factor": 1e308}]',
+    ], ids=["nan", "infinity", "path_overflow"])
+    def test_non_finite_link_cost_rejected(self, links, tmp_path, capsys):
+        # the message blames the topology, not the cost flags
+        qpus = [{"name": n, "comp_capacity": 3, "coupling": [[0, 1], [1, 2]],
+                 "comm_qubits": 1} for n in "abc"]
+        path = tmp_path / "topo.json"
+        path.write_text(f'{{"qpus": {json.dumps(qpus)}, "links": {links}}}')
+        code, out, err = run_cli(capsys, "map", "--bench", "qft", "--size", "6",
+                                 "--topology", str(path), "--iters", "20")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "topology" in err and "--ratio" not in err
+
     @pytest.mark.parametrize("command,flag,value", [
         ("map", "--ratio", "1e308"), ("map", "--gamma1", "1e308"),
         ("ablate", "--ratio", "1e308"), ("sweep-ratio", "--ratios", "1e308"),

@@ -16,6 +16,7 @@ from dqcmap.cost import (
     _hub,
     _partners,
     qpu_masks,
+    transfers,
 )
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import _COUPLING_BUILDERS, build_cluster
@@ -246,6 +247,16 @@ class TestDelta:
         ev = SegmentCostEvaluator(ct, seg_of({}), CostParams())
         with pytest.raises(ValueError):
             delta_total(ev, Assignment((1, 2)), Move(kind="teleport", a=0, dest=2))
+
+    def test_transfers(self):
+        qpu_of = [1, 1, 2]
+        assert transfers(Move(kind="relocate", a=0, dest=2), qpu_of) == ((0, 1, 2),)
+        assert transfers(Move(kind="swap", a=0, b=2), qpu_of) == ((0, 1, 2), (2, 2, 1))
+        # null moves: the first transfer stays on its QPU
+        assert transfers(Move(kind="relocate", a=2, dest=2), qpu_of) == ((2, 2, 2),)
+        assert transfers(Move(kind="swap", a=0, b=1), qpu_of) == ((0, 1, 1), (1, 1, 1))
+        with pytest.raises(ValueError, match="teleport"):
+            transfers(Move(kind="teleport", a=0, dest=2), qpu_of)
 
     def test_layout_cache_reused(self):
         ct = two_qpu_line(3, 3)

@@ -66,6 +66,27 @@ class TestValidation:
                 [{"a": 1, "b": 2, "cost_factor": 0.0}],
             )
 
+    @pytest.mark.parametrize("cost_factor", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "huge_int"])
+    def test_non_finite_cost_factor_rejected(self, cost_factor):
+        # NaN passes a plain `c <= 0` check, and JSON NaN/Infinity load as floats
+        import json
+
+        doc = {"qpus": [qpu_spec("a", 2, [[0, 1]]), qpu_spec("b", 2, [[0, 1]])],
+               "links": [{"a": 1, "b": 2, "cost_factor": cost_factor}]}
+        with pytest.raises(ValidationError, match="topology link .* finite"):
+            load_cluster(json.dumps(doc))
+
+    def test_overflowing_path_cost_rejected(self):
+        # each link is finite, the two in series are not
+        import json
+
+        doc = {"qpus": [qpu_spec(n, 2, [[0, 1]]) for n in "abc"],
+               "links": [{"a": 1, "b": 2, "cost_factor": 1e308},
+                         {"a": 2, "b": 3, "cost_factor": 1e308}]}
+        with pytest.raises(ValidationError, match="topology: the cheapest path from QPU 1 to QPU 3"):
+            load_cluster(json.dumps(doc))
+
     def test_coupling_index_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             build_cluster([qpu_spec("a", 2, [[0, 2]])], [])

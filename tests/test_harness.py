@@ -158,6 +158,20 @@ class TestSweepRatio:
         with pytest.raises(ValueError):
             run_sweep_ratio(CIRC, two_qpu_line(4, 4), ratios=[])
 
+    @pytest.mark.parametrize("cost_params", [None, CostParams()], ids=["default", "given"])
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_ratio_rejected(self, cost_params, ratio):
+        # both forms check the ratio; replace() alone would accept 0
+        with pytest.raises(ValueError, match="ratio"):
+            run_sweep_ratio(CIRC, two_qpu_line(4, 4), [2.0, ratio],
+                            anneal_params=FAST, cost_params=cost_params)
+
+    def test_default_cost_params_same_rows(self):
+        ct = two_qpu_line(4, 4)
+        assert (run_sweep_ratio(CIRC, ct, [0.5, 3], seed=2, anneal_params=FAST)
+                == run_sweep_ratio(CIRC, ct, [0.5, 3], seed=2, anneal_params=FAST,
+                                   cost_params=CostParams()))
+
     def test_csv_rendering(self):
         rows = [
             {"ratio": 2, "e_inter_share": 1.5, "e_local_share": 2.0,
