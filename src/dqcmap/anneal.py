@@ -9,16 +9,21 @@ against it. The best assignment seen is returned, so the result is never
 worse than the initial one.
 
 The search state keeps one qubit bitmask per QPU, so a move's layout-cache
-keys are the current masks with the moved bits flipped. A move whose lower
-bound on dE (see SegmentCostEvaluator.delta) is positive is surely uphill,
-so it takes its draw before the exact dE; when that draw rejects the bound,
-the move is rejected without building the layouts of its new QPU sets. The
-random stream, every accept decision and the exact dE of every other move
-are those of evaluating every move exactly. compile builds one
-SegmentCostEvaluator per segment and reads the step's costs from the same
-cache the annealing chain filled. A plan step holds the segment, its
-qubit->QPU assignment and its costs; the intra-QPU layouts that price the
-local term stay inside the evaluator.
+keys are the current masks with the moved bits flipped. The loop draws each
+move with the rng calls of propose, in the same order, as its transfers
+(see cost.transfers), reads slack from per-QPU loads, and applies an
+accepted move in place; propose, SearchState.apply and cooling are the
+reference forms of these steps. A move whose lower bound on dE (see
+SegmentCostEvaluator.delta) is positive is surely uphill, so it takes its
+draw before the exact dE; when that draw rejects the bound, the move is
+rejected without building the layouts of its new QPU sets. The random
+stream, every accept decision and the exact dE of every other move are
+those of evaluating every move exactly. A temperature that underflows to
+0.0 rejects every uphill move after its draw, the limit of exp(-dE / T).
+compile builds one SegmentCostEvaluator per segment and reads the step's
+costs from the same cache the annealing chain filled. A plan step holds the
+segment, its qubit->QPU assignment and its costs; the intra-QPU layouts
+that price the local term stay inside the evaluator.
 """
 from __future__ import annotations
 
@@ -85,12 +90,6 @@ class SearchState:
         self.masks = qpu_masks(self.qpu_of, cluster.n_qpus)
         self.caps = cluster.capacities()
 
-    def slack_qpus(self, exclude: int) -> list[int]:
-        return [
-            p for p in range(1, self.cluster.n_qpus + 1)
-            if p != exclude and self.masks[p].bit_count() < self.caps[p - 1]
-        ]
-
     def apply(self, move: Move) -> None:
         masks, qpu_of = self.masks, self.qpu_of
         for q, frm, to in transfers(move, qpu_of):
@@ -126,7 +125,8 @@ def propose(state: SearchState, rng: random.Random) -> Move | None:
         return None
     if rng.random() < 0.5:
         q = rng.randrange(n)
-        dests = state.slack_qpus(exclude=state.qpu_of[q])
+        dests = [p for p in range(1, state.cluster.n_qpus + 1)
+                 if p != state.qpu_of[q] and state.masks[p].bit_count() < state.caps[p - 1]]
         if dests:
             return Move(kind="relocate", a=q, dest=dests[rng.randrange(len(dests))])
     qa = rng.randrange(n)
@@ -150,7 +150,8 @@ def calibrate_t0(
         move = propose(state, rng)
         if move is None:
             break
-        magnitudes.append(abs(ev.delta(state.qpu_of, state.masks, move)))
+        moved = transfers(move, state.qpu_of)
+        magnitudes.append(abs(ev.delta(state.qpu_of, state.masks, moved)))
     mean = sum(magnitudes) / len(magnitudes) if magnitudes else 0.0
     return mean if mean > 0 else 1.0
 
@@ -197,6 +198,7 @@ def anneal_segment(
         t0 = calibrate_t0(ev, state, random.Random(split_seed(ap.seed, "t0")))
 
     draw = None
+    random_, randrange, exp = rng.random, rng.randrange, math.exp
 
     def surely_rejected(lb: float) -> bool:
         # A positive lower bound makes the move uphill, so its draw is taken
@@ -205,28 +207,61 @@ def anneal_segment(
         nonlocal draw
         if lb <= 0:
             return False
-        draw = rng.random()
-        return draw >= math.exp(-lb / temperature)
+        draw = random_()
+        return temperature <= 0 or draw >= exp(-lb / temperature)
 
+    qpu_of, masks = state.qpu_of, state.masks
+    n = len(qpu_of)
+    if ev.cluster.n_qpus < 2 or n < 1:
+        iters = 0
+    everyone = (1 << n) - 1
+    qpus = range(1, ev.cluster.n_qpus + 1)
+    caps = [0, *state.caps]
+    loads = [mask.bit_count() for mask in masks]
+    delta = ev.delta
     for k in range(iters):
-        move = propose(state, rng)
-        if move is None:
-            break
-        temperature = cooling(t0, rate, k)
+        # The draw of propose: a relocation to a uniform QPU with slack, else
+        # a swap with a uniform qubit on another QPU; qa == qb in a relocation.
+        qb = -1
+        if random_() < 0.5:
+            qa = randrange(n)
+            pa = qpu_of[qa]
+            dests = [p for p in qpus if p != pa and loads[p] < caps[p]]
+            if dests:
+                qb, pb = qa, dests[randrange(len(dests))]
+                moved = ((qa, pa, pb),)
+        if qb < 0:
+            qa = randrange(n)
+            pa = qpu_of[qa]
+            others = everyone ^ masks[pa]
+            if not others:
+                break
+            qb = _nth_bit(others, randrange(others.bit_count()))
+            pb = qpu_of[qb]
+            moved = ((qa, pa, pb), (qb, pb, pa))
+        temperature = t0 / (1.0 + rate * k)
         draw = None
-        de = ev.delta(state.qpu_of, state.masks, move, surely_rejected)
+        de = delta(qpu_of, masks, moved, surely_rejected)
         if draw is None and de > 0:
-            draw = rng.random()
-        accepted = draw is None or draw < math.exp(-de / temperature)
+            draw = random_()
+        accepted = draw is None or (temperature > 0 and draw < exp(-de / temperature))
         if trace is not None:
             trace.append(TraceEntry(k=k, temperature=temperature, delta_e=de,
                                     draw=draw, accepted=accepted))
         if accepted:
-            state.apply(move)
+            flip = (1 << qa) | (1 << qb)
+            masks[pa] ^= flip
+            masks[pb] ^= flip
+            qpu_of[qa] = pb
+            if qa == qb:
+                loads[pa] -= 1
+                loads[pb] += 1
+            else:
+                qpu_of[qb] = pa
             cur_cost += de
             if cur_cost < best_cost:
                 best_cost = cur_cost
-                best = list(state.qpu_of)
+                best = list(qpu_of)
 
     final = Assignment(tuple(best))
     return final, ev.breakdown(final)

@@ -21,26 +21,31 @@ the set: the greedy layout places the partnerless members after all
 others, and they add no pair term. So a cache miss is answered from the
 core's entry, and a layout is built only when the core itself is new. A
 layout costs work in proportion to the core's members and their adjacency
-lists, not to the whole segment; the per-QPU constants it needs (distance
-rows, first pick, per-hop gate cost, coupling edge count) are computed once
-per evaluator.
+lists within the core, read from partner bitmasks, not to the whole
+segment; the per-QPU constants it needs (distance rows, first pick,
+per-hop gate cost, the cumulative distance histogram of the floor) are
+computed once per evaluator.
 
-A move, a relocation or a swap, is seen as its transfers (qubit, from
-QPU, to QPU): one for a relocation, two for a swap. A delta walks each
+A move, a relocation or a swap, is handed to a delta as its transfers
+(qubit, from QPU, to QPU): one for a relocation, two for a swap (see
+transfers, which reads them off a Move). A delta walks each
 moved qubit's gate partners once, the same walk for both kinds, and gets
 the inter and move terms and, for the two changed QPU sets, their change
 in summed gate count and pair count. Building new layouts is the
 expensive part of a delta. A QPU set where the moved qubits have no
 partner keeps its core and so its cost, and needs no layout at all. For
 the other new sets a delta can first offer a lower bound that builds
-none, each such set at its pair-count floor (see
-SegmentCostEvaluator.delta).
+none, each such set at its distance-rank floor (see
+SegmentCostEvaluator._floor and SegmentCostEvaluator.delta).
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InfeasibleError
 from .hardware import ClusterTopology, QPU
@@ -138,25 +143,19 @@ def _hub(qpu: QPU) -> int:
     return max(range(qpu.comp_capacity), key=degree.__getitem__)
 
 
-def _partners(mask: int, adj) -> dict[int, list[tuple[int, int]]]:
-    """Each qubit of mask, ascending -> its partners within mask, ascending,
-    as [(partner, count), ...]; adj is the segment's adjacency (see
-    _adjacency)."""
-    return {q: [(o, c) for o, c in adj.get(q, ()) if mask >> o & 1] for q in _members(mask)}
-
-
 def _greedy_layout(qpu: QPU, partners, table, hub: int) -> dict[int, int]:
     """Greedy deterministic embedding of logical qubits into a coupling map,
     as logical qubit -> physical qubit index.
 
-    partners maps each qubit to place to its partners among them (see
-    _partners). Qubits are placed in order of decreasing interaction weight
-    among the co-located set (ties toward lower qubit index). The first goes
-    to `hub`, the physical qubit of highest coupling degree (see _hub); each
-    later one to the free physical qubit minimizing the weighted coupling
-    distance to its already placed partners (ties toward the lower physical
-    index). table holds the QPU's distance rows; counts and hops are
-    integers, so the scores are exact whatever the order they are summed in.
+    partners maps each qubit to place, ascending, to its partners among
+    them, ascending, as [(partner, count), ...]. Qubits are placed in order
+    of decreasing interaction weight among the co-located set (ties toward
+    lower qubit index). The first goes to `hub`, the physical qubit of
+    highest coupling degree (see _hub); each later one to the free physical
+    qubit minimizing the weighted coupling distance to its already placed
+    partners (ties toward the lower physical index). table holds the QPU's
+    distance rows; counts and hops are integers, so the scores are exact
+    whatever the order they are summed in.
     """
     n_phys = qpu.comp_capacity
     order = sorted(partners, key=lambda q: (-sum([c for _, c in partners[q]]), q))
@@ -182,6 +181,21 @@ def _greedy_layout(qpu: QPU, partners, table, hub: int) -> dict[int, int]:
         phys_of[q] = pick
         free.remove(pick)
     return phys_of
+
+
+def _distance_ranks(table) -> tuple[list[int], list[int]]:
+    """(cum, extra) over a QPU's physical pairs by coupling distance
+    d = 0, 1, ..., diameter: cum[d] pairs lie at most d hops apart, and
+    together they are extra[d] hops beyond adjacency. Read from a histogram
+    of the distance table, so the lists grow with the diameter, not with the
+    number of pairs."""
+    hist = Counter(chain.from_iterable(table))  # each pair twice; d = 0 on the diagonal
+    cum, extra = [0], [0]
+    for d in range(1, max(hist) + 1):
+        pairs = hist[d] // 2
+        cum.append(cum[-1] + pairs)
+        extra.append(extra[-1] + pairs * (d - 1))
+    return cum, extra
 
 
 def qpu_masks(qpu_of, n_qpus: int) -> list[int]:
@@ -233,8 +247,10 @@ class SegmentCostEvaluator:
             (i, j, c) for (i, j), c in sorted(seg.interactions.pairs.items()) if c > 0
         ]
         self.adj = _adjacency(self.pairs)
-        # _partner_bits[q] has bit o set when qubits q and o share a gate.
+        # _partner_bits[q] has bit o set when qubits q and o share a gate;
+        # _partner_of[q] maps that bit, 1 << o, to (o, gate count).
         self._partner_bits = {q: sum(1 << o for o, _ in ps) for q, ps in self.adj.items()}
+        self._partner_of = {q: {1 << pair[0]: pair for pair in ps} for q, ps in self.adj.items()}
         n = cluster.n_qpus
         inter_cost = cluster.distances.inter_cost
         # _cost_rows[p][r] is inter_cost[(p, r)]; _caps[p] the capacity of
@@ -245,11 +261,12 @@ class SegmentCostEvaluator:
         self._caps = [0] + cluster.capacities()
         # Per QPU, index pid: the distance rows, the first physical pick of a
         # layout, pen[d] = cx + swap * max(0, d - 1), the cost of one gate
-        # across d coupling hops, and the number of coupling edges.
+        # across d coupling hops, and the floor's cum and extra lists (see
+        # _distance_ranks).
         cx, swap = cp.cx_cost, cp.swap_cost
         self._qpu_consts = [()] + [
             (table, _hub(qpu), [cx + swap * max(0, d - 1) for d in range(qpu.comp_capacity)],
-             len(qpu.coupling))
+             *_distance_ranks(table))
             for qpu, table in zip(cluster.qpus, cluster.distances.intra)
         ]
         self._layout_cache: dict[tuple[int, int], tuple[float, int, int]] = {}
@@ -273,7 +290,7 @@ class SegmentCostEvaluator:
         partnered core, W, the summed gate count of its pairs, and P, the
         number of its pairs. Partnerless members are placed after all others
         and pay nothing, so mask shares its core's entry. Since swap_cost >= 0
-        the local cost is at least the pair-count floor (see _floor)."""
+        the local cost is at least the distance-rank floor (see _floor)."""
         hit = self._layout_cache.get((pid, mask))
         if hit is not None:
             return hit
@@ -285,8 +302,18 @@ class SegmentCostEvaluator:
         core = self._core(mask)
         out = cache.get((pid, core))
         if out is None:
-            table, hub, pen, _ = self._qpu_consts[pid]
-            partners = _partners(core, self.adj)
+            table, hub, pen, _, _ = self._qpu_consts[pid]
+            # each member's partners in the core, ascending, from its bitmask
+            partner_bits, partner_of = self._partner_bits, self._partner_of
+            partners = {}
+            for q in _members(core):
+                of = partner_of[q]
+                ps = partners[q] = []
+                rest = partner_bits[q] & core
+                while rest:
+                    low = rest & -rest
+                    ps.append(of[low])
+                    rest ^= low
             phys_of = _greedy_layout(qpu, partners, table, hub)
             cost = 0.0
             weight = npairs = 0
@@ -305,16 +332,24 @@ class SegmentCostEvaluator:
 
     def _floor(self, pid: int, mask: int, weight: int, npairs: int) -> float:
         """The local cost of `mask` on QPU pid if it is cached, else the
-        pair-count floor cx_cost * W + swap_cost * max(0, P - E) from its W,
-        its P pairs and the QPU's E coupling edges; no layout is built.
-        Under any layout at most E of the pairs sit on coupling edges, and
-        every other pair is two or more hops apart and has at least one
-        gate, so it pays swap_cost at least once."""
+        distance-rank floor cx_cost * W + swap_cost * sum_{k<P} (D[k] - 1)
+        from its W and its P pairs, D the QPU's pairwise coupling distances
+        in ascending order; no layout is built. A layout puts distinct
+        logical pairs on distinct physical pairs, so their hops beyond
+        adjacency sum to at least those of the P closest physical pairs,
+        and each pair has at least one gate. (A weak form of the
+        Gilmore-Lawler bound of the quadratic assignment problem.) The sum
+        is read off the cumulative histogram (see _distance_ranks): the P
+        closest pairs are all pairs up to the distance i where cum[i]
+        reaches P, less the cum[i] - P farthest of them, each i - 1 hops
+        beyond adjacency."""
         hit = self._layout_cache.get((pid, mask))
         if hit is not None:
             return hit[0]
+        _, _, _, cum, extra = self._qpu_consts[pid]
+        i = bisect_left(cum, npairs)
         cp = self.cp
-        return cp.cx_cost * weight + cp.swap_cost * max(0, npairs - self._qpu_consts[pid][3])
+        return cp.cx_cost * weight + cp.swap_cost * (extra[i] - (cum[i] - npairs) * (i - 1))
 
     # -- full evaluation -----------------------------------------------------
 
@@ -347,19 +382,21 @@ class SegmentCostEvaluator:
 
     # -- incremental evaluation ----------------------------------------------
 
-    def delta(self, qpu_of: list[int], masks, move: Move,
+    def delta(self, qpu_of: list[int], masks, moved: tuple[tuple[int, int, int], ...],
               reject: Callable[[float], bool] | None = None) -> float:
-        """Objective change if `move` were applied to the current state.
+        """Objective change if the move with transfers `moved` were applied
+        to the current state.
 
         qpu_of and masks describe the current assignment and are not
-        modified; masks[p] is the bitmask of the qubits on QPU p. The move
-        is read as its transfers (see transfers), and one walk over each
-        moved qubit's partners gives the inter and move terms and, for
-        each changed QPU, its change in W and P and whether a moved qubit
-        has a partner there. The layout keys of the changed QPUs are the
-        current masks with the moved bits flipped. Relocations into a full
-        QPU raise InfeasibleError; null moves cost 0. A changed QPU set
-        where no moved qubit shares a gate with the set's other members
+        modified; masks[p] is the bitmask of the qubits on QPU p. moved is
+        ((q, from, to),) for a relocation and ((qa, pa, pb), (qb, pb, pa))
+        for a swap; a caller holding a Move passes transfers(move, qpu_of).
+        One walk over each moved qubit's partners gives the inter and move
+        terms and, for each changed QPU, its change in W and P and whether a
+        moved qubit has a partner there. The layout keys of the changed QPUs
+        are the current masks with the moved bits flipped. Relocations into
+        a full QPU raise InfeasibleError; null moves cost 0. A changed QPU
+        set where no moved qubit shares a gate with the set's other members
         keeps its partnered core, so its new local cost is its current one,
         known without a lookup.
 
@@ -367,11 +404,10 @@ class SegmentCostEvaluator:
         before any layout of a changed QPU set is built. lb takes the exact
         inter and move terms, the cached local costs of the current sets, and
         for each new set its known or cached local cost or else its
-        pair-count floor (see _floor), minus a margin of 1e-9 * (1 + the sum
-        of the terms' magnitudes) for float rounding. When reject(lb) is
+        distance-rank floor (see _floor), minus a margin of 1e-9 * (1 + the
+        sum of the terms' magnitudes) for float rounding. When reject(lb) is
         true, delta returns lb; otherwise it returns the exact change.
         """
-        moved = transfers(move, qpu_of)
         q1, p1, p2 = moved[0]
         if p1 == p2:
             return 0.0

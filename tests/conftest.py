@@ -17,8 +17,9 @@ from dqcmap.cost import (
     _adjacency,
     _greedy_layout,
     _hub,
-    _partners,
+    _members,
     qpu_masks,
+    transfers,
 )
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import ClusterTopology, build_cluster
@@ -140,7 +141,15 @@ def total(a: Assignment, seg: Segment, prev: Assignment | None,
 
 def delta_total(ev: SegmentCostEvaluator, a: Assignment, move: Move) -> float:
     """Incremental objective change of `move` applied to assignment `a`."""
-    return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus), move)
+    return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus),
+                    transfers(move, a.qpu_of))
+
+
+def _partners(mask: int, adj) -> dict[int, list[tuple[int, int]]]:
+    """Each qubit of mask, ascending -> its partners within mask, ascending,
+    as [(partner, count), ...], filtered from adj, the segment's adjacency
+    (see _adjacency): the input _greedy_layout takes."""
+    return {q: [(o, c) for o, c in adj.get(q, ()) if mask >> o & 1] for q in _members(mask)}
 
 
 def full_layout_and_local(ev: SegmentCostEvaluator, pid: int, mask: int) -> tuple[float, int]:

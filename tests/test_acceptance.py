@@ -20,7 +20,7 @@ from dqcmap.anneal import (
 )
 from dqcmap.bench import gen_adder, gen_qaoa, gen_qft
 from dqcmap.circuit import Circuit, GateOp, InteractionCount, layerize
-from dqcmap.cost import CostParams, SegmentCostEvaluator
+from dqcmap.cost import CostParams, SegmentCostEvaluator, transfers
 from dqcmap.harness import render_json, run_ablate, run_map, run_sweep_ratio
 from dqcmap.hardware import TOPOLOGY_KINDS, build_cluster, gen_topology
 from dqcmap.placement import (
@@ -218,7 +218,7 @@ def test_criterion_3_delta_consistency(acceptance):
             move = propose(state, rng)
             if move is None:
                 break
-            d = ev.delta(state.qpu_of, state.masks, move)
+            d = ev.delta(state.qpu_of, state.masks, transfers(move, state.qpu_of))
             state.apply(move)
             after = ev.breakdown(Assignment(tuple(state.qpu_of))).e_total
             full = after - before

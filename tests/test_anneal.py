@@ -21,7 +21,7 @@ from dqcmap.anneal import (
     replay_epr,
 )
 from dqcmap.circuit import Circuit, InteractionCount, layerize
-from dqcmap.cost import CostParams, Move, SegmentCostEvaluator, qpu_masks
+from dqcmap.cost import CostParams, Move, SegmentCostEvaluator, qpu_masks, transfers
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import build_cluster
 from dqcmap.placement import Assignment, random_placement
@@ -183,7 +183,7 @@ def reference_anneal(init, ev, ap, trace):
         if move is None:
             break
         temperature = cooling(t0, rate, k)
-        de = ev.delta(state.qpu_of, state.masks, move)
+        de = ev.delta(state.qpu_of, state.masks, transfers(move, state.qpu_of))
         if de <= 0:
             accepted, draw = True, None
         else:
@@ -235,6 +235,71 @@ class TestSearchState:
         with pytest.raises(ValueError, match="teleport"):
             state.apply(Move(kind="teleport", a=0, dest=2))
         assert state.qpu_of == [1, 2]
+
+
+def loop_against_propose(init, ct, seg, ap, seen):
+    """Run anneal_segment, recording the transfers it hands ev.delta, and
+    replay the chain with propose on a twin rng: each move propose draws
+    must be the loop's, and the twin takes a draw wherever the trace has
+    one. seen counts the kinds of draw: relocations, relocations that fell
+    back to a swap, swaps, and draws that found no move."""
+    ev = SegmentCostEvaluator(ct, seg, CostParams())
+    handed = []
+    exact = ev.delta
+
+    def recording(qpu_of, masks, moved, reject=None):
+        handed.append(moved)
+        return exact(qpu_of, masks, moved, reject)
+
+    ev.delta = recording
+    trace: list[TraceEntry] = []
+    anneal_segment(init, ev, ap, trace=trace)
+    assert len(handed) == len(trace)
+    state = SearchState(init, ct)
+    twin = random.Random(split_seed(ap.seed, "chain"))
+    for moved, entry in zip(handed, trace):
+        peek = random.Random()
+        peek.setstate(twin.getstate())
+        move = propose(state, twin)
+        assert transfers(move, state.qpu_of) == moved
+        if move.kind == "relocate":
+            seen["relocate"] += 1
+        else:
+            seen["fallback" if peek.random() < 0.5 else "swap"] += 1
+        if entry.draw is not None:
+            assert twin.random() == entry.draw
+        if entry.accepted:
+            state.apply(move)
+    if len(trace) < ap.iters_per_segment:
+        assert propose(state, twin) is None
+        seen["none"] += 1
+
+
+class TestLoopDraws:
+    def test_loop_proposes_what_propose_proposes(self):
+        seen = dict.fromkeys(["relocate", "fallback", "swap", "none"], 0)
+        solo = build_cluster(
+            [{"name": "solo", "comp_capacity": 4,
+              "coupling": line_coupling(4), "comm_qubits": 1}], [])
+        cases = [
+            # a little slack: relocations, and swaps when both QPUs fill up
+            (random_placement(12, two_qpu_line(6, 7), seed=s), two_qpu_line(6, 7),
+             {(i, (i * 5 + 3) % 12): 1 + i % 3 for i in range(12) if i != (i * 5 + 3) % 12})
+            for s in range(4)
+        ] + [
+            # full QPUs: every relocation falls back to a swap
+            (Assignment((1, 2, 1, 2)), two_qpu_line(2, 2), {(0, 1): 2, (2, 3): 1}),
+            # one pair that joins on one QPU, after which a swap finds no one
+            (Assignment((1, 2)), two_qpu_line(3, 3), {(0, 1): 4}),
+            # a single QPU or no qubits: no move at all
+            (Assignment((1, 1, 1)), solo, {(0, 1): 1}),
+            (Assignment(()), two_qpu_line(2, 2), {}),
+        ]
+        for i, (init, ct, pairs) in enumerate(cases):
+            ap = AnnealParams(t0=2.0, cooling_rate=0.05, iters_per_segment=200, seed=i)
+            loop_against_propose(init, ct, seg_of({tuple(sorted(p)): c
+                                                   for p, c in pairs.items()}), ap, seen)
+        assert all(seen.values()), seen
 
 
 class TestAnnealSegment:
@@ -315,6 +380,21 @@ class TestAnnealSegment:
             assert (a.k, a.temperature, a.draw, a.accepted) == (b.k, b.temperature, b.draw, b.accepted)
             if a.delta_e != b.delta_e:  # rejected on the bound
                 assert not a.accepted and 0 < a.delta_e <= b.delta_e
+
+    def test_zero_temperature_rejects_uphill(self):
+        # 5e-324 / (1 + 1 * k) rounds to 0.0 from k = 1 on: no division by
+        # zero, every uphill move is rejected and still takes its draw
+        ct, seg, init = self._instance()
+        ap = AnnealParams(t0=5e-324, cooling_rate=1.0, iters_per_segment=300, seed=3)
+        trace: list[TraceEntry] = []
+        final, bd = anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap,
+                                   trace=trace)
+        assert len(trace) == 300
+        assert all(e.temperature == 0.0 for e in trace[1:])
+        uphill = [e for e in trace if e.delta_e > 0]
+        assert uphill and all(e.draw is not None and not e.accepted for e in uphill)
+        assert all(e.accepted and e.draw is None for e in trace if e.delta_e <= 0)
+        assert bd.e_total <= total(init, seg, None, ct, CostParams()).e_total
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=20, deadline=None)

@@ -230,6 +230,18 @@ class TestMap:
         assert out == ""
         assert "not finite" in err and "--gamma1" in err
 
+    @pytest.mark.parametrize("args", [
+        ("--bench", "adder", "--cooling-rate", "1e308"),
+        ("--bench", "adder", "--t0", "5e-324"),
+        ("--bench", "qft", "--gamma1", "0", "--gamma2", "5e-324", "--gamma3", "0"),
+    ], ids=["cooling_rate", "t0", "subnormal_calibrated_t0"])
+    def test_temperature_underflow_to_zero(self, args, capsys):
+        # the temperature reaches 0.0, where every uphill move is rejected
+        code, out, err = run_cli(capsys, "map", *args, "--size", "8", "--gen", "line",
+                                 "--sizes", "4,4", "--seed", "3")
+        assert code == EXIT_OK, err
+        assert json.loads(out)
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--bench", "nosuch", "--size", "4",

@@ -14,7 +14,6 @@ from dqcmap.cost import (
     SegmentCostEvaluator,
     _greedy_layout,
     _hub,
-    _partners,
     qpu_masks,
     transfers,
 )
@@ -24,6 +23,7 @@ from dqcmap.placement import Assignment
 from dqcmap.segmentation import Segment
 
 from conftest import (
+    _partners,
     cost_params,
     delta_total,
     e_inter,
@@ -290,9 +290,10 @@ class TestDelta:
             bounds.append(lb)
             return True
 
-        first = ev.delta(qo, masks, move, reject)
-        exact = ev.delta(qo, masks, move)
-        again = ev.delta(qo, masks, move, reject)
+        moved = transfers(move, qo)
+        first = ev.delta(qo, masks, moved, reject)
+        exact = ev.delta(qo, masks, moved)
+        again = ev.delta(qo, masks, moved, reject)
         assert exact == delta_total(ev, cur, move)
         if not bounds:  # a null move: no bound, no change
             assert first == exact == again == 0.0
@@ -393,15 +394,35 @@ class TestPartneredCore:
             assert floor <= exact + 1e-9 * (1.0 + exact)
 
     def test_floor_hand_case(self):
-        # 4 all-to-all qubits on a 4-qubit line: 6 pairs, 3 coupling edges,
-        # so at least 3 pairs pay a swap
+        # 4 all-to-all qubits on a 4-qubit line: the 6 physical pairs lie
+        # 1, 1, 1, 2, 2 and 3 hops apart, so the 6 logical pairs pay
+        # 0 + 0 + 0 + 1 + 1 + 2 = 4 swaps; the layout meets the floor
         ct = one_qpu("line", 4)
         cp = CostParams(cx_cost=1.5, swap_cost=2.0)
         ev = SegmentCostEvaluator(ct, seg_of({(i, j): 1 for i in range(4)
                                               for j in range(i + 1, 4)}), cp)
-        assert ev._floor(1, 0b1111, 6, 6) == 1.5 * 6 + 3 * 2.0
+        assert ev._floor(1, 0b1111, 6, 6) == 1.5 * 6 + 4 * 2.0
         assert ev._floor(1, 0b1111, 6, 6) <= ev.layout_and_local(1, 0b1111)[0]
         assert ev._floor(1, 0b1111, 6, 6) == ev.layout_and_local(1, 0b1111)[0]  # cached now
+
+    @pytest.mark.parametrize("coupling", ["line", "ring", "grid", "heavy_hex_like", "complete"])
+    def test_rank_floor_never_below_edge_count_floor(self, coupling):
+        # The P closest physical pairs pay sum (D[k] - 1) beyond cx; at most
+        # E of them are coupling edges and every other one is a hop or more
+        # beyond adjacency, so the old floor swap * max(0, P - E) is below.
+        cp = CostParams(cx_cost=1.5, swap_cost=2.0)
+        for k in range(2, 13):
+            ct = one_qpu(coupling, k)
+            table = ct.distances.intra[0]
+            ranked = sorted(table[i][j] for i in range(k) for j in range(i + 1, k))
+            edges = len(ct.qpu(1).coupling)
+            ev = SegmentCostEvaluator(ct, seg_of({}), cp)
+            for npairs in range(len(ranked) + 1):
+                weight = 2 * npairs + 1
+                floor = ev._floor(1, (1 << k) - 1, weight, npairs)
+                hops = sum(d - 1 for d in ranked[:npairs])
+                assert floor == cp.cx_cost * weight + cp.swap_cost * hops
+                assert floor >= cp.cx_cost * weight + cp.swap_cost * max(0, npairs - edges)
 
     def test_layout_of_partnerless_set_starts_on_the_hub(self):
         ct = two_qpu_line(3, 3)
