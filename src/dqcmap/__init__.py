@@ -21,7 +21,7 @@ from .circuit import (
     parse_qasm,
     serialize_qasm,
 )
-from .cost import CostBreakdown, CostParams, Move, SegmentCostEvaluator
+from .cost import CostBreakdown, CostParams, SegmentCostEvaluator
 from .errors import InfeasibleError, InputError, QasmError, ValidationError
 from .hardware import ClusterTopology, QPU, QuantumSwitch, gen_topology, load_cluster
 from .placement import (
@@ -38,7 +38,7 @@ from .segmentation import Segment, SegmentationParams, jaccard, random_segment, 
 __all__ = [
     "AnnealParams", "Assignment", "Circuit", "ClusterTopology", "CostBreakdown",
     "CostParams", "GateOp", "InfeasibleError", "InputError", "InteractionCount",
-    "InteractionGraph", "LayeredCircuit", "Move", "Plan",
+    "InteractionGraph", "LayeredCircuit", "Plan",
     "PlanStep", "Prepared", "QPU", "QasmError", "QuantumSwitch",
     "Segment", "SegmentCostEvaluator", "SegmentationParams", "ValidationError",
     "anneal_segment", "build_graph", "cluster_graph",

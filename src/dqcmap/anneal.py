@@ -8,31 +8,33 @@ segment s starts from segment s-1's final assignment and pays movement cost
 against it. The best assignment seen is returned, so the result is never
 worse than the initial one.
 
-The search state keeps one qubit bitmask per QPU, so a move's layout-cache
-keys are the current masks with the moved bits flipped. The loop draws each
-move with the rng calls of propose, in the same order, as its transfers
-(see cost.transfers), reads slack from per-QPU loads, and applies an
-accepted move in place; propose, SearchState.apply and cooling are the
-reference forms of these steps. A move whose lower bound on dE (see
-SegmentCostEvaluator.delta) is positive is surely uphill, so it takes its
-draw before the exact dE; when that draw rejects the bound, the move is
-rejected without building the layouts of its new QPU sets. The random
-stream, every accept decision and the exact dE of every other move are
-those of evaluating every move exactly. A temperature that underflows to
-0.0 rejects every uphill move after its draw, the limit of exp(-dE / T).
-compile builds one SegmentCostEvaluator per segment and reads the step's
-costs from the same cache the annealing chain filled. A plan step holds the
-segment, its qubit->QPU assignment and its costs; the intra-QPU layouts
-that price the local term stay inside the evaluator.
+The chain keeps the assignment as qpu_of, one qubit bitmask and one load
+per QPU, so a move's layout-cache keys are the current masks with the moved
+bits flipped. Moves come from one generator, _draws, as the transfers
+SegmentCostEvaluator.delta reads, and the samples that calibrate t0 come
+from the same generator on their own rng. An accepted move is applied in
+place. A move whose lower bound on dE (see SegmentCostEvaluator.delta) is
+positive is surely uphill, so it takes its draw before the exact dE; when
+that draw rejects the bound, the move is rejected without building the
+layouts of its new QPU sets. The random stream, every accept decision and
+the exact dE of every other move are those of evaluating every move
+exactly. A temperature that underflows to 0.0 rejects every uphill move
+after its draw, the limit of exp(-dE / T). compile builds one
+SegmentCostEvaluator per segment and reads the step's costs from the same
+cache the annealing chain filled. A plan step holds the segment, its
+qubit->QPU assignment and its costs; the intra-QPU layouts that price the
+local term stay inside the evaluator.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .circuit import Circuit, LayeredCircuit, layerize
-from .cost import CostBreakdown, CostParams, Move, SegmentCostEvaluator, qpu_masks, transfers
+from .cost import CostBreakdown, CostParams, SegmentCostEvaluator, qpu_masks
 from .errors import InfeasibleError
 from .hardware import ClusterTopology, QuantumSwitch, record_remote_op, record_teleport
 from .placement import (
@@ -66,38 +68,6 @@ class AnnealParams:
             raise ValueError("iters_per_segment must be >= 1")
 
 
-def cooling(t0: float, rate: float, k: int) -> float:
-    """Temperature at iteration k: t0 / (1 + rate * k)."""
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if k < 0:
-        raise ValueError("iteration must be >= 0")
-    return t0 / (1.0 + rate * k)
-
-
-class SearchState:
-    """Mutable assignment the annealer walks on.
-
-    masks[p] has bit q set when qubit q sits on QPU p (masks[0] stays 0);
-    these are the layout-cache keys of SegmentCostEvaluator.
-    """
-
-    def __init__(self, a: Assignment, cluster: ClusterTopology):
-        self.cluster = cluster
-        self.qpu_of: list[int] = list(a.qpu_of)
-        self.masks = qpu_masks(self.qpu_of, cluster.n_qpus)
-        self.caps = cluster.capacities()
-
-    def apply(self, move: Move) -> None:
-        masks, qpu_of = self.masks, self.qpu_of
-        for q, frm, to in transfers(move, qpu_of):
-            masks[frm] ^= 1 << q
-            masks[to] ^= 1 << q
-            qpu_of[q] = to
-
-
 def _nth_bit(mask: int, k: int) -> int:
     """Position of the k-th lowest set bit of mask (k from 0), by bisecting
     on the count of set bits at or below a position."""
@@ -111,47 +81,52 @@ def _nth_bit(mask: int, k: int) -> int:
     return lo
 
 
-def propose(state: SearchState, rng: random.Random) -> Move | None:
-    """Draw one capacity-feasible move, or None when no move exists.
+def _draws(rng: random.Random, qpu_of: list[int], masks: list[int], loads: list[int],
+           caps: list[int]) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Capacity-feasible moves of the assignment held in the caller's lists,
+    read afresh at each draw, as transfers: ((q, from, to),) for a
+    relocation, ((qa, pa, pb), (qb, pb, pa)) for a swap.
 
-    Each kind is drawn with probability 1/2. A relocation picks a uniform
-    qubit and a uniform destination among QPUs with slack; when none has
-    slack it falls back to a swap. A swap picks a uniform qubit and a
-    uniform partner among qubits on other QPUs, in ascending order, read
-    from the union of the other QPUs' masks.
+    masks[p], loads[p] and caps[p] are QPU p's qubit bitmask, qubit count and
+    capacity (index 0 unused). Each kind is drawn with probability 1/2. A
+    relocation picks a uniform qubit and a uniform destination among the
+    other QPUs with slack, in ascending order; when none has slack it falls
+    back to a swap. A swap picks a uniform qubit and a uniform partner among
+    the qubits on other QPUs, in ascending order, read from the union of the
+    other QPUs' masks. Stops when a swap finds no qubit on another QPU, or at
+    once when there are fewer than 2 QPUs or no qubits.
     """
-    n = len(state.qpu_of)
-    if state.cluster.n_qpus < 2 or n < 1:
-        return None
-    if rng.random() < 0.5:
-        q = rng.randrange(n)
-        dests = [p for p in range(1, state.cluster.n_qpus + 1)
-                 if p != state.qpu_of[q] and state.masks[p].bit_count() < state.caps[p - 1]]
-        if dests:
-            return Move(kind="relocate", a=q, dest=dests[rng.randrange(len(dests))])
-    qa = rng.randrange(n)
-    others = ((1 << n) - 1) ^ state.masks[state.qpu_of[qa]]
-    count = others.bit_count()
-    if not count:
-        return None
-    return Move(kind="swap", a=qa, b=_nth_bit(others, rng.randrange(count)))
+    n = len(qpu_of)
+    if len(caps) < 3 or n < 1:
+        return
+    everyone = (1 << n) - 1
+    qpus = range(1, len(caps))
+    random_, randrange = rng.random, rng.randrange
+    while True:
+        if random_() < 0.5:
+            q = randrange(n)
+            p = qpu_of[q]
+            dests = [d for d in qpus if d != p and loads[d] < caps[d]]
+            if dests:
+                yield ((q, p, dests[randrange(len(dests))]),)
+                continue
+        qa = randrange(n)
+        pa = qpu_of[qa]
+        others = everyone ^ masks[pa]
+        if not others:
+            return
+        qb = _nth_bit(others, randrange(others.bit_count()))
+        pb = qpu_of[qb]
+        yield ((qa, pa, pb), (qb, pb, pa))
 
 
-def calibrate_t0(
-    ev: SegmentCostEvaluator,
-    state: SearchState,
-    rng: random.Random,
-    samples: int = 100,
-) -> float:
-    """Mean |dE| over random proposals from the initial state; 1.0 if the
-    neighborhood is empty or flat."""
-    magnitudes = []
-    for _ in range(samples):
-        move = propose(state, rng)
-        if move is None:
-            break
-        moved = transfers(move, state.qpu_of)
-        magnitudes.append(abs(ev.delta(state.qpu_of, state.masks, moved)))
+def calibrate_t0(ev: SegmentCostEvaluator, qpu_of: list[int], masks: list[int],
+                 draws: Iterable[tuple[tuple[int, int, int], ...]],
+                 samples: int = 100) -> float:
+    """Mean |dE| over the first `samples` moves of draws, none applied, from
+    the assignment in qpu_of and masks; 1.0 if the neighborhood is empty or
+    flat."""
+    magnitudes = [abs(ev.delta(qpu_of, masks, moved)) for moved in islice(draws, samples)]
     mean = sum(magnitudes) / len(magnitudes) if magnitudes else 0.0
     return mean if mean > 0 else 1.0
 
@@ -182,23 +157,30 @@ def anneal_segment(
     """Refine one segment's assignment; returns the best assignment seen and
     its exact cost breakdown. ev carries the segment, the previous segment's
     assignment, the cluster and the cost parameters; its layout cache is left
-    filled for the caller. A single-QPU cluster is a no-op."""
-    state = SearchState(init, ev.cluster)
+    filled for the caller. A single-QPU cluster or an assignment of no
+    qubits is a no-op."""
+    qpu_of = list(init.qpu_of)
+    masks = qpu_masks(qpu_of, ev.cluster.n_qpus)
+    loads = [mask.bit_count() for mask in masks]
+    caps = [0, *ev.cluster.capacities()]
     cur_cost = ev.breakdown(init).e_total
-    best = list(state.qpu_of)
+    best = list(qpu_of)
     best_cost = cur_cost
 
     iters = ap.iters_per_segment
     if iters is None:
-        iters = 500 * len(init.qpu_of)
-    rate = ap.cooling_rate if ap.cooling_rate is not None else 10.0 / iters
+        iters = 500 * len(qpu_of)
+    rate = ap.cooling_rate
+    if rate is None:
+        rate = 10.0 / max(iters, 1)  # no qubits: iters is 0, and nothing is drawn
     rng = random.Random(split_seed(ap.seed, "chain"))
     t0 = ap.t0
     if t0 is None:
-        t0 = calibrate_t0(ev, state, random.Random(split_seed(ap.seed, "t0")))
+        t0_rng = random.Random(split_seed(ap.seed, "t0"))
+        t0 = calibrate_t0(ev, qpu_of, masks, _draws(t0_rng, qpu_of, masks, loads, caps))
 
     draw = None
-    random_, randrange, exp = rng.random, rng.randrange, math.exp
+    random_, exp = rng.random, math.exp
 
     def surely_rejected(lb: float) -> bool:
         # A positive lower bound makes the move uphill, so its draw is taken
@@ -210,35 +192,9 @@ def anneal_segment(
         draw = random_()
         return temperature <= 0 or draw >= exp(-lb / temperature)
 
-    qpu_of, masks = state.qpu_of, state.masks
-    n = len(qpu_of)
-    if ev.cluster.n_qpus < 2 or n < 1:
-        iters = 0
-    everyone = (1 << n) - 1
-    qpus = range(1, ev.cluster.n_qpus + 1)
-    caps = [0, *state.caps]
-    loads = [mask.bit_count() for mask in masks]
     delta = ev.delta
-    for k in range(iters):
-        # The draw of propose: a relocation to a uniform QPU with slack, else
-        # a swap with a uniform qubit on another QPU; qa == qb in a relocation.
-        qb = -1
-        if random_() < 0.5:
-            qa = randrange(n)
-            pa = qpu_of[qa]
-            dests = [p for p in qpus if p != pa and loads[p] < caps[p]]
-            if dests:
-                qb, pb = qa, dests[randrange(len(dests))]
-                moved = ((qa, pa, pb),)
-        if qb < 0:
-            qa = randrange(n)
-            pa = qpu_of[qa]
-            others = everyone ^ masks[pa]
-            if not others:
-                break
-            qb = _nth_bit(others, randrange(others.bit_count()))
-            pb = qpu_of[qb]
-            moved = ((qa, pa, pb), (qb, pb, pa))
+    # range comes first in zip, so no move is drawn past the last iteration.
+    for k, moved in zip(range(iters), _draws(rng, qpu_of, masks, loads, caps)):
         temperature = t0 / (1.0 + rate * k)
         draw = None
         de = delta(qpu_of, masks, moved, surely_rejected)
@@ -249,15 +205,12 @@ def anneal_segment(
             trace.append(TraceEntry(k=k, temperature=temperature, delta_e=de,
                                     draw=draw, accepted=accepted))
         if accepted:
-            flip = (1 << qa) | (1 << qb)
-            masks[pa] ^= flip
-            masks[pb] ^= flip
-            qpu_of[qa] = pb
-            if qa == qb:
-                loads[pa] -= 1
-                loads[pb] += 1
-            else:
-                qpu_of[qb] = pa
+            for q, frm, to in moved:
+                masks[frm] ^= 1 << q
+                masks[to] ^= 1 << q
+                loads[frm] -= 1
+                loads[to] += 1
+                qpu_of[q] = to
             cur_cost += de
             if cur_cost < best_cost:
                 best_cost = cur_cost

@@ -27,11 +27,11 @@ per-hop gate cost, the cumulative distance histogram of the floor) are
 computed once per evaluator.
 
 A move, a relocation or a swap, is handed to a delta as its transfers
-(qubit, from QPU, to QPU): one for a relocation, two for a swap (see
-transfers, which reads them off a Move). A delta walks each
-moved qubit's gate partners once, the same walk for both kinds, and gets
-the inter and move terms and, for the two changed QPU sets, their change
-in summed gate count and pair count. Building new layouts is the
+(qubit, from QPU, to QPU), as the annealer draws them: one for a
+relocation, two for a swap. A delta walks each moved qubit's gate partners
+once, the same walk for both kinds, and gets the inter and move terms and,
+for the two changed QPU sets, their change in summed gate count and pair
+count. Building new layouts is the
 expensive part of a delta. A QPU set where the moved qubits have no
 partner keeps its core and so its cost, and needs no layout at all. For
 the other new sets a delta can first offer a lower bound that builds
@@ -99,29 +99,6 @@ class CostBreakdown:
             "e_total": self.e_total,
             "epr_pairs": self.epr_pairs,
         }
-
-
-@dataclass(frozen=True)
-class Move:
-    """A candidate reassignment: relocate one qubit or swap two across QPUs."""
-
-    kind: str  # "relocate" | "swap"
-    a: int
-    dest: int = 0  # relocate target QPU id
-    b: int = -1  # swap partner qubit
-
-
-def transfers(move: Move, qpu_of) -> tuple[tuple[int, int, int], ...]:
-    """The qubits `move` reassigns from the assignment qpu_of, as
-    (qubit, from QPU, to QPU): one for a relocation, two for a swap. A null
-    move, a relocation to the qubit's own QPU or a swap within one QPU
-    (a qubit with itself included), has from == to."""
-    if move.kind == "relocate":
-        return ((move.a, qpu_of[move.a], move.dest),)
-    if move.kind == "swap":
-        pa, pb = qpu_of[move.a], qpu_of[move.b]
-        return ((move.a, pa, pb), (move.b, pb, pa))
-    raise ValueError(f"unknown move kind '{move.kind}'")
 
 
 def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:
@@ -390,7 +367,7 @@ class SegmentCostEvaluator:
         qpu_of and masks describe the current assignment and are not
         modified; masks[p] is the bitmask of the qubits on QPU p. moved is
         ((q, from, to),) for a relocation and ((qa, pa, pb), (qb, pb, pa))
-        for a swap; a caller holding a Move passes transfers(move, qpu_of).
+        for a swap.
         One walk over each moved qubit's partners gives the inter and move
         terms and, for each changed QPU, its change in W and P and whether a
         moved qubit has a partner there. The layout keys of the changed QPUs

@@ -113,17 +113,8 @@ class ClusterTopology:
     def capacities(self) -> list[int]:
         return [p.comp_capacity for p in self.qpus]
 
-    def inter_cost(self, a: int, b: int) -> float:
-        return self.distances.inter_cost[(a, b)]
-
-    def inter_hops(self, a: int, b: int) -> int:
-        return self.distances.inter_hops[(a, b)]
-
     def inter_path(self, a: int, b: int) -> tuple[Link, ...]:
         return self.distances.inter_path[(a, b)]
-
-    def intra_dist(self, pid: int, i: int, j: int) -> int:
-        return self.distances.intra[pid - 1][i][j]
 
     def link_neighbors(self, pid: int) -> list[int]:
         out = set()

@@ -55,15 +55,6 @@ class Assignment:
     def n_qubits(self) -> int:
         return len(self.qpu_of)
 
-    def qubits_on(self, pid: int) -> list[int]:
-        return [q for q, p in enumerate(self.qpu_of) if p == pid]
-
-    def loads(self, n_qpus: int) -> list[int]:
-        out = [0] * n_qpus
-        for p in self.qpu_of:
-            out[p - 1] += 1
-        return out
-
 
 def default_decay(n_segments: int) -> float:
     """Decay rate scaled so late segments still contribute: 3 / S."""

@@ -3,23 +3,22 @@ reference oracles for the test suite, plus the acceptance summary hook."""
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import strategies as st
 
-from dqcmap.anneal import prepare
+from dqcmap.anneal import AnnealParams, anneal_segment, prepare
 from dqcmap.circuit import Circuit, GateOp, InteractionCount, LayeredCircuit
 from dqcmap.cost import (
     CostBreakdown,
     CostParams,
-    Move,
     SegmentCostEvaluator,
     _adjacency,
     _greedy_layout,
     _hub,
     _members,
     qpu_masks,
-    transfers,
 )
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import ClusterTopology, build_cluster
@@ -70,13 +69,14 @@ def cx_chain(n_qubits: int, pairs: list[tuple[int, int]], name: str = "chain") -
 # -- random segment instances for property tests -----------------------------
 
 
-def random_case(data, with_prev: bool):
+def random_case(data, with_prev: bool, spare: int = 1):
     """(cluster, segment, assignment, previous assignment or None): 4-8
-    qubits with random pair counts on three line-coupled QPUs of 2-4 qubits
-    with one spare slot, on a line interconnect with one random cost factor."""
+    qubits with random pair counts on three line-coupled QPUs of 2-4 qubits,
+    grown until at least `spare` slots are free in total, on a line
+    interconnect with one random cost factor."""
     n = data.draw(st.integers(min_value=4, max_value=8))
     caps = [data.draw(st.integers(min_value=2, max_value=4)) for _ in range(3)]
-    while sum(caps) < n + 1:
+    while sum(caps) < n + spare:
         caps[caps.index(min(caps))] += 1
     ct = build_cluster(
         [{"name": f"p{i}", "comp_capacity": c,
@@ -139,10 +139,10 @@ def total(a: Assignment, seg: Segment, prev: Assignment | None,
     return SegmentCostEvaluator(cluster, seg, cp, prev=prev).breakdown(a)
 
 
-def delta_total(ev: SegmentCostEvaluator, a: Assignment, move: Move) -> float:
-    """Incremental objective change of `move` applied to assignment `a`."""
-    return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus),
-                    transfers(move, a.qpu_of))
+def delta_total(ev: SegmentCostEvaluator, a: Assignment, moved) -> float:
+    """Incremental objective change of the move with transfers `moved`
+    applied to assignment `a`."""
+    return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus), moved)
 
 
 def _partners(mask: int, adj) -> dict[int, list[tuple[int, int]]]:
@@ -169,6 +169,61 @@ def full_layout_and_local(ev: SegmentCostEvaluator, pid: int, mask: int) -> tupl
             cost += c * (cp.cx_cost + cp.swap_cost * max(0, d - 1))
             weight += c
     return cost, weight
+
+
+# -- the annealer's move draw, by list scans ----------------------------------
+
+def propose(qpu_of: list[int], caps: list[int], rng: random.Random):
+    """Reference for anneal._draws: the transfers of one move drawn from the
+    assignment qpu_of, with the same rng calls in the same order, or None
+    where _draws stops. caps[p] is QPU p's capacity (index 0 unused). Slack
+    is counted, and the qubits on other QPUs are listed, by scanning qpu_of."""
+    n, n_qpus = len(qpu_of), len(caps) - 1
+    if n_qpus < 2 or n < 1:
+        return None
+    if rng.random() < 0.5:
+        q = rng.randrange(n)
+        dests = [p for p in range(1, n_qpus + 1)
+                 if p != qpu_of[q] and qpu_of.count(p) < caps[p]]
+        if dests:
+            return ((q, qpu_of[q], dests[rng.randrange(len(dests))]),)
+    qa = rng.randrange(n)
+    others = [q for q in range(n) if qpu_of[q] != qpu_of[qa]]
+    if not others:
+        return None
+    qb = others[rng.randrange(len(others))]
+    return ((qa, qpu_of[qa], qpu_of[qb]), (qb, qpu_of[qb], qpu_of[qa]))
+
+
+def chain_lists(a: Assignment, cluster: ClusterTopology):
+    """The lists anneal._draws reads for assignment a: qpu_of, and each
+    QPU's qubit mask, load and capacity, indexed by QPU id (index 0 unused)."""
+    qpu_of = list(a.qpu_of)
+    masks = qpu_masks(qpu_of, cluster.n_qpus)
+    return qpu_of, masks, [m.bit_count() for m in masks], [0, *cluster.capacities()]
+
+
+def apply_moved(moved, qpu_of: list[int], masks: list[int], loads: list[int]) -> None:
+    """Apply a move's transfers to the lists of chain_lists, in place."""
+    for q, frm, to in moved:
+        masks[frm] ^= 1 << q
+        masks[to] ^= 1 << q
+        loads[frm] -= 1
+        loads[to] += 1
+        qpu_of[q] = to
+
+
+def traced_temperatures(t0: float, rate: float, iters: int) -> list[float]:
+    """The temperature of each step of an annealing chain under t0 and rate,
+    read from its trace. Two full QPUs always admit a swap, so every one of
+    the iters steps draws a move."""
+    seg = Segment(index=1, from_layer=1, to_layer=2,
+                  interactions=InteractionCount({(0, 2): 1}))
+    ev = SegmentCostEvaluator(two_qpu_line(2, 2), seg, CostParams())
+    trace = []
+    anneal_segment(Assignment((1, 1, 2, 2)), ev,
+                   AnnealParams(t0=t0, cooling_rate=rate, iters_per_segment=iters), trace=trace)
+    return [e.temperature for e in trace]
 
 
 # -- the annealer's acceptance rule, as a formula -----------------------------

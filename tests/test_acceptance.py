@@ -10,17 +10,12 @@ import math
 import random
 import statistics
 import time
+from itertools import islice
 
-from dqcmap.anneal import (
-    SearchState,
-    compile,
-    cooling,
-    propose,
-    replay_epr,
-)
+from dqcmap.anneal import _draws, compile, replay_epr
 from dqcmap.bench import gen_adder, gen_qaoa, gen_qft
 from dqcmap.circuit import Circuit, GateOp, InteractionCount, layerize
-from dqcmap.cost import CostParams, SegmentCostEvaluator, transfers
+from dqcmap.cost import CostParams, SegmentCostEvaluator
 from dqcmap.harness import render_json, run_ablate, run_map, run_sweep_ratio
 from dqcmap.hardware import TOPOLOGY_KINDS, build_cluster, gen_topology
 from dqcmap.placement import (
@@ -34,7 +29,9 @@ from dqcmap.segmentation import Segment, jaccard, segment
 
 from conftest import (
     accept_probability,
+    apply_moved,
     brute_force_optimum,
+    chain_lists,
     cx_chain,
     density,
     e_inter,
@@ -42,6 +39,7 @@ from conftest import (
     e_move,
     line_coupling,
     total,
+    traced_temperatures,
     triangle_cluster,
     two_qpu_line,
     windowed_density,
@@ -126,8 +124,8 @@ def test_criterion_1_formula_suite(acceptance):
         ("accept uphill", accept_probability(2.0, 0.5), math.exp(-4.0)),
         ("accept downhill", accept_probability(-1.0, 1.0), 1.0),
         ("accept flat", accept_probability(0.0, 1.0), 1.0),
-        ("cooling k10", cooling(100.0, 0.1, 10), 50.0),
-        ("cooling k0", cooling(8.0, 0.5, 0), 8.0),
+        ("cooling k10", traced_temperatures(100.0, 0.1, 11)[10], 50.0),
+        ("cooling k0", traced_temperatures(8.0, 0.5, 1)[0], 8.0),
     ]
     bad = [(name, got, want) for name, got, want in checks if not close(got, want)]
     elapsed = time.perf_counter() - start
@@ -211,16 +209,14 @@ def test_criterion_3_delta_consistency(acceptance):
     worst = 0.0
     for i, (n, cluster, seg0, prev) in enumerate(contexts):
         ev = SegmentCostEvaluator(cluster, seg0, CostParams(), prev=prev)
-        state = SearchState(random_placement(n, cluster, seed=40 + i), cluster)
-        rng = random.Random(1000 + i)
-        before = ev.breakdown(Assignment(tuple(state.qpu_of))).e_total
-        for _ in range(per_ctx):
-            move = propose(state, rng)
-            if move is None:
-                break
-            d = ev.delta(state.qpu_of, state.masks, transfers(move, state.qpu_of))
-            state.apply(move)
-            after = ev.breakdown(Assignment(tuple(state.qpu_of))).e_total
+        qpu_of, masks, loads, caps = chain_lists(random_placement(n, cluster, seed=40 + i),
+                                                 cluster)
+        draws = _draws(random.Random(1000 + i), qpu_of, masks, loads, caps)
+        before = ev.breakdown(Assignment(tuple(qpu_of))).e_total
+        for moved in islice(draws, per_ctx):
+            d = ev.delta(qpu_of, masks, moved)
+            apply_moved(moved, qpu_of, masks, loads)
+            after = ev.breakdown(Assignment(tuple(qpu_of))).e_total
             full = after - before
             err = abs(d - full) / max(1.0, abs(full))
             worst = max(worst, err)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -10,18 +11,15 @@ from hypothesis import strategies as st
 
 from dqcmap.anneal import (
     AnnealParams,
-    Plan,
-    SearchState,
     TraceEntry,
+    _draws,
     anneal_segment,
     calibrate_t0,
     compile,
-    cooling,
-    propose,
     replay_epr,
 )
 from dqcmap.circuit import Circuit, InteractionCount, layerize
-from dqcmap.cost import CostParams, Move, SegmentCostEvaluator, qpu_masks, transfers
+from dqcmap.cost import CostParams, SegmentCostEvaluator, qpu_masks
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import build_cluster
 from dqcmap.placement import Assignment, random_placement
@@ -31,13 +29,16 @@ from dqcmap.seeding import split_seed
 
 from conftest import (
     accept_probability,
+    apply_moved,
     brute_force_optimum,
+    chain_lists,
     cost_params,
     cx_chain,
     line_coupling,
+    propose,
     random_case,
     total,
-    triangle_cluster,
+    traced_temperatures,
     two_qpu_line,
 )
 
@@ -51,20 +52,14 @@ def seg_of(pairs: dict, index: int = 1) -> Segment:
 
 class TestSchedule:
     def test_hyperbolic_value(self):
-        assert cooling(100.0, 0.1, 10) == pytest.approx(50.0)
-        assert cooling(100.0, 0.1, 0) == pytest.approx(100.0)
+        temps = traced_temperatures(100.0, 0.1, 11)
+        assert temps[10] == pytest.approx(50.0)
+        assert temps[0] == pytest.approx(100.0)
 
     def test_strictly_decreasing(self):
-        temps = [cooling(7.0, 0.05, k) for k in range(50)]
+        temps = traced_temperatures(7.0, 0.05, 50)
+        assert len(temps) == 50
         assert all(a > b for a, b in zip(temps, temps[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cooling(0.0, 0.1, 1)
-        with pytest.raises(ValueError):
-            cooling(1.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            cooling(1.0, 0.1, -1)
 
     def test_accept_probability(self):
         assert accept_probability(-2.0, 1.0) == 1.0
@@ -89,101 +84,101 @@ class TestSchedule:
 
 
 class TestPropose:
+    """The annealer's move draw, anneal._draws, on the lists it reads."""
+
     def test_moves_stay_feasible(self):
         ct = two_qpu_line(2, 3)
-        state = SearchState(random_placement(4, ct, seed=2), ct)
-        rng = random.Random(1)
-        for _ in range(500):
-            move = propose(state, rng)
-            assert move is not None
-            if move.kind == "relocate":
-                dest_load = state.masks[move.dest].bit_count()
-                assert dest_load < ct.qpu(move.dest).comp_capacity
+        qpu_of, masks, loads, caps = chain_lists(random_placement(4, ct, seed=2), ct)
+        drawn = 0
+        for moved in islice(_draws(random.Random(1), qpu_of, masks, loads, caps), 500):
+            q, frm, to = moved[0]
+            assert frm == qpu_of[q] != to
+            if len(moved) == 1:
+                assert loads[to] < caps[to]
             else:
-                assert state.qpu_of[move.a] != state.qpu_of[move.b]
-            state.apply(move)
+                qb = moved[1][0]
+                assert moved[1] == (qb, to, frm) and qpu_of[qb] == to
+            apply_moved(moved, qpu_of, masks, loads)
+            assert masks == qpu_masks(qpu_of, ct.n_qpus)
             for p in (1, 2):
-                assert state.masks[p].bit_count() <= ct.qpu(p).comp_capacity
+                assert masks[p].bit_count() == loads[p] <= caps[p]
+            drawn += 1
+        assert drawn == 500
 
     def test_kind_mix_matches_weights(self):
         # both kinds always available here; equal weights give p = 1/2,
         # checked against a 3 sigma binomial band
         ct = two_qpu_line(3, 3)
-        state = SearchState(Assignment((1, 1, 2, 2)), ct)
-        rng = random.Random(11)
+        draws = _draws(random.Random(11), *chain_lists(Assignment((1, 1, 2, 2)), ct))
         n_draws = 10_000
-        relocs = sum(
-            propose(state, rng).kind == "relocate" for _ in range(n_draws))
+        relocs = sum(len(moved) == 1 for moved in islice(draws, n_draws))
         sigma = math.sqrt(0.25 / n_draws)
         assert abs(relocs / n_draws - 0.5) <= 3 * sigma
 
     def test_full_cluster_falls_back_to_swap(self):
         ct = two_qpu_line(2, 2)
-        state = SearchState(Assignment((1, 1, 2, 2)), ct)
-        rng = random.Random(5)
-        assert all(propose(state, rng).kind == "swap" for _ in range(100))
+        draws = _draws(random.Random(5), *chain_lists(Assignment((1, 1, 2, 2)), ct))
+        kinds = [len(moved) for moved in islice(draws, 100)]
+        assert kinds == [2] * 100
 
     def test_swap_partner_matches_list_scan(self):
         # The partner is the k-th qubit on another QPU in ascending order,
-        # drawn by the same rng calls as indexing a list of those qubits.
-        # The reference mirrors the relocation branch's calls too, and the
-        # small QPUs fill up, so both kinds and the fallback occur.
+        # drawn by the same rng calls as indexing a list of those qubits;
+        # the relocation branch matches its list scan too. The small QPUs
+        # fill up, so both kinds and the fallback occur.
         ct = two_qpu_line(6, 7)
-        caps = {1: 6, 2: 7}
         for seed in range(20):
-            state = SearchState(random_placement(12, ct, seed=seed), ct)
-            ours, ref = random.Random(seed), random.Random(seed)
-            for _ in range(50):
-                move = propose(state, ours)
-                if ref.random() < 0.5:
-                    q = ref.randrange(12)
-                    dests = [p for p in (1, 2) if p != state.qpu_of[q]
-                             and state.qpu_of.count(p) < caps[p]]
-                    if dests:
-                        want = ("relocate", q, dests[ref.randrange(len(dests))])
-                        assert (move.kind, move.a, move.dest) == want
-                        state.apply(move)
-                        continue
-                qa = ref.randrange(12)
-                others = [q for q in range(12) if state.qpu_of[q] != state.qpu_of[qa]]
-                want = ("swap", qa, others[ref.randrange(len(others))])
-                assert (move.kind, move.a, move.b) == want
-                state.apply(move)
+            qpu_of, masks, loads, caps = chain_lists(random_placement(12, ct, seed=seed), ct)
+            ref = random.Random(seed)
+            drawn = 0
+            for moved in islice(_draws(random.Random(seed), qpu_of, masks, loads, caps), 50):
+                assert moved == propose(qpu_of, caps, ref)
+                apply_moved(moved, qpu_of, masks, loads)
+                drawn += 1
+            assert drawn == 50
 
     def test_single_qpu_has_no_moves(self):
         ct = build_cluster(
             [{"name": "solo", "comp_capacity": 4,
               "coupling": line_coupling(4), "comm_qubits": 1}], [])
-        state = SearchState(Assignment((1, 1, 1)), ct)
-        assert propose(state, random.Random(0)) is None
+        solo = _draws(random.Random(0), *chain_lists(Assignment((1, 1, 1)), ct))
+        assert list(islice(solo, 1)) == []
+        empty = _draws(random.Random(0), *chain_lists(Assignment(()), two_qpu_line(2, 2)))
+        assert list(islice(empty, 1)) == []
 
     def test_calibration_positive_and_flat_fallback(self):
         ct = two_qpu_line(3, 3)
-        flat = SegmentCostEvaluator(ct, seg_of({}), CostParams())
-        state = SearchState(Assignment((1, 1, 2, 2)), ct)
-        assert calibrate_t0(flat, state, random.Random(0)) == 1.0
+        qpu_of, masks, loads, caps = chain_lists(Assignment((1, 1, 2, 2)), ct)
+
+        def t0(ev):
+            draws = _draws(random.Random(0), qpu_of, masks, loads, caps)
+            return calibrate_t0(ev, qpu_of, masks, draws)
+
+        assert t0(SegmentCostEvaluator(ct, seg_of({}), CostParams())) == 1.0
         busy = SegmentCostEvaluator(ct, seg_of({(0, 2): 3, (1, 3): 1}), CostParams())
-        assert calibrate_t0(busy, state, random.Random(0)) > 0.0
+        assert t0(busy) > 0.0
 
 
 def reference_anneal(init, ev, ap, trace):
-    """anneal_segment with the exact dE of every move and no early rejection:
-    the oracle for the bound-rejecting loop."""
-    state = SearchState(init, ev.cluster)
+    """anneal_segment with the list-scan draw of conftest.propose, the exact
+    dE of every move and no early rejection: the oracle for the
+    bound-rejecting loop."""
+    qpu_of, masks, loads, caps = chain_lists(init, ev.cluster)
     cur_cost = ev.breakdown(init).e_total
-    best, best_cost = list(state.qpu_of), cur_cost
+    best, best_cost = list(qpu_of), cur_cost
     iters = ap.iters_per_segment
     rate = ap.cooling_rate if ap.cooling_rate is not None else 10.0 / iters
     rng = random.Random(split_seed(ap.seed, "chain"))
     t0 = ap.t0
     if t0 is None:
-        t0 = calibrate_t0(ev, state, random.Random(split_seed(ap.seed, "t0")))
+        t0_rng = random.Random(split_seed(ap.seed, "t0"))
+        t0 = calibrate_t0(ev, qpu_of, masks, iter(lambda: propose(qpu_of, caps, t0_rng), None))
     for k in range(iters):
-        move = propose(state, rng)
-        if move is None:
+        moved = propose(qpu_of, caps, rng)
+        if moved is None:
             break
-        temperature = cooling(t0, rate, k)
-        de = ev.delta(state.qpu_of, state.masks, transfers(move, state.qpu_of))
+        temperature = t0 / (1.0 + rate * k)
+        de = ev.delta(qpu_of, masks, moved)
         if de <= 0:
             accepted, draw = True, None
         else:
@@ -192,57 +187,20 @@ def reference_anneal(init, ev, ap, trace):
         trace.append(TraceEntry(k=k, temperature=temperature, delta_e=de,
                                 draw=draw, accepted=accepted))
         if accepted:
-            state.apply(move)
+            apply_moved(moved, qpu_of, masks, loads)
             cur_cost += de
             if cur_cost < best_cost:
-                best_cost, best = cur_cost, list(state.qpu_of)
+                best_cost, best = cur_cost, list(qpu_of)
     final = Assignment(tuple(best))
     return final, ev.breakdown(final)
 
 
-class TestSearchState:
-    @pytest.mark.parametrize("move", [
-        Move(kind="relocate", a=1, dest=1),
-        Move(kind="swap", a=0, b=1),
-        Move(kind="swap", a=2, b=2),
-    ], ids=["relocate_to_own_qpu", "swap_within_one_qpu", "swap_with_itself"])
-    def test_null_move_changes_nothing(self, move):
-        ct = two_qpu_line(3, 3)
-        state = SearchState(Assignment((1, 1, 2, 2)), ct)
-        qpu_of, masks = list(state.qpu_of), list(state.masks)
-        state.apply(move)
-        assert state.qpu_of == qpu_of
-        assert state.masks == masks
-
-    def test_masks_track_qpu_of(self):
-        # proposed moves, with a null move of either kind mixed in
-        ct = triangle_cluster()
-        for seed in range(5):
-            state = SearchState(random_placement(16, ct, seed=seed), ct)
-            rng = random.Random(seed)
-            for _ in range(300):
-                move = propose(state, rng)
-                if rng.random() < 0.1:
-                    q = move.a
-                    move = (Move(kind="relocate", a=q, dest=state.qpu_of[q])
-                            if move.kind == "relocate" else Move(kind="swap", a=q, b=q))
-                state.apply(move)
-                assert state.masks == qpu_masks(state.qpu_of, ct.n_qpus)
-
-    def test_unknown_move_kind(self):
-        ct = two_qpu_line(2, 2)
-        state = SearchState(Assignment((1, 2)), ct)
-        with pytest.raises(ValueError, match="teleport"):
-            state.apply(Move(kind="teleport", a=0, dest=2))
-        assert state.qpu_of == [1, 2]
-
-
 def loop_against_propose(init, ct, seg, ap, seen):
     """Run anneal_segment, recording the transfers it hands ev.delta, and
-    replay the chain with propose on a twin rng: each move propose draws
-    must be the loop's, and the twin takes a draw wherever the trace has
-    one. seen counts the kinds of draw: relocations, relocations that fell
-    back to a swap, swaps, and draws that found no move."""
+    replay the chain with the list-scan propose on a twin rng: each move
+    propose draws must be the loop's, and the twin takes a draw wherever the
+    trace has one. seen counts the kinds of draw: relocations, relocations
+    that fell back to a swap, swaps, and draws that found no move."""
     ev = SegmentCostEvaluator(ct, seg, CostParams())
     handed = []
     exact = ev.delta
@@ -255,23 +213,22 @@ def loop_against_propose(init, ct, seg, ap, seen):
     trace: list[TraceEntry] = []
     anneal_segment(init, ev, ap, trace=trace)
     assert len(handed) == len(trace)
-    state = SearchState(init, ct)
+    qpu_of, masks, loads, caps = chain_lists(init, ct)
     twin = random.Random(split_seed(ap.seed, "chain"))
     for moved, entry in zip(handed, trace):
         peek = random.Random()
         peek.setstate(twin.getstate())
-        move = propose(state, twin)
-        assert transfers(move, state.qpu_of) == moved
-        if move.kind == "relocate":
+        assert propose(qpu_of, caps, twin) == moved
+        if len(moved) == 1:
             seen["relocate"] += 1
         else:
             seen["fallback" if peek.random() < 0.5 else "swap"] += 1
         if entry.draw is not None:
             assert twin.random() == entry.draw
         if entry.accepted:
-            state.apply(move)
+            apply_moved(moved, qpu_of, masks, loads)
     if len(trace) < ap.iters_per_segment:
-        assert propose(state, twin) is None
+        assert propose(qpu_of, caps, twin) is None
         seen["none"] += 1
 
 
@@ -341,6 +298,14 @@ class TestAnnealSegment:
                                    AnnealParams(iters_per_segment=50))
         assert final.qpu_of == init.qpu_of
 
+    def test_no_qubits_noop(self):
+        # the default iteration count, 500 per qubit, is 0 here
+        ev = SegmentCostEvaluator(two_qpu_line(2, 2), seg_of({}), CostParams())
+        trace: list[TraceEntry] = []
+        final, bd = anneal_segment(Assignment(()), ev, AnnealParams(), trace=trace)
+        assert final == Assignment(()) and trace == []
+        assert bd.e_total == 0.0
+
     def test_trace_obeys_acceptance_rule(self):
         ct, seg, init = self._instance()
         ap = AnnealParams(t0=40.0, cooling_rate=0.02, iters_per_segment=500, seed=7)
@@ -349,7 +314,7 @@ class TestAnnealSegment:
         assert len(trace) == 500
         uphill_acc = uphill_rej = 0
         for e in trace:
-            assert e.temperature == pytest.approx(cooling(40.0, 0.02, e.k))
+            assert e.temperature == pytest.approx(40.0 / (1 + 0.02 * e.k))
             if e.delta_e <= 0:
                 assert e.accepted and e.draw is None
             else:
@@ -365,7 +330,9 @@ class TestAnnealSegment:
     def test_same_decisions_as_exact_reference(self, data):
         # Early rejection on the lower bound changes no draw, no decision and
         # no result; only a bound-rejected step records the bound it used.
-        ct, seg, init, prev = random_case(data, with_prev=data.draw(st.booleans()))
+        # Extra free slots give relocations a choice of destinations.
+        spare = data.draw(st.sampled_from([1, 2, 4]))
+        ct, seg, init, prev = random_case(data, with_prev=data.draw(st.booleans()), spare=spare)
         cp = cost_params(data)
         ap = AnnealParams(
             iters_per_segment=data.draw(st.integers(50, 400)),

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from dqcmap.circuit import InteractionCount
 from dqcmap.cost import (
     CostParams,
-    Move,
     SegmentCostEvaluator,
     _greedy_layout,
     _hub,
     qpu_masks,
-    transfers,
 )
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import _COUPLING_BUILDERS, build_cluster
@@ -185,12 +183,21 @@ class TestInterAndMoveTerms:
         assert ten == pytest.approx(10.0 * one)
 
 
-def apply_move(a: Assignment, move: Move) -> Assignment:
+def relocation(qpu_of, q: int, dest: int):
+    """Transfers of moving qubit q to QPU dest."""
+    return ((q, qpu_of[q], dest),)
+
+
+def swap(qpu_of, qa: int, qb: int):
+    """Transfers of exchanging the QPUs of qubits qa and qb."""
+    pa, pb = qpu_of[qa], qpu_of[qb]
+    return ((qa, pa, pb), (qb, pb, pa))
+
+
+def apply_move(a: Assignment, moved) -> Assignment:
     qo = list(a.qpu_of)
-    if move.kind == "relocate":
-        qo[move.a] = move.dest
-    else:
-        qo[move.a], qo[move.b] = qo[move.b], qo[move.a]
+    for q, _, to in moved:
+        qo[q] = to
     return Assignment(tuple(qo))
 
 
@@ -203,10 +210,10 @@ class TestDelta:
         n = len(cur.qpu_of)
         q = data.draw(st.integers(0, n - 1))
         open_qpus = [p for p in (1, 2, 3)
-                     if len(cur.qubits_on(p)) < ct.qpu(p).comp_capacity
+                     if cur.qpu_of.count(p) < ct.qpu(p).comp_capacity
                      or p == cur.qpu_of[q]]
         dst = data.draw(st.sampled_from(open_qpus))
-        move = Move(kind="relocate", a=q, dest=dst)
+        move = relocation(cur.qpu_of, q, dst)
         d = delta_total(ev, cur, move)
         after = apply_move(cur, move)
         full = ev.breakdown(after).e_total - ev.breakdown(cur).e_total
@@ -220,7 +227,7 @@ class TestDelta:
         n = len(cur.qpu_of)
         qa = data.draw(st.integers(0, n - 1))
         qb = data.draw(st.integers(0, n - 1))
-        move = Move(kind="swap", a=qa, b=qb)
+        move = swap(cur.qpu_of, qa, qb)
         d = delta_total(ev, cur, move)
         after = apply_move(cur, move)
         full = ev.breakdown(after).e_total - ev.breakdown(cur).e_total
@@ -231,8 +238,8 @@ class TestDelta:
         seg = seg_of({(0, 1): 3})
         ev = SegmentCostEvaluator(ct, seg, CostParams())
         a = Assignment((1, 2))
-        assert delta_total(ev, a, Move(kind="relocate", a=0, dest=1)) == 0.0
-        assert delta_total(ev, a, Move(kind="swap", a=1, b=1)) == 0.0
+        assert delta_total(ev, a, relocation(a.qpu_of, 0, 1)) == 0.0
+        assert delta_total(ev, a, swap(a.qpu_of, 1, 1)) == 0.0
 
     def test_relocate_into_full_qpu(self):
         ct = two_qpu_line(2, 2)
@@ -240,23 +247,16 @@ class TestDelta:
         ev = SegmentCostEvaluator(ct, seg, CostParams())
         a = Assignment((1, 1, 2, 2))
         with pytest.raises(InfeasibleError):
-            delta_total(ev, a, Move(kind="relocate", a=0, dest=2))
-
-    def test_unknown_move_kind(self):
-        ct = two_qpu_line(2, 2)
-        ev = SegmentCostEvaluator(ct, seg_of({}), CostParams())
-        with pytest.raises(ValueError):
-            delta_total(ev, Assignment((1, 2)), Move(kind="teleport", a=0, dest=2))
+            delta_total(ev, a, relocation(a.qpu_of, 0, 2))
 
     def test_transfers(self):
+        # the helpers above build the transfer forms delta documents
         qpu_of = [1, 1, 2]
-        assert transfers(Move(kind="relocate", a=0, dest=2), qpu_of) == ((0, 1, 2),)
-        assert transfers(Move(kind="swap", a=0, b=2), qpu_of) == ((0, 1, 2), (2, 2, 1))
+        assert relocation(qpu_of, 0, 2) == ((0, 1, 2),)
+        assert swap(qpu_of, 0, 2) == ((0, 1, 2), (2, 2, 1))
         # null moves: the first transfer stays on its QPU
-        assert transfers(Move(kind="relocate", a=2, dest=2), qpu_of) == ((2, 2, 2),)
-        assert transfers(Move(kind="swap", a=0, b=1), qpu_of) == ((0, 1, 1), (1, 1, 1))
-        with pytest.raises(ValueError, match="teleport"):
-            transfers(Move(kind="teleport", a=0, dest=2), qpu_of)
+        assert relocation(qpu_of, 2, 2) == ((2, 2, 2),)
+        assert swap(qpu_of, 0, 1) == ((0, 1, 1), (1, 1, 1))
 
     def test_layout_cache_reused(self):
         ct = two_qpu_line(3, 3)
@@ -277,12 +277,12 @@ class TestDelta:
         if data.draw(st.booleans()):
             q = data.draw(st.integers(0, n - 1))
             open_qpus = [p for p in (1, 2, 3)
-                         if len(cur.qubits_on(p)) < ct.qpu(p).comp_capacity
+                         if cur.qpu_of.count(p) < ct.qpu(p).comp_capacity
                          or p == cur.qpu_of[q]]
-            move = Move(kind="relocate", a=q, dest=data.draw(st.sampled_from(open_qpus)))
+            moved = relocation(cur.qpu_of, q, data.draw(st.sampled_from(open_qpus)))
         else:
-            move = Move(kind="swap", a=data.draw(st.integers(0, n - 1)),
-                        b=data.draw(st.integers(0, n - 1)))
+            moved = swap(cur.qpu_of, data.draw(st.integers(0, n - 1)),
+                         data.draw(st.integers(0, n - 1)))
         qo, masks = list(cur.qpu_of), qpu_masks(cur.qpu_of, 3)
         bounds = []
 
@@ -290,11 +290,10 @@ class TestDelta:
             bounds.append(lb)
             return True
 
-        moved = transfers(move, qo)
         first = ev.delta(qo, masks, moved, reject)
         exact = ev.delta(qo, masks, moved)
         again = ev.delta(qo, masks, moved, reject)
-        assert exact == delta_total(ev, cur, move)
+        assert exact == delta_total(ev, cur, moved)
         if not bounds:  # a null move: no bound, no change
             assert first == exact == again == 0.0
             return
@@ -310,7 +309,7 @@ class TestDelta:
         ev = SegmentCostEvaluator(ct, seg, cost_params(data))
         for p, mask in enumerate(qpu_masks(cur.qpu_of, 3)):
             if mask:
-                on = set(cur.qubits_on(p))
+                on = {q for q in range(len(cur.qpu_of)) if mask >> q & 1}
                 want = sum(c for (i, j), c in seg.interactions.pairs.items()
                            if i in on and j in on)
                 assert ev.layout_and_local(p, mask)[1] == want

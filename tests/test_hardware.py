@@ -116,9 +116,10 @@ class TestValidation:
 class TestIntraDistances:
     def test_line_hand_values(self):
         ct = two_qpu_line(4, 2)
-        assert ct.intra_dist(1, 0, 3) == 3
-        assert ct.intra_dist(1, 1, 2) == 1
-        assert ct.intra_dist(1, 2, 2) == 0
+        table = ct.distances.intra[0]
+        assert table[0][3] == 3
+        assert table[1][2] == 1
+        assert table[2][2] == 0
 
     def test_symmetry_diag_triangle(self):
         ct = build_cluster([qpu_spec("a", 5, full_coupling(5))], [])
@@ -127,14 +128,14 @@ class TestIntraDistances:
             [],
         )
         for cluster in (ct, grid):
-            p = cluster.qpus[0]
-            n = p.comp_capacity
+            dist = cluster.distances.intra[0]
+            n = cluster.qpus[0].comp_capacity
             for i, j, k in itertools.product(range(n), repeat=3):
-                d = cluster.intra_dist(p.id, i, j)
-                assert d == cluster.intra_dist(p.id, j, i)
+                d = dist[i][j]
+                assert d == dist[j][i]
                 if i == j:
                     assert d == 0
-                assert d <= cluster.intra_dist(p.id, i, k) + cluster.intra_dist(p.id, k, j)
+                assert d <= dist[i][k] + dist[k][j]
 
 
 def random_interconnect(rng):
@@ -184,8 +185,8 @@ class TestInterDistances:
             for a in range(1, p + 1):
                 for b in range(1, p + 1):
                     c, h = oracle[(a, b)]
-                    assert ct.inter_cost(a, b) == pytest.approx(c, rel=1e-12)
-                    assert ct.inter_hops(a, b) == h
+                    assert ct.distances.inter_cost[(a, b)] == pytest.approx(c, rel=1e-12)
+                    assert ct.distances.inter_hops[(a, b)] == h
 
     def test_path_reconstruction_consistent(self):
         rng = random.Random(2929)
@@ -194,7 +195,7 @@ class TestInterDistances:
             for a in range(1, p + 1):
                 for b in range(1, p + 1):
                     path = ct.inter_path(a, b)
-                    assert len(path) == ct.inter_hops(a, b)
+                    assert len(path) == ct.distances.inter_hops[(a, b)]
                     node = a
                     cost = 0.0
                     for u, v in path:
@@ -203,7 +204,7 @@ class TestInterDistances:
                         cost += edges[key]
                         node = v
                     assert node == b
-                    assert cost == pytest.approx(ct.inter_cost(a, b), rel=1e-12)
+                    assert cost == pytest.approx(ct.distances.inter_cost[(a, b)], rel=1e-12)
 
     def test_cheapest_beats_fewest_hops(self):
         # 1-3 direct costs 5; 1-2-3 costs 2 total: cost wins, hops follow
@@ -214,8 +215,8 @@ class TestInterDistances:
              {"a": 1, "b": 2, "cost_factor": 1.0},
              {"a": 2, "b": 3, "cost_factor": 1.0}],
         )
-        assert ct.inter_cost(1, 3) == pytest.approx(2.0)
-        assert ct.inter_hops(1, 3) == 2
+        assert ct.distances.inter_cost[(1, 3)] == pytest.approx(2.0)
+        assert ct.distances.inter_hops[(1, 3)] == 2
         assert ct.inter_path(1, 3) == ((1, 2), (2, 3))
 
     def test_hops_break_cost_ties(self):
@@ -227,8 +228,8 @@ class TestInterDistances:
              {"a": 1, "b": 2, "cost_factor": 1.0},
              {"a": 2, "b": 3, "cost_factor": 1.0}],
         )
-        assert ct.inter_cost(1, 3) == pytest.approx(2.0)
-        assert ct.inter_hops(1, 3) == 1
+        assert ct.distances.inter_cost[(1, 3)] == pytest.approx(2.0)
+        assert ct.distances.inter_hops[(1, 3)] == 1
         assert ct.inter_path(1, 3) == ((1, 3),)
 
 
