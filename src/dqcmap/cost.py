@@ -19,12 +19,17 @@ deltas agree with full recomputation to float roundoff. A set's local cost
 depends only on its partnered core, the members with a gate partner inside
 the set: the greedy layout places the partnerless members after all
 others, and they add no pair term. So a cache miss is answered from the
-core's entry, and a layout is built only when the core itself is new. A
-layout costs work in proportion to the core's members and their adjacency
-lists within the core, read from partner bitmasks, not to the whole
-segment; the per-QPU constants it needs (distance rows, first pick,
-per-hop gate cost, the cumulative distance histogram of the floor) are
-computed once per evaluator.
+core's entry. A core the cache has not seen is answered by its shape: its
+pairs with their gate counts, each member named by its rank among the
+core's members. The greedy layout and the cost loop read qubit labels only
+through their order, so all cores of one shape on one QPU cost the same,
+and a layout is built only when the shape is new. A core's shape and its
+layout cost work in proportion to its members and their adjacency lists
+within the core, read from partner bitmasks, not to the whole segment.
+The per-QPU constants a layout needs (distance rows, first
+pick, the cumulative distance histogram of the floor) are the cluster's,
+computed at load time (see hardware.DistanceTables); only the per-hop gate
+cost, which depends on the cost parameters, is computed per evaluator.
 
 A move, a relocation or a swap, is handed to a delta as its transfers
 (qubit, from QPU, to QPU), as the annealer draws them: one for a
@@ -42,10 +47,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import InfeasibleError
 from .hardware import ClusterTopology, QPU
@@ -111,21 +114,12 @@ def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:
     return adj
 
 
-def _hub(qpu: QPU) -> int:
-    """The physical qubit of highest coupling degree, lowest index on ties."""
-    degree = [0] * qpu.comp_capacity
-    for i, j in qpu.coupling:
-        degree[i] += 1
-        degree[j] += 1
-    return max(range(qpu.comp_capacity), key=degree.__getitem__)
-
-
 def _greedy_layout(qpu: QPU, partners, table, hub: int) -> dict[int, int]:
     """Greedy deterministic embedding of logical qubits into a coupling map,
     as logical qubit -> physical qubit index.
 
-    partners maps each qubit to place, ascending, to its partners among
-    them, ascending, as [(partner, count), ...]. Qubits are placed in order
+    partners maps each qubit to place to its partners among them,
+    ascending, as [(partner, count), ...]. Qubits are placed in order
     of decreasing interaction weight among the co-located set (ties toward
     lower qubit index). The first goes to `hub`, the physical qubit of
     highest coupling degree (see _hub); each later one to the free physical
@@ -160,21 +154,6 @@ def _greedy_layout(qpu: QPU, partners, table, hub: int) -> dict[int, int]:
     return phys_of
 
 
-def _distance_ranks(table) -> tuple[list[int], list[int]]:
-    """(cum, extra) over a QPU's physical pairs by coupling distance
-    d = 0, 1, ..., diameter: cum[d] pairs lie at most d hops apart, and
-    together they are extra[d] hops beyond adjacency. Read from a histogram
-    of the distance table, so the lists grow with the diameter, not with the
-    number of pairs."""
-    hist = Counter(chain.from_iterable(table))  # each pair twice; d = 0 on the diagonal
-    cum, extra = [0], [0]
-    for d in range(1, max(hist) + 1):
-        pairs = hist[d] // 2
-        cum.append(cum[-1] + pairs)
-        extra.append(extra[-1] + pairs * (d - 1))
-    return cum, extra
-
-
 def qpu_masks(qpu_of, n_qpus: int) -> list[int]:
     """masks[p] has bit q set when qpu_of[q] == p; masks[0] is unused (0)."""
     masks = [0] * (n_qpus + 1)
@@ -199,10 +178,11 @@ class SegmentCostEvaluator:
     Holds the per-pair gate counts, the distance tables, and a cache of
     intra-QPU costs keyed by (QPU id, qubit bitmask), bit q set when qubit q
     sits on the QPU. A miss is answered from the entry of the set's
-    partnered core, the members with a gate partner inside the set, and is
-    stored under both keys; a layout is built only for a new core. The cache
-    is sound because the segment's interactions are fixed for the
-    evaluator's lifetime, and compile builds one evaluator per segment:
+    partnered core, the members with a gate partner inside the set, or else
+    from the entry of the core's shape (see layout_and_local), and is stored
+    under both keys; a layout is built only for a new shape. The cache is
+    sound because the segment's interactions are fixed for the evaluator's
+    lifetime, and compile builds one evaluator per segment:
     annealing and the step's exact breakdown read the same cache. prev is
     the previous segment's assignment, or None for the first segment (no
     movement charge).
@@ -238,15 +218,18 @@ class SegmentCostEvaluator:
         self._caps = [0] + cluster.capacities()
         # Per QPU, index pid: the distance rows, the first physical pick of a
         # layout, pen[d] = cx + swap * max(0, d - 1), the cost of one gate
-        # across d coupling hops, and the floor's cum and extra lists (see
-        # _distance_ranks).
+        # across d coupling hops, and the floor's cum and extra lists. All
+        # but pen are the cluster's own (see DistanceTables), shared by every
+        # evaluator on it.
         cx, swap = cp.cx_cost, cp.swap_cost
+        dist = cluster.distances
         self._qpu_consts = [()] + [
-            (table, _hub(qpu), [cx + swap * max(0, d - 1) for d in range(qpu.comp_capacity)],
-             *_distance_ranks(table))
-            for qpu, table in zip(cluster.qpus, cluster.distances.intra)
+            (table, hub, [cx + swap * max(0, d - 1) for d in range(len(table))], cum, extra)
+            for table, hub, (cum, extra) in zip(dist.intra, dist.hubs, dist.ranks)
         ]
         self._layout_cache: dict[tuple[int, int], tuple[float, int, int]] = {}
+        # (cost, W, P) by core shape: (QPU id, member count, pairs in rank space)
+        self._shape_cache: dict[tuple, tuple[float, int, int]] = {}
 
     # -- per-QPU local term ------------------------------------------------
 
@@ -266,8 +249,14 @@ class SegmentCostEvaluator:
         """The local cost of `mask` on QPU pid under the greedy layout of its
         partnered core, W, the summed gate count of its pairs, and P, the
         number of its pairs. Partnerless members are placed after all others
-        and pay nothing, so mask shares its core's entry. Since swap_cost >= 0
-        the local cost is at least the distance-rank floor (see _floor)."""
+        and pay nothing, so mask shares its core's entry. A core that is not
+        cached is looked up by its shape: its pairs (rank i, rank j, count)
+        in ascending order, a member's rank its position among the core's
+        members. The greedy layout and the cost loop read qubit labels only
+        through their order, so cores of one shape on one QPU have the same
+        entry, and a layout is built only for a new shape. Since
+        swap_cost >= 0 the local cost is at least the distance-rank floor
+        (see _floor)."""
         hit = self._layout_cache.get((pid, mask))
         if hit is not None:
             return hit
@@ -279,30 +268,36 @@ class SegmentCostEvaluator:
         core = self._core(mask)
         out = cache.get((pid, core))
         if out is None:
-            table, hub, pen, _, _ = self._qpu_consts[pid]
-            # each member's partners in the core, ascending, from its bitmask
+            # the core's pairs in rank space, flat, in ascending (i, j) order,
+            # read from each member's partner bits above its own
             partner_bits, partner_of = self._partner_bits, self._partner_of
-            partners = {}
-            for q in _members(core):
-                of = partner_of[q]
-                ps = partners[q] = []
-                rest = partner_bits[q] & core
+            members = _members(core)
+            rank = {q: r for r, q in enumerate(members)}
+            flat = []
+            for q in members:
+                r, of = rank[q], partner_of[q]
+                rest = partner_bits[q] & core & -(2 << q)
                 while rest:
                     low = rest & -rest
-                    ps.append(of[low])
+                    o, c = of[low]
+                    flat += (r, rank[o], c)
                     rest ^= low
-            phys_of = _greedy_layout(qpu, partners, table, hub)
-            cost = 0.0
-            weight = npairs = 0
-            # pairs in ascending (i, j) order, a fixed float summation order
-            for i, ps in partners.items():
-                row = table[phys_of[i]]
-                for j, c in ps:
-                    if j > i:
-                        cost += c * pen[row[phys_of[j]]]
-                        weight += c
-                        npairs += 1
-            out = (cost, weight, npairs)
+            try:
+                key = (pid, len(members), bytes(flat))
+            except ValueError:  # a rank or a count of 256 or more
+                key = (pid, len(members), tuple(flat))
+            out = self._shape_cache.get(key)
+            if out is None:
+                table, hub, pen, _, _ = self._qpu_consts[pid]
+                pairs = list(zip(flat[0::3], flat[1::3], flat[2::3]))
+                phys_of = _greedy_layout(qpu, _adjacency(pairs), table, hub)
+                cost = 0.0
+                weight = 0
+                # a fixed float summation order: pairs in ascending (i, j) order
+                for i, j, c in pairs:
+                    cost += c * pen[table[phys_of[i]][phys_of[j]]]
+                    weight += c
+                out = self._shape_cache[key] = (cost, weight, len(pairs))
             cache[(pid, core)] = out
         cache[(pid, mask)] = out
         return out

@@ -3,10 +3,11 @@
 A cluster is a set of QPUs, each with a qubit coupling map and a compute
 capacity, joined by weighted interconnect links through one global switch.
 Distance tables are precomputed at load time: intra-QPU hop counts per
-coupling map, and for every QPU pair the cheapest link path by total
-cost_factor (ties broken toward fewer hops, then lower ids, so the path and
-its hop count are deterministic). EPR consumption is tracked on the switch,
-one pair per link traversed.
+coupling map, with the two per-QPU constants the cost model reads beside
+them (the hub and the cumulative distance histogram), and for every QPU
+pair the cheapest link path by total cost_factor (ties broken toward fewer
+hops, then lower ids, so the path and its hop count are deterministic).
+EPR consumption is tracked on the switch, one pair per link traversed.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ import heapq
 import json
 import math
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InfeasibleError, ValidationError
 from .seeding import component_rng
@@ -80,12 +82,17 @@ class DistanceTables:
     inter_cost[(p, q)]: cheapest total cost_factor between QPUs p and q.
     inter_hops[(p, q)]: links on that cheapest path.
     inter_path[(p, q)]: the path itself as a tuple of links, in travel order.
+    hubs[p-1]: the physical qubit of QPU p of highest coupling degree (see _hub).
+    ranks[p-1]: (cum, extra) of QPU p's physical pairs by coupling distance
+    (see _distance_ranks).
     """
 
     intra: tuple[tuple[tuple[int, ...], ...], ...]
     inter_cost: dict[tuple[int, int], float]
     inter_hops: dict[tuple[int, int], int]
     inter_path: dict[tuple[int, int], tuple[Link, ...]]
+    hubs: tuple[int, ...]
+    ranks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -157,6 +164,30 @@ def _intra_table(qpu: QPU) -> tuple[tuple[int, ...], ...]:
             raise ValidationError(f"QPU '{qpu.name}': coupling graph is not connected")
         rows.append(tuple(dist))
     return tuple(rows)
+
+
+def _hub(qpu: QPU) -> int:
+    """The physical qubit of highest coupling degree, lowest index on ties."""
+    degree = [0] * qpu.comp_capacity
+    for i, j in qpu.coupling:
+        degree[i] += 1
+        degree[j] += 1
+    return max(range(qpu.comp_capacity), key=degree.__getitem__)
+
+
+def _distance_ranks(table) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cum, extra) over a QPU's physical pairs by coupling distance
+    d = 0, 1, ..., diameter: cum[d] pairs lie at most d hops apart, and
+    together they are extra[d] hops beyond adjacency. Read from a histogram
+    of the distance table, so the lists grow with the diameter, not with the
+    number of pairs."""
+    hist = Counter(chain.from_iterable(table))  # each pair twice; d = 0 on the diagonal
+    cum, extra = [0], [0]
+    for d in range(1, max(hist) + 1):
+        pairs = hist[d] // 2
+        cum.append(cum[-1] + pairs)
+        extra.append(extra[-1] + pairs * (d - 1))
+    return tuple(cum), tuple(extra)
 
 
 def _inter_tables(
@@ -277,7 +308,8 @@ def build_cluster(
         qpus=tuple(qpus),
         links=tuple(links),
         distances=DistanceTables(intra=intra, inter_cost=cost, inter_hops=hops,
-                                 inter_path=path),
+                                 inter_path=path, hubs=tuple(_hub(p) for p in qpus),
+                                 ranks=tuple(_distance_ranks(t) for t in intra)),
     )
 
 

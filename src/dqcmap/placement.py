@@ -216,19 +216,17 @@ def _refine_cut(
         cum = 0.0
         while True:
             best = None
-            for qa in range(len(cur)):
-                if qa in locked or cur[qa] != pa:
+            # Each unlocked qubit's relocate gain, once per step.
+            free = [q for q in range(len(cur)) if q not in locked]
+            side_b = [(qb, gain_relocate(cur, qb, pa)) for qb in free if cur[qb] == pb]
+            for qa in free:
+                if cur[qa] != pa:
                     continue
-                for qb in range(len(cur)):
-                    if qb in locked or cur[qb] != pb:
-                        continue
+                ga = gain_relocate(cur, qa, pb)
+                for qb, gb in side_b:
                     # The (qa, qb) edge stays cut either way but both
                     # relocate gains count it as resolved: subtract twice.
-                    gain = (
-                        gain_relocate(cur, qa, pb)
-                        + gain_relocate(cur, qb, pa)
-                        - 2.0 * g.weight(qa, qb)
-                    )
+                    gain = ga + gb - 2.0 * g.weight(qa, qb)
                     if best is None or gain > best[0] + 1e-15:
                         best = (gain, qa, qb)
             if best is None:

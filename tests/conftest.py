@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from dqcmap.anneal import AnnealParams, anneal_segment, prepare
@@ -16,14 +17,19 @@ from dqcmap.cost import (
     SegmentCostEvaluator,
     _adjacency,
     _greedy_layout,
-    _hub,
     _members,
     qpu_masks,
 )
 from dqcmap.errors import InfeasibleError
-from dqcmap.hardware import ClusterTopology, build_cluster
+from dqcmap.hardware import ClusterTopology, _hub, build_cluster
 from dqcmap.placement import Assignment, random_placement
 from dqcmap.segmentation import Segment, SegmentationParams
+
+
+# Every property test draws the same examples on every run and machine, so
+# a defect it can catch is caught every time.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def line_coupling(k: int) -> list[list[int]]:

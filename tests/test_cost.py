@@ -4,6 +4,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+
+import dqcmap.cost
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +14,10 @@ from dqcmap.cost import (
     CostParams,
     SegmentCostEvaluator,
     _greedy_layout,
-    _hub,
     qpu_masks,
 )
 from dqcmap.errors import InfeasibleError
-from dqcmap.hardware import _COUPLING_BUILDERS, build_cluster
+from dqcmap.hardware import _COUPLING_BUILDERS, _hub, build_cluster
 from dqcmap.placement import Assignment
 from dqcmap.segmentation import Segment
 
@@ -328,6 +329,14 @@ def members_mask(qubits) -> int:
     return sum(1 << q for q in qubits)
 
 
+def assert_exact(ev: SegmentCostEvaluator, pid: int, masks) -> None:
+    """Each mask's (cost, W, P) from ev equals full_layout_and_local's cost
+    and W and the count of the mask's pairs."""
+    for mask in masks:
+        npairs = sum(1 for i, j in ev.seg.interactions.pairs if mask >> i & 1 and mask >> j & 1)
+        assert ev.layout_and_local(pid, mask) == (*full_layout_and_local(ev, pid, mask), npairs)
+
+
 class TestPartneredCore:
     """The cache answers a set from its partnered core, the members with a
     gate partner inside the set; full_layout_and_local is the oracle."""
@@ -354,6 +363,33 @@ class TestPartneredCore:
             assert (cost, weight) == full_layout_and_local(ev, pid, mask)
             assert npairs == sum(1 for i, j in seg.interactions.pairs
                                  if mask >> i & 1 and mask >> j & 1)
+
+    @pytest.mark.parametrize("coupling", ["line", "grid"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shape_entries_match_full_build(self, coupling, data):
+        # Sparse pairs with counts 1 or 2 over 8 qubits, and 20 or more sets
+        # on one evaluator: many cores are relabelings of cores seen before
+        # and are answered from their shape's entry.
+        n = 8
+        pairs = {(i, j): data.draw(st.sampled_from([1, 2]))
+                 for i, j in itertools.combinations(range(n), 2)
+                 if data.draw(st.integers(0, 3)) == 0}
+        k = data.draw(st.integers(2, 6))
+        ev = SegmentCostEvaluator(one_qpu(coupling, k), seg_of(pairs), cost_params(data))
+        sets = st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=k)
+        assert_exact(ev, 1, map(members_mask, data.draw(st.lists(sets, min_size=20,
+                                                                 max_size=30))))
+
+    def test_evaluators_share_the_cluster_constants(self):
+        ct = two_qpu_line(3, 4)
+        a = SegmentCostEvaluator(ct, seg_of({(0, 1): 1}), CostParams())
+        b = SegmentCostEvaluator(ct, seg_of({(1, 2): 2}, index=2), CostParams(swap_cost=1.0))
+        for pid in (1, 2):
+            table, hub, pen, cum, extra = a._qpu_consts[pid]
+            assert b._qpu_consts[pid][:2] == (table, hub)
+            assert b._qpu_consts[pid][3] is cum and b._qpu_consts[pid][4] is extra
+            assert b._qpu_consts[pid][2] != pen  # pen depends on CostParams
 
     def test_partnerless_members_share_the_core_entry(self):
         ct = two_qpu_line(4, 4)
@@ -428,3 +464,59 @@ class TestPartneredCore:
         qpu = ct.qpu(2)
         phys_of = _greedy_layout(qpu, {2: [], 3: []}, ct.distances.intra[1], _hub(qpu))
         assert phys_of == {2: 1, 3: 0}  # the middle of the line is the hub
+
+
+class TestCoreShape:
+    """A core missing from the cache is looked up by its shape, its pairs
+    in rank space with their counts; a layout is built once per shape."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list[int]:
+        """One entry per _greedy_layout call."""
+        calls = []
+        build = dqcmap.cost._greedy_layout
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(dqcmap.cost, "_greedy_layout", counted)
+        return calls
+
+    def test_relabeled_core_builds_once(self, calls):
+        # {0, 1, 2} and {3, 5, 8} both have pairs (0, 1, 2), (1, 2, 1) in rank space
+        ct = two_qpu_line(5, 5)
+        ev = SegmentCostEvaluator(ct, seg_of({(0, 1): 2, (1, 2): 1, (3, 5): 2, (5, 8): 1}),
+                                  CostParams())
+        first, second = members_mask([0, 1, 2]), members_mask([3, 5, 8])
+        assert ev.layout_and_local(1, first) == ev.layout_and_local(1, second)
+        assert len(calls) == 1
+        ev.layout_and_local(2, second)  # the QPU is part of the shape
+        assert len(calls) == 2
+        assert_exact(ev, 1, [first, second])
+        assert_exact(ev, 2, [second])
+
+    def test_isomorphic_core_in_another_order_builds(self, calls):
+        # a path with its middle member ranked 1, then ranked 0
+        ev = SegmentCostEvaluator(one_qpu("line", 4), seg_of({(0, 1): 1, (1, 2): 1,
+                                                              (3, 4): 1, (3, 5): 1}),
+                                  CostParams())
+        masks = [members_mask([0, 1, 2]), members_mask([3, 4, 5])]
+        assert_exact(ev, 1, masks)
+        assert len(calls) == 2
+
+    def test_same_pairs_other_counts_build(self, calls):
+        ev = SegmentCostEvaluator(one_qpu("line", 3), seg_of({(0, 1): 1, (1, 2): 1,
+                                                              (3, 4): 1, (4, 5): 2}),
+                                  CostParams())
+        assert_exact(ev, 1, [members_mask([0, 1, 2]), members_mask([3, 4, 5])])
+        assert len(calls) == 2
+
+    def test_large_count_takes_the_tuple_key(self, calls):
+        cp = CostParams(cx_cost=0.1, swap_cost=0.7)
+        ev = SegmentCostEvaluator(one_qpu("line", 4), seg_of({(0, 1): 300, (0, 2): 1,
+                                                              (1, 2): 5, (3, 4): 300,
+                                                              (3, 5): 1, (4, 5): 5}), cp)
+        assert_exact(ev, 1, [members_mask([0, 1, 2]), members_mask([3, 4, 5])])
+        assert len(calls) == 1
+        assert [type(key[2]) for key in ev._shape_cache] == [tuple]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from dqcmap.hardware import build_cluster
 from dqcmap.placement import (
     Assignment,
     InteractionGraph,
+    _refine_cut,
     build_graph,
     cluster_graph,
     default_decay,
@@ -159,6 +161,113 @@ class TestClusterGraph:
             if cut <= 1.25 * best + 1e-12:
                 ok += 1
         assert ok >= 45, f"only {ok}/50 within 25% of optimum"
+
+
+def reference_refine_cut(
+    g: InteractionGraph, a: Assignment, cluster, chosen: list[int]
+) -> Assignment:
+    """Reference for _refine_cut: the same Kernighan-Lin polish with both
+    relocate gains recomputed for every (qa, qb) pair of a step."""
+    qpu_of = list(a.qpu_of)
+    caps = {p: cluster.qpu(p).comp_capacity for p in chosen}
+    adj = g.adjacency()
+    adj.extend([] for _ in range(len(qpu_of) - len(adj)))
+
+    def gain_relocate(cur: list[int], q: int, dst: int) -> float:
+        src = cur[q]
+        delta = 0.0
+        for o, w in adj[q]:
+            if cur[o] == src:
+                delta -= w
+            elif cur[o] == dst:
+                delta += w
+        return delta
+
+    def kl_pass(pa: int, pb: int) -> bool:
+        cur = list(qpu_of)
+        locked: set[int] = set()
+        seq: list[tuple[float, int, int]] = []
+        cum = 0.0
+        while True:
+            best = None
+            for qa in range(len(cur)):
+                if qa in locked or cur[qa] != pa:
+                    continue
+                for qb in range(len(cur)):
+                    if qb in locked or cur[qb] != pb:
+                        continue
+                    gain = (
+                        gain_relocate(cur, qa, pb)
+                        + gain_relocate(cur, qb, pa)
+                        - 2.0 * g.weight(qa, qb)
+                    )
+                    if best is None or gain > best[0] + 1e-15:
+                        best = (gain, qa, qb)
+            if best is None:
+                break
+            gain, qa, qb = best
+            cur[qa], cur[qb] = pb, pa
+            locked.add(qa)
+            locked.add(qb)
+            cum += gain
+            seq.append((cum, qa, qb))
+        if not seq:
+            return False
+        k = max(range(len(seq)), key=lambda i: seq[i][0])
+        if seq[k][0] <= 1e-12:
+            return False
+        for i in range(k + 1):
+            _, qa, qb = seq[i]
+            qpu_of[qa], qpu_of[qb] = pb, pa
+        return True
+
+    for _ in range(4):
+        changed = False
+        for pa, pb in combinations(sorted(chosen), 2):
+            while kl_pass(pa, pb):
+                changed = True
+        while True:
+            loads = {p: 0 for p in chosen}
+            for p in qpu_of:
+                loads[p] += 1
+            best = None
+            for q in range(len(qpu_of)):
+                for dst in chosen:
+                    if dst == qpu_of[q] or loads[dst] >= caps[dst]:
+                        continue
+                    gain = gain_relocate(qpu_of, q, dst)
+                    if gain > 1e-12 and (best is None or gain > best[0]):
+                        best = (gain, q, dst)
+            if best is None:
+                break
+            qpu_of[best[1]] = best[2]
+            changed = True
+        if not changed:
+            break
+    return Assignment(tuple(qpu_of))
+
+
+class TestRefineCut:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_gain_reference(self, data):
+        # Weights from a short list, so gains tie; some qubits may lie
+        # beyond the graph's vertex set.
+        caps = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+        n = data.draw(st.integers(2, sum(caps)))
+        n_graph = data.draw(st.integers(1, n))
+        weights = {}
+        for i, j in itertools.combinations(range(n_graph), 2):
+            w = data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 0.1]))
+            if w:
+                weights[(i, j)] = w
+        g = InteractionGraph(n_graph, weights)
+        slots = [p for p, c in enumerate(caps, 1) for _ in range(c)]
+        qpu_of = tuple(data.draw(st.permutations(slots))[:n])
+        cluster = line_cluster(caps)
+        chosen = list(range(1, len(caps) + 1))
+        got = _refine_cut(g, Assignment(qpu_of), cluster, chosen)
+        assert got.qpu_of == reference_refine_cut(g, Assignment(qpu_of), cluster, chosen).qpu_of
 
 
 class TestRepairCapacity:
