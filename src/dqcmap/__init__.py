@@ -14,9 +14,7 @@ from .anneal import (
 from .circuit import (
     Circuit,
     GateOp,
-    InteractionCount,
     LayeredCircuit,
-    count_interactions,
     layerize,
     parse_qasm,
     serialize_qasm,
@@ -37,12 +35,12 @@ from .segmentation import Segment, SegmentationParams, jaccard, random_segment, 
 
 __all__ = [
     "AnnealParams", "Assignment", "Circuit", "ClusterTopology", "CostBreakdown",
-    "CostParams", "GateOp", "InfeasibleError", "InputError", "InteractionCount",
+    "CostParams", "GateOp", "InfeasibleError", "InputError",
     "InteractionGraph", "LayeredCircuit", "Plan",
     "PlanStep", "Prepared", "QPU", "QasmError", "QuantumSwitch",
     "Segment", "SegmentCostEvaluator", "SegmentationParams", "ValidationError",
     "anneal_segment", "build_graph", "cluster_graph",
-    "compile", "count_interactions", "edge_cut", "gen_topology", "jaccard",
+    "compile", "edge_cut", "gen_topology", "jaccard",
     "layerize", "load_cluster", "parse_qasm", "prepare", "random_placement",
     "random_segment", "repair_capacity", "segment", "serialize_qasm",
     "__version__",

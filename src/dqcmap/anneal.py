@@ -270,7 +270,7 @@ def replay_epr(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
             for q in range(len(qo)):
                 if prev.qpu_of[q] != qo[q]:
                     record_teleport(sw, cluster.inter_path(prev.qpu_of[q], qo[q]))
-        for (i, j), count in sorted(step.segment.interactions.pairs.items()):
+        for (i, j), count in step.segment.pairs.items():
             if qo[i] != qo[j]:
                 path = cluster.inter_path(qo[i], qo[j])
                 for _ in range(count):
@@ -334,10 +334,9 @@ def compile(
     if initial == "random":
         first = random_placement(circuit.n_qubits, cluster, split_seed(seed, "init"))
     else:
-        graph = build_graph(segments, decay if decay is not None
-                            else default_decay(len(segments)))
-        first = cluster_graph(graph, cluster, min(cluster.n_qpus, circuit.n_qubits),
-                              n_qubits=circuit.n_qubits)
+        graph = build_graph(segments, default_decay(len(segments)) if decay is None else decay,
+                            circuit.n_qubits)
+        first = cluster_graph(graph, cluster, min(cluster.n_qpus, circuit.n_qubits))
 
     steps: list[PlanStep] = []
     prev: Assignment | None = None

@@ -1,15 +1,14 @@
 """Circuit intermediate representation.
 
 Covers the OpenQASM 2.0 subset the rest of the pipeline consumes: a flat gate
-list on a single quantum register, layered into an ASAP schedule, plus
-two-qubit interaction counting over layer intervals. Everything here is
-immutable after construction and safe to share across threads.
+list on a single quantum register, layered into an ASAP schedule. Everything
+here is immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import QasmError
 
@@ -88,37 +87,18 @@ class Circuit:
 class LayeredCircuit:
     """ASAP layering of a circuit.
 
-    layers[i] is the frozenset of gate indices scheduled in layer i+1;
-    layer_of[g] is the 1-based layer of gate index g. Every gate index
-    appears in exactly one layer.
+    layer_of[g] is the 1-based layer of gate index g, and depth the number
+    of layers, the largest entry of layer_of (0 without gates). Every layer
+    in 1..depth holds at least one gate.
     """
 
     circuit: Circuit
-    layers: tuple[frozenset[int], ...]
     layer_of: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
+    depth: int
 
     @property
     def n_qubits(self) -> int:
         return self.circuit.n_qubits
-
-
-@dataclass(frozen=True)
-class InteractionCount:
-    """Two-qubit gate counts over some layer interval.
-
-    pairs maps unordered qubit pairs, stored as (i, j) with i < j, to the
-    number of two-qubit gates between them inside the interval. Treat as
-    read-only.
-    """
-
-    pairs: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.pairs.values())
 
 
 def layerize(circuit: Circuit) -> LayeredCircuit:
@@ -130,42 +110,17 @@ def layerize(circuit: Circuit) -> LayeredCircuit:
     """
     barrier_at: set[int] = set(circuit.barriers)
     last_layer = [0] * circuit.n_qubits
-    floor = 0
+    floor = depth = 0
     layer_of: list[int] = []
-    layers: list[set[int]] = []
     for idx, g in enumerate(circuit.gates):
         if idx in barrier_at:
-            floor = len(layers)
+            floor = depth
         lay = max([floor] + [last_layer[q] for q in g.qubits]) + 1
-        while len(layers) < lay:
-            layers.append(set())
-        layers[lay - 1].add(idx)
         layer_of.append(lay)
+        depth = max(depth, lay)
         for q in g.qubits:
             last_layer[q] = lay
-    return LayeredCircuit(
-        circuit=circuit,
-        layers=tuple(frozenset(s) for s in layers),
-        layer_of=tuple(layer_of),
-    )
-
-
-def count_interactions(lc: LayeredCircuit, from_layer: int, to_layer: int) -> InteractionCount:
-    """Count two-qubit gates whose layer falls in [from_layer, to_layer]."""
-    if not (1 <= from_layer <= to_layer <= lc.depth):
-        raise ValueError(
-            f"layer interval [{from_layer}, {to_layer}] out of range for depth {lc.depth}"
-        )
-    pairs: dict[tuple[int, int], int] = {}
-    for idx, g in enumerate(lc.circuit.gates):
-        if not g.is_two_qubit:
-            continue
-        lay = lc.layer_of[idx]
-        if from_layer <= lay <= to_layer:
-            a, b = g.qubits
-            key = (a, b) if a < b else (b, a)
-            pairs[key] = pairs.get(key, 0) + 1
-    return InteractionCount(pairs=pairs)
+    return LayeredCircuit(circuit=circuit, layer_of=tuple(layer_of), depth=depth)
 
 
 # --- OpenQASM 2.0 subset -----------------------------------------------------

@@ -181,7 +181,7 @@ class SegmentCostEvaluator:
     partnered core, the members with a gate partner inside the set, or else
     from the entry of the core's shape (see layout_and_local), and is stored
     under both keys; a layout is built only for a new shape. The cache is
-    sound because the segment's interactions are fixed for the evaluator's
+    sound because the segment's pair counts are fixed for the evaluator's
     lifetime, and compile builds one evaluator per segment:
     annealing and the step's exact breakdown read the same cache. prev is
     the previous segment's assignment, or None for the first segment (no
@@ -201,7 +201,7 @@ class SegmentCostEvaluator:
         self.prev = prev
         # A pair with no gates costs nothing and partners nobody.
         self.pairs: list[tuple[int, int, int]] = [
-            (i, j, c) for (i, j), c in sorted(seg.interactions.pairs.items()) if c > 0
+            (i, j, c) for (i, j), c in sorted(seg.pairs.items()) if c > 0
         ]
         self.adj = _adjacency(self.pairs)
         # _partner_bits[q] has bit o set when qubits q and o share a gate;

@@ -39,7 +39,7 @@ def _plan_dict(plan: Plan) -> dict:
                 "from_layer": s.segment.from_layer,
                 "to_layer": s.segment.to_layer,
                 "n_layers": s.segment.n_layers,
-                "two_qubit_gates": s.segment.interactions.total(),
+                "two_qubit_gates": sum(s.segment.pairs.values()),
             }
             for s in plan.steps
         ],

@@ -63,21 +63,17 @@ def default_decay(n_segments: int) -> float:
     return 3.0 / n_segments
 
 
-def build_graph(segments: list[Segment], decay: float) -> InteractionGraph:
-    """Fold per-segment counts into one graph, weighting segment s by
-    exp(-decay * s). Qubit count is taken from the widest pair seen plus the
-    caller's circuit; pass n_qubits explicitly via segments' source circuit
-    when isolating this step."""
+def build_graph(segments: list[Segment], decay: float, n_qubits: int) -> InteractionGraph:
+    """Fold per-segment counts into one graph on n_qubits vertices, weighting
+    segment s by exp(-decay * s)."""
     if not (math.isfinite(decay) and decay >= 0):
         raise ValueError("decay must be finite and >= 0")
     weights: dict[tuple[int, int], float] = {}
-    top = -1
     for seg in segments:
         alpha = math.exp(-decay * seg.index)
-        for pair, count in seg.interactions.pairs.items():
+        for pair, count in seg.pairs.items():
             weights[pair] = weights.get(pair, 0.0) + alpha * count
-            top = max(top, pair[1])
-    return InteractionGraph(n_qubits=top + 1, weights=weights)
+    return InteractionGraph(n_qubits=n_qubits, weights=weights)
 
 
 def edge_cut(g: InteractionGraph, a: Assignment) -> float:
@@ -105,9 +101,7 @@ def _chosen_qpus(cluster: ClusterTopology, partitions: int) -> list[int]:
     return order[:partitions]
 
 
-def cluster_graph(
-    g: InteractionGraph, cluster: ClusterTopology, partitions: int, n_qubits: int | None = None
-) -> Assignment:
+def cluster_graph(g: InteractionGraph, cluster: ClusterTopology, partitions: int) -> Assignment:
     """Agglomerate qubits into one group per QPU, heaviest edges first.
 
     Groups start as singletons. Each round merges the group pair with the
@@ -117,7 +111,7 @@ def cluster_graph(
     matched to QPUs by descending size against descending capacity, a local
     improvement sweep trims the cut, and the result is capacity-repaired.
     """
-    n = n_qubits if n_qubits is not None else g.n_qubits
+    n = g.n_qubits
     if n < 1:
         raise ValueError("nothing to place")
     if not 1 <= partitions <= cluster.n_qpus:
@@ -170,9 +164,8 @@ def cluster_graph(
             break
 
     ordered = sorted(groups.values(), key=lambda s: (-len(s), min(s)))
-    by_cap = sorted(chosen, key=lambda pid: (-cluster.qpu(pid).comp_capacity, pid))
     qpu_of = [0] * n
-    for grp, pid in zip(ordered, by_cap):
+    for grp, pid in zip(ordered, chosen):
         for q in grp:
             qpu_of[q] = pid
 
@@ -194,9 +187,6 @@ def _refine_cut(
     qpu_of = list(a.qpu_of)
     caps = {p: cluster.qpu(p).comp_capacity for p in chosen}
     adj = g.adjacency()
-    # The assignment may cover qubits beyond the graph's vertex set (qubits
-    # with no two-qubit gates); give those empty adjacency.
-    adj.extend([] for _ in range(len(qpu_of) - len(adj)))
 
     def gain_relocate(cur: list[int], q: int, dst: int) -> float:
         src = cur[q]

@@ -5,7 +5,7 @@ active qubits shifts. Activity of a qubit at layer l is its cumulative
 two-qubit gate count through l divided by l, smoothed over a +-w layer
 window; the top-k such qubits form the layer's active set, and a boundary
 opens where consecutive layers' active sets have Jaccard similarity below
-the threshold (subject to a minimum segment length).
+the threshold, once the segment being closed spans at least w layers.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .circuit import InteractionCount, LayeredCircuit, count_interactions
+from .circuit import LayeredCircuit
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,6 @@ class SegmentationParams:
     window: int
     top_k: int
     threshold: float
-    min_segment_len: int | None = None  # None: use window
 
     def __post_init__(self):
         if self.window < 1:
@@ -30,22 +29,21 @@ class SegmentationParams:
             raise ValueError("top_k must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if self.min_segment_len is not None and self.min_segment_len < 1:
-            raise ValueError("min_segment_len must be >= 1")
-
-    @property
-    def min_len(self) -> int:
-        return self.window if self.min_segment_len is None else self.min_segment_len
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One contiguous layer interval, 1-based inclusive bounds."""
+    """One contiguous layer interval, 1-based inclusive bounds.
+
+    pairs maps unordered qubit pairs, stored as (i, j) with i < j, to the
+    number of two-qubit gates between them inside the interval, in the
+    order of each pair's first gate. Treat as read-only.
+    """
 
     index: int
     from_layer: int
     to_layer: int
-    interactions: InteractionCount
+    pairs: dict[tuple[int, int], int]
 
     @property
     def n_layers(self) -> int:
@@ -62,44 +60,29 @@ def default_params(lc: LayeredCircuit) -> SegmentationParams:
     )
 
 
-def _cumulative_counts(lc: LayeredCircuit) -> list[list[int]]:
-    """per_qubit[q][l] = two-qubit gates touching q in layers 1..l (index 0 unused)."""
-    depth = lc.depth
-    per_layer = [[0] * (depth + 1) for _ in range(lc.n_qubits)]
-    for idx, g in enumerate(lc.circuit.gates):
-        if g.is_two_qubit:
-            lay = lc.layer_of[idx]
-            for q in g.qubits:
-                per_layer[q][lay] += 1
-    for row in per_layer:
-        for l in range(1, depth + 1):
-            row[l] += row[l - 1]
-    return per_layer
-
-
 def _windowed_matrix(lc: LayeredCircuit, w: int) -> list[list[float]]:
     """wd[q][l], the activity of qubit q at layer l: the mean over layers i
     in [max(1, l-w), min(depth, l+w)] of its density rho(q, i), its
     two-qubit gates in layers 1..i divided by i. The mean runs over the
     layers inside the circuit, so edge windows are not diluted by missing
-    terms. Computed via prefix sums."""
+    terms. Each row holds the qubit's gate count per layer, then in place
+    the prefix sums of rho, and is then replaced by its windowed means."""
     depth = lc.depth
-    cum = _cumulative_counts(lc)
-    out = []
-    for q in range(lc.n_qubits):
-        rho = [0.0] * (depth + 1)
+    # Layer l's window as (hi, lo - 1), the same for every qubit.
+    windows = [(min(depth, l + w), max(1, l - w) - 1) for l in range(1, depth + 1)]
+    wd = [[0] * (depth + 1) for _ in range(lc.n_qubits)]
+    for g, lay in zip(lc.circuit.gates, lc.layer_of):
+        if g.is_two_qubit:
+            for q in g.qubits:
+                wd[q][lay] += 1
+    for q, row in enumerate(wd):
+        cum, pref = 0, 0.0
         for l in range(1, depth + 1):
-            rho[l] = cum[q][l] / l
-        pref = [0.0] * (depth + 1)
-        for l in range(1, depth + 1):
-            pref[l] = pref[l - 1] + rho[l]
-        row = [0.0] * (depth + 1)
-        for l in range(1, depth + 1):
-            lo = max(1, l - w)
-            hi = min(depth, l + w)
-            row[l] = (pref[hi] - pref[lo - 1]) / (hi - lo + 1)
-        out.append(row)
-    return out
+            cum += row[l]
+            pref += cum / l
+            row[l] = pref
+        wd[q] = [0.0] + [(row[hi] - row[lo]) / (hi - lo) for hi, lo in windows]
+    return wd
 
 
 def jaccard(a: frozenset[int], b: frozenset[int]) -> float:
@@ -110,16 +93,23 @@ def jaccard(a: frozenset[int], b: frozenset[int]) -> float:
 
 
 def _build_segments(lc: LayeredCircuit, starts: list[int]) -> list[Segment]:
-    """Segments from sorted boundary starts (each the first layer of a segment)."""
-    segs = []
+    """Segments from sorted boundary starts (each the first layer of a
+    segment), their pair counts filled in one pass over the gates."""
     bounds = starts + [lc.depth + 1]
+    seg_of = [0]  # layer -> index into pairs
     for i in range(len(starts)):
-        lo, hi = bounds[i], bounds[i + 1] - 1
-        segs.append(Segment(
-            index=i + 1, from_layer=lo, to_layer=hi,
-            interactions=count_interactions(lc, lo, hi),
-        ))
-    return segs
+        seg_of.extend([i] * (bounds[i + 1] - bounds[i]))
+    pairs: list[dict[tuple[int, int], int]] = [{} for _ in starts]
+    for g, lay in zip(lc.circuit.gates, lc.layer_of):
+        if g.is_two_qubit:
+            a, b = g.qubits
+            key = (a, b) if a < b else (b, a)
+            counts = pairs[seg_of[lay]]
+            counts[key] = counts.get(key, 0) + 1
+    return [
+        Segment(index=i + 1, from_layer=bounds[i], to_layer=bounds[i + 1] - 1, pairs=pairs[i])
+        for i in range(len(starts))
+    ]
 
 
 def segment(lc: LayeredCircuit, params: SegmentationParams | None = None) -> list[Segment]:
@@ -127,7 +117,7 @@ def segment(lc: LayeredCircuit, params: SegmentationParams | None = None) -> lis
 
     A boundary opens before layer l when the Jaccard similarity between the
     top-k sets of layers l-1 and l drops below the threshold, provided the
-    segment being closed is at least min_len layers long. The result covers
+    segment being closed is at least window layers long. The result covers
     [1, depth] without gaps; an empty circuit yields no segments.
     """
     if lc.depth == 0:
@@ -147,7 +137,7 @@ def segment(lc: LayeredCircuit, params: SegmentationParams | None = None) -> lis
     prev_set = active(1)
     for l in range(2, lc.depth + 1):
         cur = active(l)
-        if jaccard(cur, prev_set) < params.threshold and l - starts[-1] >= params.min_len:
+        if jaccard(cur, prev_set) < params.threshold and l - starts[-1] >= params.window:
             starts.append(l)
         prev_set = cur
     return _build_segments(lc, starts)

@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from dqcmap.anneal import AnnealParams, anneal_segment, prepare
-from dqcmap.circuit import Circuit, GateOp, InteractionCount, LayeredCircuit
+from dqcmap.circuit import Circuit, GateOp, LayeredCircuit
 from dqcmap.cost import (
     CostBreakdown,
     CostParams,
@@ -97,7 +97,7 @@ def random_case(data, with_prev: bool, spare: int = 1):
         for j in range(i + 1, n):
             if data.draw(st.booleans()):
                 pairs[(i, j)] = data.draw(st.integers(min_value=1, max_value=4))
-    seg = Segment(index=1, from_layer=1, to_layer=2, interactions=InteractionCount(pairs))
+    seg = Segment(index=1, from_layer=1, to_layer=2, pairs=pairs)
     cur = random_placement(n, ct, seed=data.draw(st.integers(0, 10_000)))
     prev = (random_placement(n, ct, seed=data.draw(st.integers(0, 10_000)))
             if with_prev else None)
@@ -164,7 +164,7 @@ def full_layout_and_local(ev: SegmentCostEvaluator, pid: int, mask: int) -> tupl
     pairs in ascending (i, j) order, and W, their summed gate count."""
     qpu = ev.cluster.qpu(pid)
     table = ev.cluster.distances.intra[pid - 1]
-    pairs = sorted(ev.seg.interactions.pairs.items())
+    pairs = sorted(ev.seg.pairs.items())
     adj = _adjacency([(i, j, c) for (i, j), c in pairs])
     phys_of = _greedy_layout(qpu, _partners(mask, adj), table, _hub(qpu))
     cp = ev.cp
@@ -223,8 +223,7 @@ def traced_temperatures(t0: float, rate: float, iters: int) -> list[float]:
     """The temperature of each step of an annealing chain under t0 and rate,
     read from its trace. Two full QPUs always admit a swap, so every one of
     the iters steps draws a move."""
-    seg = Segment(index=1, from_layer=1, to_layer=2,
-                  interactions=InteractionCount({(0, 2): 1}))
+    seg = Segment(index=1, from_layer=1, to_layer=2, pairs={(0, 2): 1})
     ev = SegmentCostEvaluator(two_qpu_line(2, 2), seg, CostParams())
     trace = []
     anneal_segment(Assignment((1, 1, 2, 2)), ev,
@@ -329,7 +328,28 @@ def brute_force_optimum(
     return [Assignment(states[idx]) for idx in chain], best_total
 
 
-# -- looped forms of the segmentation activity measures ------------------------
+# -- looped forms of the segmentation measures --------------------------------
+
+def count_interactions(lc: LayeredCircuit, from_layer: int,
+                       to_layer: int) -> dict[tuple[int, int], int]:
+    """Two-qubit gate counts of the gates whose layer falls in
+    [from_layer, to_layer], by one scan of the whole gate list: (i, j) with
+    i < j -> count, in the order of each pair's first gate there."""
+    if not (1 <= from_layer <= to_layer <= lc.depth):
+        raise ValueError(
+            f"layer interval [{from_layer}, {to_layer}] out of range for depth {lc.depth}"
+        )
+    pairs: dict[tuple[int, int], int] = {}
+    for idx, g in enumerate(lc.circuit.gates):
+        if not g.is_two_qubit:
+            continue
+        lay = lc.layer_of[idx]
+        if from_layer <= lay <= to_layer:
+            a, b = g.qubits
+            key = (a, b) if a < b else (b, a)
+            pairs[key] = pairs.get(key, 0) + 1
+    return pairs
+
 
 def density(lc: LayeredCircuit, q: int, l: int) -> float:
     """Cumulative interaction density of qubit q through layer l."""

@@ -14,7 +14,7 @@ from itertools import islice
 
 from dqcmap.anneal import _draws, compile, replay_epr
 from dqcmap.bench import gen_adder, gen_qaoa, gen_qft
-from dqcmap.circuit import Circuit, GateOp, InteractionCount, layerize
+from dqcmap.circuit import Circuit, GateOp, layerize
 from dqcmap.cost import CostParams, SegmentCostEvaluator
 from dqcmap.harness import render_json, run_ablate, run_map, run_sweep_ratio
 from dqcmap.hardware import TOPOLOGY_KINDS, build_cluster, gen_topology
@@ -52,7 +52,7 @@ def close(got: float, want: float) -> bool:
 
 def seg_of(pairs: dict, index: int = 1) -> Segment:
     return Segment(index=index, from_layer=1, to_layer=2,
-                   interactions=InteractionCount(dict(pairs)))
+                   pairs=dict(pairs))
 
 
 def line3_cluster():
@@ -84,9 +84,9 @@ def test_criterion_1_formula_suite(acceptance):
     cp = CostParams()
 
     g_decay = build_graph(
-        [seg_of({(0, 1): 2}, 1), seg_of({(0, 1): 3}, 2)], math.log(2))
+        [seg_of({(0, 1): 2}, 1), seg_of({(0, 1): 3}, 2)], math.log(2), 2)
     g_flat = build_graph(
-        [seg_of({(0, 1): 2}, 1), seg_of({(0, 1): 3}, 2)], 0.0)
+        [seg_of({(0, 1): 2}, 1), seg_of({(0, 1): 3}, 2)], 0.0, 2)
 
     solo = build_cluster(
         [{"name": "solo", "comp_capacity": 3,

@@ -18,7 +18,7 @@ from dqcmap.anneal import (
     compile,
     replay_epr,
 )
-from dqcmap.circuit import Circuit, InteractionCount, layerize
+from dqcmap.circuit import Circuit, layerize
 from dqcmap.cost import CostParams, SegmentCostEvaluator, qpu_masks
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import build_cluster
@@ -47,7 +47,7 @@ CHAIN = cx_chain(4, [(0, 1), (1, 2), (2, 3)])
 
 def seg_of(pairs: dict, index: int = 1) -> Segment:
     return Segment(index=index, from_layer=1, to_layer=2,
-                   interactions=InteractionCount(dict(pairs)))
+                   pairs=dict(pairs))
 
 
 class TestSchedule:

@@ -70,8 +70,9 @@ class TestQft:
 
     def test_layering(self):
         lc = layerize(gen_qft(4))
-        assert [sorted(layer) for layer in lc.layers] == [
-            [0], [1], [2, 4], [3, 5], [6, 7], [8], [9, 11], [10]]
+        # layers: [0], [1], [2, 4], [3, 5], [6, 7], [8], [9, 11], [10]
+        assert lc.layer_of == (1, 2, 3, 4, 3, 4, 5, 5, 6, 7, 8, 7)
+        assert lc.depth == 8
 
     def test_spectrum_is_discrete_fourier(self):
         # qubit 0 is the most significant bit of the transformed integer

@@ -7,17 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcmap.circuit import (
-    Circuit,
-    GateOp,
-    count_interactions,
-    layerize,
-    parse_qasm,
-    serialize_qasm,
-)
+from dqcmap.circuit import Circuit, GateOp, layerize, parse_qasm, serialize_qasm
 from dqcmap.errors import QasmError
+from dqcmap.segmentation import random_segment
 
-from conftest import cx_chain
+from conftest import count_interactions, cx_chain
 
 
 QASM_SMALL = """OPENQASM 2.0;
@@ -107,7 +101,7 @@ class TestLayerize:
             GateOp("h", (3,), ()),
         )
         lc = layerize(Circuit(n_qubits=4, gates=gates, name="t"))
-        assert lc.layers == (frozenset({0, 2}), frozenset({1, 4}), frozenset({3}))
+        # layers: {g0, g2}, {g1, g4}, {g3}
         assert lc.depth == 3
         assert lc.layer_of == (1, 2, 1, 3, 2)
 
@@ -115,12 +109,13 @@ class TestLayerize:
         text = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nbarrier q;\nh q[1];\n"
         lc = layerize(parse_qasm(text))
         # without the barrier both h gates would share layer 1
-        assert lc.layers == (frozenset({0}), frozenset({1}))
+        assert lc.layer_of == (1, 2)
+        assert lc.depth == 2
 
     def test_empty_circuit(self):
         lc = layerize(Circuit(n_qubits=3, gates=(), name="empty"))
         assert lc.depth == 0
-        assert lc.layers == ()
+        assert lc.layer_of == ()
 
 
 @st.composite
@@ -144,14 +139,14 @@ class TestLayerInvariants:
     @settings(max_examples=60, deadline=None)
     def test_partition_and_order(self, circ):
         lc = layerize(circ)
-        seen = [g for layer in lc.layers for g in layer]
-        assert sorted(seen) == list(range(circ.n_gates))
-        for layer in lc.layers:
-            used = set()
-            for gi in layer:
-                qs = set(circ.gates[gi].qubits)
-                assert not (qs & used)
-                used |= qs
+        assert len(lc.layer_of) == circ.n_gates
+        # every layer 1..depth holds a gate, and a layer's gates share no qubit
+        assert set(lc.layer_of) == set(range(1, lc.depth + 1))
+        used: dict[int, set[int]] = {}
+        for gi, lay in enumerate(lc.layer_of):
+            qs = set(circ.gates[gi].qubits)
+            assert not (qs & used.get(lay, set()))
+            used.setdefault(lay, set()).update(qs)
         # ASAP: each gate sits strictly after every earlier gate sharing a qubit
         for gi, gate in enumerate(circ.gates):
             for gj in range(gi):
@@ -161,29 +156,30 @@ class TestLayerInvariants:
     @given(random_circuits(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_interaction_count_additivity(self, circ, data):
+        # The pair counts of any cut into segments add up to the whole
+        # circuit's.
         lc = layerize(circ)
         if lc.depth < 2:
             return
-        m = data.draw(st.integers(min_value=1, max_value=lc.depth - 1))
-        whole = count_interactions(lc, 1, lc.depth)
-        left = count_interactions(lc, 1, m)
-        right = count_interactions(lc, m + 1, lc.depth)
+        n_segments = data.draw(st.integers(min_value=2, max_value=lc.depth))
+        parts = random_segment(lc, n_segments, data.draw(st.integers(0, 1000)))
         merged: dict = {}
-        for part in (left, right):
+        for part in parts:
             for pair, cnt in part.pairs.items():
                 merged[pair] = merged.get(pair, 0) + cnt
-        assert merged == dict(whole.pairs)
+        assert merged == count_interactions(lc, 1, lc.depth)
 
 
 class TestInteractionCount:
     def test_hand_counts(self):
         circ = cx_chain(3, [(0, 1), (0, 1), (1, 2)])
         lc = layerize(circ)
-        ic = count_interactions(lc, 1, lc.depth)
-        assert ic.pairs == {(0, 1): 2, (1, 2): 1}
-        assert ic.total() == 3
+        assert count_interactions(lc, 1, lc.depth) == {(0, 1): 2, (1, 2): 1}
+        (whole,) = random_segment(lc, 1, seed=0)
+        assert whole.pairs == {(0, 1): 2, (1, 2): 1}
 
     def test_range_validation(self):
+        # the oracle refuses intervals outside the circuit
         lc = layerize(cx_chain(2, [(0, 1)]))
         with pytest.raises(ValueError):
             count_interactions(lc, 0, 1)

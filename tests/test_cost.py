@@ -9,7 +9,6 @@ import dqcmap.cost
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcmap.circuit import InteractionCount
 from dqcmap.cost import (
     CostParams,
     SegmentCostEvaluator,
@@ -39,7 +38,7 @@ from conftest import (
 
 def seg_of(pairs: dict, index: int = 1) -> Segment:
     return Segment(index=index, from_layer=1, to_layer=2,
-                   interactions=InteractionCount(dict(pairs)))
+                   pairs=dict(pairs))
 
 
 def line3_cluster(cf12: float = 1.0, cf23: float = 2.0):
@@ -109,7 +108,7 @@ class TestLocalTerm:
         hops[2][2] = 0
         best = min(
             sum(c * (cp.cx_cost + cp.swap_cost * max(0, hops[perm[i]][perm[j]] - 1))
-                for (i, j), c in seg.interactions.pairs.items())
+                for (i, j), c in seg.pairs.items())
             for perm in itertools.permutations(range(3))
         )
         assert got == pytest.approx(best)
@@ -311,7 +310,7 @@ class TestDelta:
         for p, mask in enumerate(qpu_masks(cur.qpu_of, 3)):
             if mask:
                 on = {q for q in range(len(cur.qpu_of)) if mask >> q & 1}
-                want = sum(c for (i, j), c in seg.interactions.pairs.items()
+                want = sum(c for (i, j), c in seg.pairs.items()
                            if i in on and j in on)
                 assert ev.layout_and_local(p, mask)[1] == want
 
@@ -333,7 +332,7 @@ def assert_exact(ev: SegmentCostEvaluator, pid: int, masks) -> None:
     """Each mask's (cost, W, P) from ev equals full_layout_and_local's cost
     and W and the count of the mask's pairs."""
     for mask in masks:
-        npairs = sum(1 for i, j in ev.seg.interactions.pairs if mask >> i & 1 and mask >> j & 1)
+        npairs = sum(1 for i, j in ev.seg.pairs if mask >> i & 1 and mask >> j & 1)
         assert ev.layout_and_local(pid, mask) == (*full_layout_and_local(ev, pid, mask), npairs)
 
 
@@ -361,7 +360,7 @@ class TestPartneredCore:
         for mask in masks + [target]:
             cost, weight, npairs = ev.layout_and_local(pid, mask)
             assert (cost, weight) == full_layout_and_local(ev, pid, mask)
-            assert npairs == sum(1 for i, j in seg.interactions.pairs
+            assert npairs == sum(1 for i, j in seg.pairs
                                  if mask >> i & 1 and mask >> j & 1)
 
     @pytest.mark.parametrize("coupling", ["line", "grid"])

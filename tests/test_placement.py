@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcmap.circuit import InteractionCount
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import build_cluster
 from dqcmap.placement import (
@@ -31,29 +30,30 @@ from conftest import line_coupling, two_qpu_line
 
 def seg_with(index: int, pairs: dict) -> Segment:
     return Segment(index=index, from_layer=2 * index - 1, to_layer=2 * index,
-                   interactions=InteractionCount(dict(pairs)))
+                   pairs=dict(pairs))
 
 
 class TestBuildGraph:
     def test_decayed_hand_value(self):
         segs = [seg_with(1, {(0, 1): 2}), seg_with(2, {(0, 1): 3})]
-        g = build_graph(segs, math.log(2))
+        g = build_graph(segs, math.log(2), 2)
         # 2 * exp(-ln2 * 1) + 3 * exp(-ln2 * 2) = 1 + 0.75
         assert g.weight(0, 1) == pytest.approx(1.75, rel=1e-9)
 
     def test_zero_decay_sums_counts(self):
         segs = [seg_with(1, {(0, 1): 2}), seg_with(2, {(0, 1): 3})]
-        g = build_graph(segs, 0.0)
+        g = build_graph(segs, 0.0, 2)
         assert g.weight(0, 1) == pytest.approx(5.0)
 
     def test_silent_pair_has_no_edge(self):
-        g = build_graph([seg_with(1, {(0, 1): 1})], 0.5)
+        g = build_graph([seg_with(1, {(0, 1): 1})], 0.5, 3)
+        assert g.n_qubits == 3  # qubit 2 has no gate and is still a vertex
         assert (0, 2) not in g.weights
         assert g.weight(0, 2) == 0.0
 
     def test_monotone_in_counts(self):
-        lo = build_graph([seg_with(1, {(0, 1): 1}), seg_with(2, {(0, 1): 4})], 0.7)
-        hi = build_graph([seg_with(1, {(0, 1): 2}), seg_with(2, {(0, 1): 4})], 0.7)
+        lo = build_graph([seg_with(1, {(0, 1): 1}), seg_with(2, {(0, 1): 4})], 0.7, 2)
+        hi = build_graph([seg_with(1, {(0, 1): 2}), seg_with(2, {(0, 1): 4})], 0.7, 2)
         assert hi.weight(0, 1) > lo.weight(0, 1)
 
     def test_default_decay(self):
@@ -96,7 +96,7 @@ class TestClusterGraph:
     def test_separates_cliques(self):
         g = InteractionGraph(4, {(0, 1): 10.0, (2, 3): 10.0, (1, 2): 1.0})
         ct = two_qpu_line(2, 2)
-        a = cluster_graph(g, ct, 2, n_qubits=4)
+        a = cluster_graph(g, ct, 2)
         assert edge_cut(g, a) == pytest.approx(1.0)
         assert a.qpu_of[0] == a.qpu_of[1]
         assert a.qpu_of[2] == a.qpu_of[3]
@@ -111,14 +111,14 @@ class TestClusterGraph:
     def test_single_partition(self):
         g = InteractionGraph(3, {(0, 1): 1.0})
         ct = two_qpu_line(4, 4)
-        a = cluster_graph(g, ct, 1, n_qubits=3)
+        a = cluster_graph(g, ct, 1)
         assert len(set(a.qpu_of)) == 1
         assert edge_cut(g, a) == 0.0
 
     def test_empty_graph_feasible(self):
         g = InteractionGraph(4, {})
         ct = two_qpu_line(2, 2)
-        a = cluster_graph(g, ct, 2, n_qubits=4)
+        a = cluster_graph(g, ct, 2)
         assert a.qpu_of.count(1) == a.qpu_of.count(2) == 2
 
     def test_deterministic(self):
@@ -127,14 +127,13 @@ class TestClusterGraph:
                    for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.6}
         g = InteractionGraph(6, weights)
         ct = two_qpu_line(3, 3)
-        assert cluster_graph(g, ct, 2, n_qubits=6) == \
-            cluster_graph(g, ct, 2, n_qubits=6)
+        assert cluster_graph(g, ct, 2) == cluster_graph(g, ct, 2)
 
     def test_infeasible_capacity_rejected(self):
         g = InteractionGraph(5, {})
         ct = two_qpu_line(2, 2)
         with pytest.raises(InfeasibleError):
-            cluster_graph(g, ct, 2, n_qubits=5)
+            cluster_graph(g, ct, 2)
 
     def test_quality_against_exhaustive_optimum(self):
         # heuristic bound: within 25% of the balanced optimum on >= 90%
@@ -151,7 +150,7 @@ class TestClusterGraph:
             g = InteractionGraph(n, weights)
             cap = (n + 1) // 2
             ct = two_qpu_line(cap, cap)
-            a = cluster_graph(g, ct, 2, n_qubits=n)
+            a = cluster_graph(g, ct, 2)
             cut = edge_cut(g, a)
             best = min(
                 brute_cut(g, assign)
@@ -171,7 +170,6 @@ def reference_refine_cut(
     qpu_of = list(a.qpu_of)
     caps = {p: cluster.qpu(p).comp_capacity for p in chosen}
     adj = g.adjacency()
-    adj.extend([] for _ in range(len(qpu_of) - len(adj)))
 
     def gain_relocate(cur: list[int], q: int, dst: int) -> float:
         src = cur[q]
@@ -251,8 +249,8 @@ class TestRefineCut:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_pairwise_gain_reference(self, data):
-        # Weights from a short list, so gains tie; some qubits may lie
-        # beyond the graph's vertex set.
+        # Weights from a short list, so gains tie; the qubits past n_graph
+        # have no edges.
         caps = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
         n = data.draw(st.integers(2, sum(caps)))
         n_graph = data.draw(st.integers(1, n))
@@ -261,7 +259,7 @@ class TestRefineCut:
             w = data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 0.1]))
             if w:
                 weights[(i, j)] = w
-        g = InteractionGraph(n_graph, weights)
+        g = InteractionGraph(n, weights)
         slots = [p for p, c in enumerate(caps, 1) for _ in range(c)]
         qpu_of = tuple(data.draw(st.permutations(slots))[:n])
         cluster = line_cluster(caps)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcmap.circuit import Circuit, GateOp, count_interactions, layerize
+from dqcmap.circuit import Circuit, GateOp, layerize
 from dqcmap.segmentation import (
     SegmentationParams,
     default_params,
@@ -14,7 +14,7 @@ from dqcmap.segmentation import (
     segment,
 )
 
-from conftest import cx_chain, density, top_k_set, windowed_density
+from conftest import count_interactions, cx_chain, density, top_k_set, windowed_density
 
 
 # Chain circuit: cx(0,1) in layer 1, cx(1,2) in layer 2, cx(2,3) in layer 3.
@@ -101,34 +101,41 @@ class TestTopK:
 
 class TestSegment:
     def test_boundary_at_activity_shift(self, lc):
-        params = SegmentationParams(window=1, top_k=2, threshold=0.5,
-                                    min_segment_len=1)
+        params = SegmentationParams(window=1, top_k=2, threshold=0.5)
         segs = segment(lc, params)
         assert [(s.from_layer, s.to_layer) for s in segs] == [(1, 2), (3, 3)]
         assert [s.index for s in segs] == [1, 2]
-        assert segs[0].interactions.pairs == {(0, 1): 1, (1, 2): 1}
-        assert segs[1].interactions.pairs == {(2, 3): 1}
+        assert segs[0].pairs == {(0, 1): 1, (1, 2): 1}
+        assert segs[1].pairs == {(2, 3): 1}
 
-    def test_min_segment_len_suppresses_boundary(self, lc):
-        params = SegmentationParams(window=1, top_k=2, threshold=0.5,
-                                    min_segment_len=3)
-        segs = segment(lc, params)
-        assert [(s.from_layer, s.to_layer) for s in segs] == [(1, 3)]
+    def test_min_segment_len_suppresses_boundary(self):
+        # cx(0,1) in layer 1, then cx(2,3) in layers 2..6: with window 3 the
+        # active set already shifts at layer 2, inside the first window
+        # layers, so no boundary opens; with window 2 it shifts at layer 3,
+        # two layers in, and one does.
+        shift = Circuit(n_qubits=4, gates=cx_chain(4, [(0, 1)] + [(2, 3)] * 5).gates,
+                        name="shift", barriers=(1,))
+        lcx = layerize(shift)
+        wide = SegmentationParams(window=3, top_k=2, threshold=0.5)
+        assert top_k_set(lcx, 1, wide) == frozenset({0, 1})
+        assert top_k_set(lcx, 2, wide) == frozenset({2, 3})
+        assert [(s.from_layer, s.to_layer) for s in segment(lcx, wide)] == [(1, 6)]
+        narrow = SegmentationParams(window=2, top_k=2, threshold=0.5)
+        assert top_k_set(lcx, 2, narrow) == frozenset({0, 1})
+        assert top_k_set(lcx, 3, narrow) == frozenset({2, 3})
+        assert [(s.from_layer, s.to_layer) for s in segment(lcx, narrow)] == [(1, 2), (3, 6)]
 
     def test_default_params_match_hand_choice(self, lc):
         # depth 3 -> window 1; four qubits -> top_k 2; threshold 0.5
         p = default_params(lc)
         assert (p.window, p.top_k, p.threshold) == (1, 2, 0.5)
-        assert p.min_len == 1
 
     def test_theta_zero_never_splits(self, lc):
-        params = SegmentationParams(window=1, top_k=2, threshold=0.0,
-                                    min_segment_len=1)
+        params = SegmentationParams(window=1, top_k=2, threshold=0.0)
         assert len(segment(lc, params)) == 1
 
     def test_theta_one_splits_on_any_change(self, lc):
-        params = SegmentationParams(window=1, top_k=2, threshold=1.0,
-                                    min_segment_len=1)
+        params = SegmentationParams(window=1, top_k=2, threshold=1.0)
         # sets: {0,1}, {0,1}, {1,2} -> only the last transition differs
         segs = segment(lc, params)
         assert [(s.from_layer, s.to_layer) for s in segs] == [(1, 2), (3, 3)]
@@ -156,7 +163,6 @@ def circuits_and_params(draw):
         top_k=draw(st.integers(min_value=1, max_value=n)),
         threshold=draw(st.floats(min_value=0.0, max_value=1.0,
                                  allow_nan=False)),
-        min_segment_len=draw(st.integers(min_value=1, max_value=4)),
     )
     return circ, params
 
@@ -183,10 +189,23 @@ class TestSegmentInvariants:
         segs = segment(lcx, params)
         merged: dict = {}
         for s in segs:
-            for pair, cnt in s.interactions.pairs.items():
+            for pair, cnt in s.pairs.items():
                 merged[pair] = merged.get(pair, 0) + cnt
-        whole = count_interactions(lcx, 1, lcx.depth)
-        assert merged == dict(whole.pairs)
+        assert merged == count_interactions(lcx, 1, lcx.depth)
+
+    @given(circuits_and_params(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_match_interval_scan(self, case, data):
+        # Each segment's dict, of pattern and of random segments, equals a
+        # scan of the gate list over its interval, insertion order included.
+        circ, params = case
+        lcx = layerize(circ)
+        n_random = data.draw(st.integers(min_value=1, max_value=lcx.depth))
+        for segs in (segment(lcx, params),
+                     random_segment(lcx, n_random, data.draw(st.integers(0, 1000)))):
+            for s in segs:
+                want = count_interactions(lcx, s.from_layer, s.to_layer)
+                assert list(s.pairs.items()) == list(want.items())
 
 
 class TestRandomSegment:
