@@ -35,11 +35,11 @@ from itertools import islice
 
 from .circuit import Circuit, LayeredCircuit, layerize
 from .cost import CostBreakdown, CostParams, SegmentCostEvaluator, qpu_masks
-from .errors import InfeasibleError
 from .hardware import ClusterTopology, QuantumSwitch, record_remote_op, record_teleport
 from .placement import (
     Assignment,
     build_graph,
+    check_fits,
     cluster_graph,
     default_decay,
     random_placement,
@@ -309,11 +309,7 @@ def compile(
         raise ValueError(f"unknown segmentation mode '{segmentation_mode}'")
     if initial not in ("cluster", "random"):
         raise ValueError(f"unknown initial placement '{initial}'")
-    if cluster.total_capacity < circuit.n_qubits:
-        raise InfeasibleError(
-            f"circuit needs {circuit.n_qubits} qubits, cluster offers "
-            f"{cluster.total_capacity}"
-        )
+    check_fits(circuit.n_qubits, cluster)
     cp = cost_params if cost_params is not None else CostParams()
     ap = anneal_params if anneal_params is not None else AnnealParams()
 

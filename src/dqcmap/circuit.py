@@ -125,6 +125,9 @@ def layerize(circuit: Circuit) -> LayeredCircuit:
 
 # --- OpenQASM 2.0 subset -----------------------------------------------------
 
+# Unary signs and parentheses nest a parameter expression; each level of
+# parentheses costs three stack frames of the recursive descent.
+_MAX_NESTING = 100
 _TOKEN_RE = re.compile(r"\s*(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?|pi|[()+\-*/])")
 
 
@@ -139,7 +142,7 @@ def _eval_angle(expr: str, line: int) -> float:
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append("$end")
-    at = 0
+    at = depth = 0
 
     def peek() -> str:
         return tokens[at]
@@ -172,22 +175,31 @@ def _eval_angle(expr: str, line: int) -> float:
         return val
 
     def parse_factor() -> float:
+        nonlocal depth
+        outer = depth
+        negate = False
+        while peek() in ("+", "-"):  # a loop, so a run of signs cannot recurse
+            negate ^= take() == "-"
+            depth += 1
         tok = take()
-        if tok == "-":
-            return -parse_factor()
-        if tok == "+":
-            return parse_factor()
+        if tok == "(":
+            depth += 1
+        if depth > _MAX_NESTING:
+            raise QasmError(f"parameter nested deeper than {_MAX_NESTING} signs and "
+                            "parentheses", line)
         if tok == "(":
             val = parse_expr()
             if take() != ")":
                 raise QasmError(f"unbalanced parentheses in '{expr}'", line)
-            return val
-        if tok == "pi":
-            return math.pi
-        try:
-            return float(tok)
-        except ValueError:
-            raise QasmError(f"bad token '{tok}' in parameter '{expr}'", line) from None
+        elif tok == "pi":
+            val = math.pi
+        else:
+            try:
+                val = float(tok)
+            except ValueError:
+                raise QasmError(f"bad token '{tok}' in parameter '{expr}'", line) from None
+        depth = outer
+        return -val if negate else val
 
     val = parse_expr()
     if peek() != "$end":
@@ -197,7 +209,7 @@ def _eval_angle(expr: str, line: int) -> float:
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(r"^creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_GATE_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\(([^)]*)\))?\s+(.+)$")
+_GATE_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\((.*)\))?\s+(.+)$")
 _MEASURE_RE = re.compile(r"^measure\s+(\S+?)\s*->\s*(\S+)$")
 _OPERAND_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?$")
 

@@ -17,6 +17,7 @@ from .anneal import AnnealParams, Plan, compile, prepare
 from .circuit import Circuit
 from .cost import CostParams
 from .hardware import ClusterTopology
+from .placement import check_fits
 from .seeding import split_seed
 from .segmentation import SegmentationParams
 
@@ -107,6 +108,7 @@ def run_map(
     decay is the interaction graph decay of the clustering (None: the
     compile default)."""
     cp = cost_params if cost_params is not None else CostParams()
+    check_fits(circuit.n_qubits, cluster)  # before the preparation it would waste
     prep = prepare(circuit, seg_params)
     plan = compile(circuit, cluster, seed=seed, cost_params=cp,
                    anneal_params=anneal_params, decay=decay, prepared=prep)
@@ -148,6 +150,7 @@ def run_ablate(
     decay of the three clustering arms (None: the compile default).
     """
     cp = cost_params if cost_params is not None else CostParams()
+    check_fits(circuit.n_qubits, cluster)
     prep = prepare(circuit, seg_params)
     plans = {
         "baseline": compile(circuit, cluster, seed=seed, cost_params=cp,
@@ -201,6 +204,7 @@ def run_sweep_ratio(
     if not all(math.isfinite(r) and r > 0 for r in ratios):
         raise ValueError("ratio must be finite and positive")
     base = cost_params if cost_params is not None else CostParams()
+    check_fits(circuit.n_qubits, cluster)
     prep = prepare(circuit, seg_params)
     rows = []
     for r in ratios:

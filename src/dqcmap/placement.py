@@ -13,8 +13,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from operator import mul
 
 from .errors import InfeasibleError
 from .hardware import ClusterTopology
@@ -85,7 +85,8 @@ def edge_cut(g: InteractionGraph, a: Assignment) -> float:
     )
 
 
-def _check_fits(n_qubits: int, cluster: ClusterTopology) -> None:
+def check_fits(n_qubits: int, cluster: ClusterTopology) -> None:
+    """Raise InfeasibleError if n_qubits exceed the cluster's total capacity."""
     if cluster.total_capacity < n_qubits:
         raise InfeasibleError(
             f"{n_qubits} qubits exceed total capacity {cluster.total_capacity}"
@@ -116,7 +117,7 @@ def cluster_graph(g: InteractionGraph, cluster: ClusterTopology, partitions: int
         raise ValueError("nothing to place")
     if not 1 <= partitions <= cluster.n_qpus:
         raise ValueError("partitions out of range")
-    _check_fits(n, cluster)
+    check_fits(n, cluster)
     chosen = _chosen_qpus(cluster, partitions)
     cap_max = max(cluster.qpu(p).comp_capacity for p in chosen)
     target = min(partitions, n)
@@ -275,7 +276,7 @@ def repair_capacity(
     slack, choosing the destination that increases the cut least; if no link
     neighbor has slack the search widens by BFS over the interconnect.
     """
-    _check_fits(a.n_qubits, cluster)
+    check_fits(a.n_qubits, cluster)
     qpu_of = list(a.qpu_of)
     caps = [p.comp_capacity for p in cluster.qpus]
     loads = [0] * cluster.n_qpus
@@ -318,77 +319,57 @@ def repair_capacity(
     return Assignment(tuple(qpu_of))
 
 
+@lru_cache(maxsize=8)
+def _suffix_counts(n: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """S[i][t], t <= n: the ways to place t labelled qubits on QPUs i.. (0-based)
+    under capacities caps, with S[P] = (1, 0, ..., 0). S[i][t] is the sum over
+    a <= min(caps[i], t) of C(t, a) * S[i + 1][t - a]."""
+    kmax = min(max(caps), n)
+    suffix = [[0] * (n + 1) for _ in caps] + [[1] + [0] * n]
+    row = [1]  # C(t, 0..min(t, kmax)), by Pascal's rule
+    for t in range(n + 1):
+        if t:
+            row = ([1] + [x + y for x, y in zip(row, row[1:] + [0])])[:kmax + 1]
+        for i in range(len(caps) - 1, -1, -1):
+            after = suffix[i + 1]
+            suffix[i][t] = sum(row[a] * after[t - a] for a in range(min(caps[i], t) + 1))
+    return tuple(map(tuple, suffix))
+
+
 def random_placement(n_qubits: int, cluster: ClusterTopology, seed: int) -> Assignment:
     """Sample uniformly among all capacity-feasible assignments.
 
-    Qubits are placed one at a time; each QPU is picked with probability
-    proportional to the number of feasible completions given its remaining
-    capacity, which makes every feasible assignment equally likely.
+    First the load vector: going through the QPUs in id order with t qubits
+    left, QPU i takes a of them with probability C(t, a) * S[i + 1][t - a] /
+    S[i][t], where S[i][t] counts the ways to place t labelled qubits on QPUs
+    i.. under capacity. A load vector (a_1, ..., a_P) is then drawn with
+    probability n! / (a_1! ... a_P! F), F the number of feasible assignments.
+    Then the labels: the multiset [1] * a_1 + ... + [P] * a_P is shuffled
+    (Fisher-Yates; Knuth, TAOCP vol. 2, 3.4.2), which gives each of its
+    n! / (a_1! ... a_P!) arrangements the same chance. So every feasible
+    assignment has probability exactly 1 / F.
 
-    The completion counts are exact integers from a closed form. F[j], the
-    number of ways to place j distinct qubits under the remaining capacities
-    r_i, is the labelled product over QPUs of the factors G_r[k] = [k <= r]:
-    (A * B)[j] = sum_k C(j, k) A[k] B[j - k]. For QPU i the quotient
-    H = F / G_{r_i} follows from an exact integer recurrence, and placing the
-    next qubit there leaves F - C(j, r_i) H[j - r_i] ways (the product with
-    G_{r_i - 1}). With m qubits left the draw over F[m] ways costs
-    O(P * m * max_cap) big-int operations and no recursion; the table of
-    binomials C(j, k), k <= max_cap, holds O(n_qubits * max_cap) integers.
+    The table S holds O(P * n_qubits) exact integers and takes O(P *
+    n_qubits * max_cap) big-int operations; it is cached per (n_qubits,
+    capacities), so every sample of a run shares one.
     """
     if n_qubits < 1:
         raise ValueError("nothing to place")
-    _check_fits(n_qubits, cluster)
-    rem = [p.comp_capacity for p in cluster.qpus]
+    check_fits(n_qubits, cluster)
+    caps = tuple(cluster.capacities())
+    suffix = _suffix_counts(n_qubits, caps)
     rng = random.Random(seed)
-    kmax = min(max(rem), n_qubits)
-    # desc[j] = [C(j, K), ..., C(j, 1), C(j, 0)] with K = min(j, kmax), by
-    # Pascal's rule: desc[j][-1 - k:] against seq[j - k:j + 1] pairs C(j, t)
-    # with seq[j - t].
-    row, desc = [1], [[1]]
-    for j in range(1, n_qubits + 1):
-        row = [1] + [x + y for x, y in zip(row[1:], row)] + ([1] if j <= kmax else [])
-        desc.append(row[::-1])
-
-    ways = [1] + [0] * n_qubits
-    for r in rem:
-        ways = [
-            sum(map(mul, desc[j][-1 - min(j, r):], ways[j - min(j, r):j + 1]))
-            for j in range(n_qubits + 1)
-        ]
-
-    def quotient(r: int, upto: int) -> list[int]:
-        """(ways / G_r)[0..upto], from ways[j] = sum_{k<=min(j,r)} C(j,k) H[j-k]."""
-        h: list[int] = []
-        for j in range(upto + 1):
-            k = min(j, r)
-            h.append(ways[j] - sum(map(mul, desc[j][-1 - k:-1], h[j - k:j])))
-        return h
-
-    out = []
-    for placed in range(n_qubits):
-        m = n_qubits - placed
-        # The weights sum to ways[m], so the draw comes first and only the
-        # weights up to the chosen QPU are computed.
-        draw = rng.randrange(ways[m])
+    labels: list[int] = []
+    t = n_qubits
+    for i, cap in enumerate(caps):
+        after = suffix[i + 1]
+        draw = rng.randrange(suffix[i][t])
         acc = 0
-        quotients: dict[int, list[int]] = {}
-        for idx, r in enumerate(rem):
-            if r == 0:
-                continue
-            h = None
-            if r < m:
-                h = quotients.get(r)
-                if h is None:
-                    h = quotients[r] = quotient(r, m - 1 - r)
-                acc += ways[m - 1] - desc[m - 1][-1 - r] * h[m - 1 - r]
-            else:  # the other m - 1 qubits fit into r - 1 as well as into r
-                acc += ways[m - 1]
+        for a in range(min(cap, t) + 1):
+            acc += math.comb(t, a) * after[t - a]
             if draw < acc:
                 break
-        if h is not None:
-            ways = ways[:r] + [ways[j] - desc[j][-1 - r] * h[j - r] for j in range(r, m)]
-        else:
-            ways = ways[:m]
-        out.append(idx + 1)
-        rem[idx] -= 1
-    return Assignment(tuple(out))
+        labels += [i + 1] * a
+        t -= a
+    rng.shuffle(labels)
+    return Assignment(tuple(labels))

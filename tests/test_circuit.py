@@ -50,6 +50,22 @@ class TestParse:
         c = parse_qasm(text)
         assert c.gates[0].params[0] == pytest.approx(math.pi / 2 + 1, rel=1e-12)
 
+    @pytest.mark.parametrize("expr, value", [
+        ("(pi/2)", math.pi / 2),
+        ("-(pi/4)", -math.pi / 4),
+        ("2*(pi/4+1)", 2 * (math.pi / 4 + 1)),
+        ("-" * 50 + "(" * 50 + "pi" + ")" * 50, math.pi),
+    ], ids=["parenthesised", "negated", "product", "nested-to-the-bound"])
+    def test_parenthesised_angle_expression(self, expr, value):
+        c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
+        assert c.gates[0].params[0] == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("expr", ["-" * 5000 + "1", "(" * 2000 + "1" + ")" * 2000],
+                             ids=["5000-signs", "2000-parentheses"])
+    def test_deeply_nested_angle_is_qasm_error(self, expr):
+        with pytest.raises(QasmError, match="nested deeper"):
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];\n")
+
     def test_unknown_gate_reports_line(self):
         text = "OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n"
         with pytest.raises(QasmError, match="line 3"):

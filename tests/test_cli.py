@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dqcmap import harness
 from dqcmap.anneal import AnnealParams
 from dqcmap.bench import gen_adder
 from dqcmap.circuit import parse_qasm
@@ -138,6 +139,28 @@ class TestMap:
                                "--gen", "line", "--sizes", "4,4", "--seed", "0")
         assert code == EXIT_INFEASIBLE
         assert "infeasible" in err
+
+    @pytest.mark.parametrize("command", ["map", "ablate", "sweep-ratio"])
+    def test_wide_circuit_refused_before_preparation(self, command, tmp_path, capsys,
+                                                    monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("prepared a circuit that cannot fit")
+
+        monkeypatch.setattr(harness, "prepare", fail)
+        qasm = tmp_path / "wide.qasm"
+        qasm.write_text("OPENQASM 2.0;\nqreg q[3000000];\ncx q[0],q[1];\n")
+        code, _, err = run_cli(capsys, command, "--circuit", str(qasm),
+                               "--gen", "line", "--sizes", "2,2")
+        assert code == EXIT_INFEASIBLE
+        assert "3000000 qubits" in err
+
+    def test_deeply_signed_angle_is_input_error(self, tmp_path, capsys):
+        qasm = tmp_path / "deep.qasm"
+        qasm.write_text("OPENQASM 2.0;\nqreg q[1];\nrx(" + "-" * 2000 + "1) q[0];\n")
+        code, _, err = run_cli(capsys, "map", "--circuit", str(qasm),
+                               "--gen", "line", "--sizes", "2,2")
+        assert code == EXIT_INPUT
+        assert "nested deeper" in err
 
     def test_partial_seg_params_rejected(self, topo_file, capsys):
         code, _, err = run_cli(capsys, "map", "--bench", "qft", "--size", "6",

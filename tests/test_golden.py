@@ -43,16 +43,16 @@ CASES = {
 
 # name -> sha256 of the rendered report
 DIGESTS_BEFORE_3_12 = {
-    "adder16-line": "d02b3ec56d44d011ba3f9b192eb8ec627db7bce9a33c5e8b94f3591fc9de796b",
-    "qft16-line": "7b9a842a97dffe9be477402c56851ca7ea7de0076e0c11be11ecda6d31de0b30",
-    "qaoa16-line": "746244821fde606d46d2db5c3de9dd2f6e87d0116363e440981e54a7031ffa5f",
-    "qft12-ring-fractional": "9ad37c7a9d9a00e15b7c8b3e8288dd7432cce2925305e21efa54515071f89695",
+    "adder16-line": "75f010204f18fc6b592ddeaccc02f2ce438a8ed56f2927011e6ed49e4d8042a0",
+    "qft16-line": "518a170fda5f821438bb403176037bb26350058c2982afb5d9d1b246b28e0965",
+    "qaoa16-line": "93935a8e04728ca1669e9714a7c140b97396442658463e24ae89d8a546b8f4c0",
+    "qft12-ring-fractional": "ec8082ae4f219131161c7d68c455786e654c88c07cce8a5eb355df14caa3eb5e",
 }
 DIGESTS_FROM_3_12 = {
-    "adder16-line": "07696d4643bc33667655dc1fcca993e32d4c6e203ae2ed090e8d3ff73e7b0645",
-    "qft16-line": "f3d70efafce1280d203f743ed776ddff253030aa4c13e78be4a7e0a187c3fd08",
-    "qaoa16-line": "e3b8f29733d2684c3debe7c160f9b0ff6bdf7da216c904ad6f2f12917a2daa47",
-    "qft12-ring-fractional": "9ad37c7a9d9a00e15b7c8b3e8288dd7432cce2925305e21efa54515071f89695",
+    "adder16-line": "352b9e0e7d22726d5eeafe13e80266c56f15b2daefed0ee9c8b1939d1dbfe1d6",
+    "qft16-line": "a5fc574ca3414a4ac5da62148a8e748dbe3d4504d69ace91f7803da720151d0e",
+    "qaoa16-line": "9fcdd5b559c600485dca0e74edaf587a9d30a54be9178902dec6d81ea8a7cfc0",
+    "qft12-ring-fractional": "ec8082ae4f219131161c7d68c455786e654c88c07cce8a5eb355df14caa3eb5e",
 }
 
 

@@ -10,6 +10,7 @@ from dqcmap import anneal, harness
 from dqcmap.anneal import AnnealParams, compile, prepare
 from dqcmap.bench import gen_adder, gen_qft
 from dqcmap.cost import CostParams
+from dqcmap.errors import InfeasibleError
 from dqcmap.harness import (
     ARMS,
     SCHEMA_VERSION,
@@ -234,3 +235,17 @@ class TestPrepareOnce:
         other = cx_chain(6, [(0, 1)])
         with pytest.raises(ValueError):
             compile(CIRC, two_qpu_line(4, 4), prepared=prepare(other))
+
+
+@pytest.mark.parametrize("run", [
+    run_map,
+    run_ablate,
+    lambda circuit, cluster: run_sweep_ratio(circuit, cluster, [1.0]),
+])
+def test_oversized_circuit_refused_before_preparation(run, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("prepared a circuit that cannot fit")
+
+    monkeypatch.setattr(harness, "prepare", fail)
+    with pytest.raises(InfeasibleError):
+        run(cx_chain(9, [(0, 1)]), two_qpu_line(4, 4))

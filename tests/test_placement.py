@@ -4,12 +4,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqcmap import placement
 from dqcmap.errors import InfeasibleError
 from dqcmap.hardware import build_cluster
 from dqcmap.placement import (
@@ -25,7 +28,7 @@ from dqcmap.placement import (
 )
 from dqcmap.segmentation import Segment
 
-from conftest import line_coupling, two_qpu_line
+from conftest import _feasible_assignments, line_coupling, two_qpu_line
 
 
 def seg_with(index: int, pairs: dict) -> Segment:
@@ -360,16 +363,29 @@ class TestRandomPlacement:
         for key, c in counts.items():
             assert abs(c / n_draws - 1 / 3) <= 3 * sigma, (key, c)
 
-    def test_matches_memoised_recursion(self):
-        # 120 small instances against the exhaustive-state sampler the
-        # closed form replaced: same weights, so the same draws.
-        rng = random.Random(2024)
-        for _ in range(120):
-            caps = [rng.randint(1, 7) for _ in range(rng.randint(1, 5))]
-            n = rng.randint(1, sum(caps))
-            seed = rng.randrange(10**6)
-            got = random_placement(n, line_cluster(caps), seed).qpu_of
-            assert got == memoised_random_placement(n, caps, seed), (caps, n, seed)
+    def test_exactly_uniform_on_small_clusters(self, monkeypatch):
+        # Every cluster of 1-4 QPUs with capacities 1-3 and every qubit count
+        # up to their total: each feasible assignment has probability 1/F.
+        for n_qpus in range(1, 5):
+            for caps in itertools.product((1, 2, 3), repeat=n_qpus):
+                ct = line_cluster(list(caps))
+                for n in range(1, sum(caps) + 1):
+                    n_feasible = len(_feasible_assignments(n, list(caps)))
+                    loads = load_vector_probabilities(n, ct, monkeypatch)
+                    assert sum(loads.values()) == 1, (caps, n)
+                    arrangements = 0
+                    for load, prob in loads.items():
+                        assert sum(load) == n and all(a <= c for a, c in zip(load, caps))
+                        multinomial = math.factorial(n)
+                        for a in load:
+                            multinomial //= math.factorial(a)
+                        arrangements += multinomial
+                        # The shuffle spreads the load vector's probability
+                        # evenly over its arrangements.
+                        assert prob / multinomial == Fraction(1, n_feasible), (caps, n, load)
+                    # The drawn load vectors' arrangements are all F feasible
+                    # assignments, each with probability 1/F.
+                    assert arrangements == n_feasible, (caps, n)
 
     def test_large_cluster_feasible(self):
         caps = [30] * 6
@@ -387,38 +403,69 @@ def line_cluster(caps: list[int]):
     )
 
 
-def memoised_random_placement(n_qubits: int, caps: list[int], seed: int) -> tuple[int, ...]:
-    """Reference sampler: completion counts by recursion over the tuple of
-    remaining capacities, memoised (exponential in the number of QPUs)."""
-    rng = random.Random(seed)
-    memo: dict[tuple[int, ...], int] = {}
+class _IntervalDraw:
+    """One randrange(n) outcome, known as the interval [lo, hi) of the values
+    consistent with the comparisons answered so far. A comparison the interval
+    decides is answered from it; any other is decided by the rng's script."""
 
-    def completions(rem: tuple[int, ...], m: int) -> int:
-        if m == 0:
-            return 1
-        if sum(rem) < m:
-            return 0
-        if rem not in memo:
-            memo[rem] = sum(
-                completions(rem[:i] + (rem[i] - 1,) + rem[i + 1:], m - 1)
-                for i in range(len(rem)) if rem[i] > 0
-            )
-        return memo[rem]
+    def __init__(self, rng: "_EnumeratingRng", n: int):
+        self.rng, self.n, self.lo, self.hi = rng, n, 0, n
 
-    rem = tuple(caps)
-    out = []
-    for placed in range(n_qubits):
-        weights = [
-            completions(rem[:i] + (rem[i] - 1,) + rem[i + 1:], n_qubits - placed - 1)
-            if rem[i] > 0 else 0
-            for i in range(len(rem))
-        ]
-        draw = rng.randrange(sum(weights))
-        acc = 0
-        for i, w in enumerate(weights):
-            acc += w
-            if draw < acc:
-                out.append(i + 1)
-                rem = rem[:i] + (rem[i] - 1,) + rem[i + 1:]
-                break
-    return tuple(out)
+    def __lt__(self, bound: int) -> bool:
+        if self.hi <= bound:
+            return True
+        if self.lo >= bound:
+            return False
+        below = self.rng.decide()
+        if below:
+            self.hi = bound
+        else:
+            self.lo = bound
+        return below
+
+
+class _EnumeratingRng:
+    """Stands in for random.Random: draws are _IntervalDraw objects, and the
+    undecided comparisons follow `script`, then True. Each True taken past the
+    script leaves the run with the same prefix and False still to explore."""
+
+    def __init__(self, script: list[bool]):
+        self.script, self.answers, self.unexplored = script, [], []
+        self.draws: list[_IntervalDraw] = []
+        self.shuffled: list[int] | None = None
+
+    def decide(self) -> bool:
+        if len(self.answers) < len(self.script):
+            answer = self.script[len(self.answers)]
+        else:
+            answer = True
+            self.unexplored.append(self.answers + [False])
+        self.answers.append(answer)
+        return answer
+
+    def randrange(self, n: int) -> _IntervalDraw:
+        self.draws.append(_IntervalDraw(self, n))
+        return self.draws[-1]
+
+    def shuffle(self, labels: list[int]) -> None:
+        assert self.shuffled is None, "shuffled twice"
+        self.shuffled = list(labels)  # left as drawn; each order is as likely
+
+
+def load_vector_probabilities(n: int, ct, monkeypatch) -> dict[tuple[int, ...], Fraction]:
+    """Exact probability of each load vector random_placement draws, by
+    enumerating every distinguishable outcome of each randrange."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    scripts: list[list[bool]] = [[]]
+    while scripts:
+        rng = _EnumeratingRng(scripts.pop())
+        monkeypatch.setattr(placement, "random", SimpleNamespace(Random=lambda seed: rng))
+        got = random_placement(n, ct, seed=0).qpu_of
+        scripts += rng.unexplored
+        assert got == tuple(rng.shuffled)
+        prob = Fraction(1)
+        for d in rng.draws:
+            prob *= Fraction(d.hi - d.lo, d.n)
+        load = tuple(got.count(p) for p in range(1, ct.n_qpus + 1))
+        out[load] = out.get(load, Fraction(0)) + prob
+    return out
