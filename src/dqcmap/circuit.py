@@ -204,6 +204,8 @@ def _eval_angle(expr: str, line: int) -> float:
     val = parse_expr()
     if peek() != "$end":
         raise QasmError(f"trailing junk in parameter '{expr}'", line)
+    if not math.isfinite(val):
+        raise QasmError(f"parameter '{expr}' is not a finite number", line)
     return val
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -25,11 +25,19 @@ from .segmentation import Segment
 class InteractionGraph:
     """Undirected weighted graph on logical qubits.
 
-    weights maps (i, j) with i < j to a positive weight. Treat as read-only.
+    weights maps (i, j) with 0 <= i < j < n_qubits to a finite weight >= 0.
+    Treat as read-only.
     """
 
     n_qubits: int
     weights: dict[tuple[int, int], float]
+
+    def __post_init__(self) -> None:
+        for (i, j), w in self.weights.items():
+            if not 0 <= i < j < self.n_qubits:
+                raise ValueError(f"edge {(i, j)} is not (i, j), 0 <= i < j < {self.n_qubits}")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"edge {(i, j)} has weight {w}, not finite and >= 0")
 
     def weight(self, i: int, j: int) -> float:
         if i == j:
@@ -105,12 +113,17 @@ def _chosen_qpus(cluster: ClusterTopology, partitions: int) -> list[int]:
 def cluster_graph(g: InteractionGraph, cluster: ClusterTopology, partitions: int) -> Assignment:
     """Agglomerate qubits into one group per QPU, heaviest edges first.
 
-    Groups start as singletons. Each round merges the group pair with the
-    largest total inter-group weight whose merged size still fits the largest
-    chosen QPU; if no pair fits while too many groups remain, the heaviest
-    pair is merged regardless and repair_capacity cleans up. Groups are then
-    matched to QPUs by descending size against descending capacity, a local
-    improvement sweep trims the cut, and the result is capacity-repaired.
+    Groups start as singletons, each named by its smallest member. Each round
+    merges the group pair a < b with the least key (size > cap_max, -w, size,
+    a, b), w the weight between the groups, size their merged size and cap_max
+    the largest chosen capacity: the heaviest pair that fits, then the smaller
+    merge, then the lower ids. If no pair fits while too many groups remain,
+    the heaviest pair is merged regardless and repair_capacity cleans up.
+    Positive weight beats weight 0, so a round reads only the pairs of
+    positive weight, O(edges), and all O(groups^2) pairs only when none of
+    those fits. Groups are then matched to QPUs by descending size against
+    descending capacity, a local improvement sweep trims the cut, and the
+    result is capacity-repaired.
     """
     n = g.n_qubits
     if n < 1:
@@ -119,18 +132,21 @@ def cluster_graph(g: InteractionGraph, cluster: ClusterTopology, partitions: int
         raise ValueError("partitions out of range")
     check_fits(n, cluster)
     chosen = _chosen_qpus(cluster, partitions)
-    cap_max = max(cluster.qpu(p).comp_capacity for p in chosen)
+    cap_max = cluster.qpu(chosen[0]).comp_capacity
     target = min(partitions, n)
 
     groups: dict[int, set[int]] = {q: {q} for q in range(n)}
     # Inter-group weights keyed by (gid_a, gid_b), gid = smallest member.
     gw: dict[tuple[int, int], float] = dict(g.weights)
 
+    def merge_key(a: int, b: int) -> tuple[bool, float, int, int, int]:
+        size = len(groups[a]) + len(groups[b])
+        return (size > cap_max, -gw.get((a, b), 0.0), size, a, b)
+
     def merge(a: int, b: int) -> None:
-        a, b = (a, b) if a < b else (b, a)
         groups[a] |= groups.pop(b)
         for other in list(groups):
-            if other in (a, b):
+            if other == a:
                 continue
             moved = gw.pop((min(b, other), max(b, other)), 0.0)
             if moved:
@@ -139,30 +155,10 @@ def cluster_graph(g: InteractionGraph, cluster: ClusterTopology, partitions: int
         gw.pop((a, b), None)
 
     while len(groups) > target:
-        best: tuple[int, int] | None = None
-        best_w = -1.0
-        best_size = 0
-        forced: tuple[int, int] | None = None
-        forced_key: tuple[float, int, int, int] | None = None
-        ids = sorted(groups)
-        for ai in range(len(ids)):
-            for bi in range(ai + 1, len(ids)):
-                a, b = ids[ai], ids[bi]
-                w = gw.get((a, b), 0.0)
-                size = len(groups[a]) + len(groups[b])
-                if size <= cap_max:
-                    if w > best_w or (w == best_w and best is not None and size < best_size):
-                        best, best_w, best_size = (a, b), w, size
-                else:
-                    fk = (-w, size, a, b)
-                    if forced_key is None or fk < forced_key:
-                        forced, forced_key = (a, b), fk
-        if best is not None:
-            merge(*best)
-        elif forced is not None:
-            merge(*forced)
-        else:  # pragma: no cover - target >= 1 guarantees a pair exists
-            break
+        best = min((merge_key(a, b) for (a, b), w in gw.items() if w > 0), default=None)
+        if best is None or best[0]:
+            best = min(merge_key(a, b) for a, b in combinations(sorted(groups), 2))
+        merge(*best[3:])
 
     ordered = sorted(groups.values(), key=lambda s: (-len(s), min(s)))
     qpu_of = [0] * n
@@ -246,18 +242,14 @@ def _refine_cut(
         # Relocates need spare room so they run after the size-preserving
         # swaps, best gain first.
         while True:
-            loads = {p: 0 for p in chosen}
-            for p in qpu_of:
-                loads[p] += 1
-            best = None
-            for q in range(len(qpu_of)):
-                for dst in chosen:
-                    if dst == qpu_of[q] or loads[dst] >= caps[dst]:
-                        continue
-                    gain = gain_relocate(qpu_of, q, dst)
-                    if gain > 1e-12 and (best is None or gain > best[0]):
-                        best = (gain, q, dst)
-            if best is None:
+            loads = Counter(qpu_of)
+            best = max(
+                ((gain_relocate(qpu_of, q, dst), q, dst)
+                 for q in range(len(qpu_of)) for dst in chosen
+                 if dst != qpu_of[q] and loads[dst] < caps[dst]),
+                key=lambda t: t[0], default=None,
+            )
+            if best is None or best[0] <= 1e-12:
                 break
             qpu_of[best[1]] = best[2]
             changed = True
@@ -274,20 +266,22 @@ def repair_capacity(
     From each over-capacity QPU (lowest id first) the qubit with the least
     total weight to its co-located peers moves to a neighboring QPU with
     slack, choosing the destination that increases the cut least; if no link
-    neighbor has slack the search widens by BFS over the interconnect.
+    neighbor has slack the search widens by BFS over the interconnect. A
+    qubit's weight to a QPU is summed over its adjacency list, partners
+    ascending. The assignment must cover exactly the graph's qubits.
     """
+    if a.n_qubits != g.n_qubits:
+        raise ValueError("assignment and graph differ in qubit count")
     check_fits(a.n_qubits, cluster)
     qpu_of = list(a.qpu_of)
     caps = [p.comp_capacity for p in cluster.qpus]
     loads = [0] * cluster.n_qpus
     for p in qpu_of:
         loads[p - 1] += 1
+    adj = g.adjacency()
 
     def attraction(q: int, pid: int) -> float:
-        return sum(
-            w for (i, j), w in g.weights.items()
-            if (i == q and qpu_of[j] == pid) or (j == q and qpu_of[i] == pid)
-        )
+        return sum(w for o, w in adj[q] if qpu_of[o] == pid)
 
     def slack_ring(src: int) -> list[int]:
         """QPUs with slack at the smallest link-hop distance from src."""

@@ -66,6 +66,12 @@ class TestParse:
         with pytest.raises(QasmError, match="nested deeper"):
             parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];\n")
 
+    @pytest.mark.parametrize("expr", ["1e999", "1e308*10", "1e308*10-1e308*10"],
+                             ids=["overflowing-literal", "overflowing-product", "nan"])
+    def test_non_finite_angle_is_qasm_error(self, expr):
+        with pytest.raises(QasmError, match="not a finite number"):
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
+
     def test_unknown_gate_reports_line(self):
         text = "OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n"
         with pytest.raises(QasmError, match="line 3"):

@@ -162,6 +162,14 @@ class TestMap:
         assert code == EXIT_INPUT
         assert "nested deeper" in err
 
+    def test_overflowing_angle_is_input_error(self, tmp_path, capsys):
+        qasm = tmp_path / "inf.qasm"
+        qasm.write_text("OPENQASM 2.0;\nqreg q[2];\nrz(1e999) q[0];\ncx q[0],q[1];\n")
+        code, _, err = run_cli(capsys, "map", "--circuit", str(qasm),
+                               "--gen", "line", "--sizes", "2,2")
+        assert code == EXIT_INPUT
+        assert "not a finite number" in err
+
     def test_partial_seg_params_rejected(self, topo_file, capsys):
         code, _, err = run_cli(capsys, "map", "--bench", "qft", "--size", "6",
                                "--topology", topo_file, "--window", "2")

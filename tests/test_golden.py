@@ -33,12 +33,19 @@ def _ring():
     return gen_topology("ring", [5, 5, 6, 6], seed=3)
 
 
+def _ring3():
+    return gen_topology("ring", [11, 11, 11], seed=3)
+
+
 # name -> (circuit, cluster, seed, cost params)
 CASES = {
     "adder16-line": (lambda: gen_adder(16), _line, 7, None),
     "qft16-line": (lambda: gen_qft(16), _line, 7, None),
     "qaoa16-line": (lambda: gen_qaoa(16, 2, 7), _line, 7, None),
     "qft12-ring-fractional": (lambda: gen_qft(12), _ring, 11, FRACTIONAL),
+    # Clustering forces a merge past the largest capacity, and repair then
+    # evicts 5 qubits.
+    "adder32-ring-repair": (lambda: gen_adder(32), _ring3, 5, None),
 }
 
 # name -> sha256 of the rendered report
@@ -47,12 +54,14 @@ DIGESTS_BEFORE_3_12 = {
     "qft16-line": "518a170fda5f821438bb403176037bb26350058c2982afb5d9d1b246b28e0965",
     "qaoa16-line": "93935a8e04728ca1669e9714a7c140b97396442658463e24ae89d8a546b8f4c0",
     "qft12-ring-fractional": "ec8082ae4f219131161c7d68c455786e654c88c07cce8a5eb355df14caa3eb5e",
+    "adder32-ring-repair": "a6947ad85e2287908327d5b029393f162d776d610f87e1669c84ea8d36e143a9",
 }
 DIGESTS_FROM_3_12 = {
     "adder16-line": "352b9e0e7d22726d5eeafe13e80266c56f15b2daefed0ee9c8b1939d1dbfe1d6",
     "qft16-line": "a5fc574ca3414a4ac5da62148a8e748dbe3d4504d69ace91f7803da720151d0e",
     "qaoa16-line": "9fcdd5b559c600485dca0e74edaf587a9d30a54be9178902dec6d81ea8a7cfc0",
     "qft12-ring-fractional": "ec8082ae4f219131161c7d68c455786e654c88c07cce8a5eb355df14caa3eb5e",
+    "adder32-ring-repair": "a6947ad85e2287908327d5b029393f162d776d610f87e1669c84ea8d36e143a9",
 }
 
 

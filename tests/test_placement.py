@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,45 @@ class TestBuildGraph:
         assert default_decay(6) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             default_decay(0)
+
+
+class TestGraphChecks:
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_weight_must_be_finite_and_non_negative(self, w):
+        # A NaN weight used to make cluster_graph loop forever.
+        with pytest.raises(ValueError, match="finite"):
+            InteractionGraph(4, {(0, 1): w})
+
+    @pytest.mark.parametrize("pair", [(0, 7), (1, 0), (2, 2), (-1, 2)],
+                             ids=["out-of-range", "reversed", "self-loop", "negative"])
+    def test_key_must_be_ordered_pair_of_qubits(self, pair):
+        with pytest.raises(ValueError, match="0 <= i < j < 4"):
+            InteractionGraph(4, {pair: 1.0})
+
+    def test_zero_weight_and_empty_accepted(self):
+        assert InteractionGraph(3, {(0, 2): 0.0}).weight(2, 0) == 0.0
+        assert InteractionGraph(0, {}).adjacency() == []
+
+    @pytest.mark.parametrize("qpu_of", [(1, 1, 2), (1,)], ids=["longer", "shorter"])
+    def test_repair_needs_matching_qubit_count(self, qpu_of):
+        with pytest.raises(ValueError, match="qubit count"):
+            repair_capacity(Assignment(qpu_of), InteractionGraph(2, {}), two_qpu_line(2, 2))
+
+
+# Weights drawn from this list sum exactly in any order, and tie often.
+DYADIC = [0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0]
+
+
+def dyadic_graph(data, n: int) -> InteractionGraph:
+    """A graph on n qubits with DYADIC weights: some 0.0 weights are stored,
+    and the qubits past a drawn n_graph have no edges."""
+    n_graph = data.draw(st.integers(1, n))
+    weights = {}
+    for i, j in combinations(range(n_graph), 2):
+        w = data.draw(st.sampled_from(DYADIC))
+        if w or data.draw(st.booleans()):
+            weights[(i, j)] = w
+    return InteractionGraph(n, weights)
 
 
 def brute_cut(g: InteractionGraph, qpu_of) -> float:
@@ -138,6 +178,25 @@ class TestClusterGraph:
         with pytest.raises(InfeasibleError):
             cluster_graph(g, ct, 2)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_scan_reference(self, data):
+        # Small capacities and fewer partitions than QPUs force merges past
+        # cap_max, and repair then evicts.
+        caps = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        n = data.draw(st.integers(1, sum(caps)))
+        partitions = data.draw(st.integers(1, len(caps)))
+        g = dyadic_graph(data, n)
+        cluster = line_cluster(caps)
+        assert (cluster_graph(g, cluster, partitions)
+                == reference_cluster_graph(g, cluster, partitions))
+        # The merge alone: the polish and the repair could hide a different
+        # grouping.
+        with patch.object(placement, "_refine_cut", lambda g, a, cluster, chosen: a), \
+                patch.object(placement, "repair_capacity", lambda a, g, cluster: a):
+            assert (cluster_graph(g, cluster, partitions)
+                    == reference_cluster_graph(g, cluster, partitions))
+
     def test_quality_against_exhaustive_optimum(self):
         # heuristic bound: within 25% of the balanced optimum on >= 90%
         # of 50 random instances (P=2, n <= 12)
@@ -163,6 +222,70 @@ class TestClusterGraph:
             if cut <= 1.25 * best + 1e-12:
                 ok += 1
         assert ok >= 45, f"only {ok}/50 within 25% of optimum"
+
+
+def reference_cluster_graph(g: InteractionGraph, cluster, partitions: int) -> Assignment:
+    """Reference for cluster_graph: every round scans all group pairs and
+    keeps the running best fitting pair and the running best forced pair."""
+    n = g.n_qubits
+    if n < 1:
+        raise ValueError("nothing to place")
+    if not 1 <= partitions <= cluster.n_qpus:
+        raise ValueError("partitions out of range")
+    placement.check_fits(n, cluster)
+    chosen = placement._chosen_qpus(cluster, partitions)
+    cap_max = max(cluster.qpu(p).comp_capacity for p in chosen)
+    target = min(partitions, n)
+
+    groups: dict[int, set[int]] = {q: {q} for q in range(n)}
+    # Inter-group weights keyed by (gid_a, gid_b), gid = smallest member.
+    gw: dict[tuple[int, int], float] = dict(g.weights)
+
+    def merge(a: int, b: int) -> None:
+        a, b = (a, b) if a < b else (b, a)
+        groups[a] |= groups.pop(b)
+        for other in list(groups):
+            if other in (a, b):
+                continue
+            moved = gw.pop((min(b, other), max(b, other)), 0.0)
+            if moved:
+                key = (min(a, other), max(a, other))
+                gw[key] = gw.get(key, 0.0) + moved
+        gw.pop((a, b), None)
+
+    while len(groups) > target:
+        best: tuple[int, int] | None = None
+        best_w = -1.0
+        best_size = 0
+        forced: tuple[int, int] | None = None
+        forced_key: tuple[float, int, int, int] | None = None
+        ids = sorted(groups)
+        for ai in range(len(ids)):
+            for bi in range(ai + 1, len(ids)):
+                a, b = ids[ai], ids[bi]
+                w = gw.get((a, b), 0.0)
+                size = len(groups[a]) + len(groups[b])
+                if size <= cap_max:
+                    if w > best_w or (w == best_w and best is not None and size < best_size):
+                        best, best_w, best_size = (a, b), w, size
+                else:
+                    fk = (-w, size, a, b)
+                    if forced_key is None or fk < forced_key:
+                        forced, forced_key = (a, b), fk
+        if best is not None:
+            merge(*best)
+        else:
+            merge(*forced)
+
+    ordered = sorted(groups.values(), key=lambda s: (-len(s), min(s)))
+    qpu_of = [0] * n
+    for grp, pid in zip(ordered, chosen):
+        for q in grp:
+            qpu_of[q] = pid
+
+    a = Assignment(tuple(qpu_of))
+    a = placement._refine_cut(g, a, cluster, chosen)
+    return placement.repair_capacity(a, g, cluster)
 
 
 def reference_refine_cut(
@@ -335,6 +458,56 @@ class TestRepairCapacity:
         assert len(fixed.qpu_of) == n
         for p in ct.qpus:
             assert fixed.qpu_of.count(p.id) <= p.comp_capacity
+
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_edge_scan_reference(self, data):
+        caps = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+        n = data.draw(st.integers(1, sum(caps)))
+        g = dyadic_graph(data, n)
+        qpu_of = tuple(data.draw(st.integers(1, len(caps))) for _ in range(n))
+        cluster = line_cluster(caps)
+        assert (repair_capacity(Assignment(qpu_of), g, cluster)
+                == reference_repair_capacity(Assignment(qpu_of), g, cluster))
+
+
+def reference_repair_capacity(a: Assignment, g: InteractionGraph, cluster) -> Assignment:
+    """Reference for repair_capacity: a qubit's attraction to a QPU scans
+    every edge of the graph."""
+    qpu_of = list(a.qpu_of)
+    caps = [p.comp_capacity for p in cluster.qpus]
+    loads = [0] * cluster.n_qpus
+    for p in qpu_of:
+        loads[p - 1] += 1
+
+    def attraction(q: int, pid: int) -> float:
+        return sum(
+            w for (i, j), w in g.weights.items()
+            if (i == q and qpu_of[j] == pid) or (j == q and qpu_of[i] == pid)
+        )
+
+    def slack_ring(src: int) -> list[int]:
+        dist = {src: 0}
+        queue = [src]
+        for u in queue:
+            for v in cluster.link_neighbors(u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        cands = [p for p in dist if p != src and loads[p - 1] < caps[p - 1]]
+        dmin = min(dist[p] for p in cands)
+        return sorted(p for p in cands if dist[p] == dmin)
+
+    for pid in range(1, cluster.n_qpus + 1):
+        while loads[pid - 1] > caps[pid - 1]:
+            members = [q for q in range(len(qpu_of)) if qpu_of[q] == pid]
+            q = min(members, key=lambda x: (attraction(x, pid), x))
+            dest = max(slack_ring(pid), key=lambda p: (attraction(q, p), -p))
+            qpu_of[q] = dest
+            loads[pid - 1] -= 1
+            loads[dest - 1] += 1
+    return Assignment(tuple(qpu_of))
 
 
 class TestRandomPlacement:
