@@ -82,7 +82,7 @@ def _nth_bit(mask: int, k: int) -> int:
 
 
 def _draws(rng: random.Random, qpu_of: list[int], masks: list[int], loads: list[int],
-           caps: list[int]) -> Iterator[tuple[tuple[int, int, int], ...]]:
+           caps: tuple[int, ...]) -> Iterator[tuple[tuple[int, int, int], ...]]:
     """Capacity-feasible moves of the assignment held in the caller's lists,
     read afresh at each draw, as transfers: ((q, from, to),) for a
     relocation, ((qa, pa, pb), (qb, pb, pa)) for a swap.
@@ -162,7 +162,7 @@ def anneal_segment(
     qpu_of = list(init.qpu_of)
     masks = qpu_masks(qpu_of, ev.cluster.n_qpus)
     loads = [mask.bit_count() for mask in masks]
-    caps = [0, *ev.cluster.capacities()]
+    caps = ev.cluster.caps
     cur_cost = ev.breakdown(init).e_total
     best = list(qpu_of)
     best_cost = cur_cost
@@ -263,16 +263,17 @@ def replay_epr(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
     """Walk a plan through a fresh switch, consuming EPR pairs per remote
     gate and per teleport, one per link hop. Returns the switch."""
     sw = cluster.fresh_switch()
+    paths = cluster.distances.inter_path
     prev: Assignment | None = None
     for step in plan.steps:
         qo = step.assignment.qpu_of
         if prev is not None:
             for q in range(len(qo)):
                 if prev.qpu_of[q] != qo[q]:
-                    record_teleport(sw, cluster.inter_path(prev.qpu_of[q], qo[q]))
+                    record_teleport(sw, paths[prev.qpu_of[q]][qo[q]])
         for (i, j), count in step.segment.pairs.items():
             if qo[i] != qo[j]:
-                path = cluster.inter_path(qo[i], qo[j])
+                path = paths[qo[i]][qo[j]]
                 for _ in range(count):
                     record_remote_op(sw, path)
         prev = step.assignment

@@ -28,7 +28,8 @@ def gen_qft(n: int) -> Circuit:
     for j in range(n):
         gates.append(GateOp("h", (j,)))
         for k in range(j + 1, n):
-            gates.append(GateOp("cp", (k, j), (math.pi / 2 ** (k - j),)))
+            # pi / 2^(k-j) without forming 2^(k-j), which overflows a float past 1023
+            gates.append(GateOp("cp", (k, j), (math.ldexp(math.pi, j - k),)))
     for i in range(n // 2):
         gates.append(GateOp("swap", (i, n - 1 - i)))
     return Circuit(n_qubits=n, gates=tuple(gates), name=f"qft_n{n}")

@@ -26,6 +26,7 @@ from .hardware import (
     serialize_cluster,
 )
 from .harness import render_json, render_sweep_csv, run_ablate, run_map, run_sweep_ratio
+from .placement import check_fits
 from .segmentation import SegmentationParams
 
 EXIT_OK = 0
@@ -123,7 +124,11 @@ def _parse_ratios(raw: str) -> list[float]:
     return out
 
 
-def _load_circuit(args: argparse.Namespace, seed: int) -> Circuit:
+def _load_circuit(args: argparse.Namespace, seed: int,
+                  cluster: ClusterTopology | None = None) -> Circuit:
+    """The --circuit file, or the --bench circuit of --size qubits; a
+    benchmark too wide for `cluster` is refused before it is generated, as
+    generating it costs time and memory that grow with --size."""
     # gen-bench has no --circuit flag but shares this loader
     if getattr(args, "circuit", None):
         try:
@@ -135,6 +140,8 @@ def _load_circuit(args: argparse.Namespace, seed: int) -> Circuit:
         return parse_qasm(text, name=name)
     if args.size is None:
         raise InputError("--bench requires --size")
+    if cluster is not None:
+        check_fits(args.size, cluster)
     try:
         if args.bench == "qft":
             return gen_qft(args.size)
@@ -280,8 +287,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise InputError(f"{args.command} reports are JSON only; "
                          "--format csv applies to sweep-ratio")
 
-    circuit = _load_circuit(args, seed)
     cluster = _load_topology(args, seed)
+    circuit = _load_circuit(args, seed, cluster)
     seg_params = _seg_params(args)
     if seg_params is not None and seg_params.top_k > circuit.n_qubits:
         raise InputError(f"--top-k {seg_params.top_k} exceeds the circuit's "

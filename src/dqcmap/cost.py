@@ -27,9 +27,10 @@ and a layout is built only when the shape is new. A core's shape and its
 layout cost work in proportion to its members and their adjacency lists
 within the core, read from partner bitmasks, not to the whole segment.
 The per-QPU constants a layout needs (distance rows, first
-pick, the cumulative distance histogram of the floor) are the cluster's,
-computed at load time (see hardware.DistanceTables); only the per-hop gate
-cost, which depends on the cost parameters, is computed per evaluator.
+pick, the cumulative distance histogram of the floor), the link distances
+and the capacities are the cluster's, computed at load time and read in
+place by QPU id (see hardware.DistanceTables); only the per-hop gate cost,
+which depends on the cost parameters, is computed per evaluator.
 
 A move, a relocation or a swap, is handed to a delta as its transfers
 (qubit, from QPU, to QPU), as the annealer draws them: one for a
@@ -51,7 +52,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .hardware import ClusterTopology, QPU
+from .hardware import ClusterTopology
 from .placement import Assignment
 from .segmentation import Segment
 
@@ -114,7 +115,7 @@ def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:
     return adj
 
 
-def _greedy_layout(qpu: QPU, partners, table, hub: int) -> dict[int, int]:
+def _greedy_layout(partners, table, hub: int) -> dict[int, int]:
     """Greedy deterministic embedding of logical qubits into a coupling map,
     as logical qubit -> physical qubit index.
 
@@ -125,14 +126,13 @@ def _greedy_layout(qpu: QPU, partners, table, hub: int) -> dict[int, int]:
     highest coupling degree (see _hub); each later one to the free physical
     qubit minimizing the weighted coupling distance to its already placed
     partners (ties toward the lower physical index). table holds the QPU's
-    distance rows; counts and hops are integers, so the scores are exact
-    whatever the order they are summed in.
+    distance rows, one per physical qubit; counts and hops are integers, so
+    the scores are exact whatever the order they are summed in.
     """
-    n_phys = qpu.comp_capacity
     order = sorted(partners, key=lambda q: (-sum([c for _, c in partners[q]]), q))
 
     phys_of: dict[int, int] = {}
-    free: list[int] = list(range(n_phys))
+    free: list[int] = list(range(len(table)))
     for q in order:
         if not phys_of:
             pick = hub
@@ -175,14 +175,14 @@ def _members(mask: int) -> list[int]:
 class SegmentCostEvaluator:
     """Objective evaluation for one segment against one cluster.
 
-    Holds the per-pair gate counts, the distance tables, and a cache of
-    intra-QPU costs keyed by (QPU id, qubit bitmask), bit q set when qubit q
-    sits on the QPU. A miss is answered from the entry of the set's
-    partnered core, the members with a gate partner inside the set, or else
-    from the entry of the core's shape (see layout_and_local), and is stored
-    under both keys; a layout is built only for a new shape. The cache is
-    sound because the segment's pair counts are fixed for the evaluator's
-    lifetime, and compile builds one evaluator per segment:
+    Holds the per-pair gate counts and a cache of intra-QPU costs keyed by
+    (QPU id, qubit bitmask), bit q set when qubit q sits on the QPU, and
+    reads the cluster's tables in place. A miss is answered from the entry
+    of the set's partnered core, the members with a gate partner inside the
+    set, or else from the entry of the core's shape (see layout_and_local),
+    and is stored under both keys; a layout is built only for a new shape.
+    The cache is sound because the segment's pair counts are fixed for the
+    evaluator's lifetime, and compile builds one evaluator per segment:
     annealing and the step's exact breakdown read the same cache. prev is
     the previous segment's assignment, or None for the first segment (no
     movement charge).
@@ -208,25 +208,12 @@ class SegmentCostEvaluator:
         # _partner_of[q] maps that bit, 1 << o, to (o, gate count).
         self._partner_bits = {q: sum(1 << o for o, _ in ps) for q, ps in self.adj.items()}
         self._partner_of = {q: {1 << pair[0]: pair for pair in ps} for q, ps in self.adj.items()}
-        n = cluster.n_qpus
-        inter_cost = cluster.distances.inter_cost
-        # _cost_rows[p][r] is inter_cost[(p, r)]; _caps[p] the capacity of
-        # QPU p. Index 0 is unused, as QPU ids start at 1.
-        self._cost_rows = [()] + [
-            [0.0] + [inter_cost[(p, r)] for r in range(1, n + 1)] for p in range(1, n + 1)
-        ]
-        self._caps = [0] + cluster.capacities()
-        # Per QPU, index pid: the distance rows, the first physical pick of a
-        # layout, pen[d] = cx + swap * max(0, d - 1), the cost of one gate
-        # across d coupling hops, and the floor's cum and extra lists. All
-        # but pen are the cluster's own (see DistanceTables), shared by every
-        # evaluator on it.
+        # _pen[d] = cx + swap * max(0, d - 1), the cost of one gate across d
+        # coupling hops, for every distance on any QPU of the cluster. All
+        # other tables are the cluster's own, read in place (see
+        # DistanceTables) and shared by every evaluator on it.
         cx, swap = cp.cx_cost, cp.swap_cost
-        dist = cluster.distances
-        self._qpu_consts = [()] + [
-            (table, hub, [cx + swap * max(0, d - 1) for d in range(len(table))], cum, extra)
-            for table, hub, (cum, extra) in zip(dist.intra, dist.hubs, dist.ranks)
-        ]
+        self._pen = [cx + swap * max(0, d - 1) for d in range(max(cluster.caps))]
         self._layout_cache: dict[tuple[int, int], tuple[float, int, int]] = {}
         # (cost, W, P) by core shape: (QPU id, member count, pairs in rank space)
         self._shape_cache: dict[tuple, tuple[float, int, int]] = {}
@@ -260,10 +247,10 @@ class SegmentCostEvaluator:
         hit = self._layout_cache.get((pid, mask))
         if hit is not None:
             return hit
-        qpu = self.cluster.qpus[pid - 1]
-        if mask.bit_count() > qpu.comp_capacity:
+        cap = self.cluster.caps[pid]
+        if mask.bit_count() > cap:
             raise InfeasibleError(f"{mask.bit_count()} qubits exceed capacity "
-                                  f"{qpu.comp_capacity} of '{qpu.name}'")
+                                  f"{cap} of '{self.cluster.qpu(pid).name}'")
         cache = self._layout_cache
         core = self._core(mask)
         out = cache.get((pid, core))
@@ -288,9 +275,10 @@ class SegmentCostEvaluator:
                 key = (pid, len(members), tuple(flat))
             out = self._shape_cache.get(key)
             if out is None:
-                table, hub, pen, _, _ = self._qpu_consts[pid]
+                dist, pen = self.cluster.distances, self._pen
+                table = dist.intra[pid]
                 pairs = list(zip(flat[0::3], flat[1::3], flat[2::3]))
-                phys_of = _greedy_layout(qpu, _adjacency(pairs), table, hub)
+                phys_of = _greedy_layout(_adjacency(pairs), table, dist.hubs[pid])
                 cost = 0.0
                 weight = 0
                 # a fixed float summation order: pairs in ascending (i, j) order
@@ -318,7 +306,7 @@ class SegmentCostEvaluator:
         hit = self._layout_cache.get((pid, mask))
         if hit is not None:
             return hit[0]
-        _, _, _, cum, extra = self._qpu_consts[pid]
+        cum, extra = self.cluster.distances.ranks[pid]
         i = bisect_left(cum, npairs)
         cp = self.cp
         return cp.cx_cost * weight + cp.swap_cost * (extra[i] - (cum[i] - npairs) * (i - 1))
@@ -335,8 +323,8 @@ class SegmentCostEvaluator:
         for i, j, c in self.pairs:
             pi, pj = qo[i], qo[j]
             if pi != pj:
-                e_inter += c * cp.remote_op_cost * inter_cost[(pi, pj)]
-                epr += c * inter_hops[(pi, pj)]
+                e_inter += c * cp.remote_op_cost * inter_cost[pi][pj]
+                epr += c * inter_hops[pi][pj]
         e_local = 0.0
         for pid, mask in enumerate(qpu_masks(qo, self.cluster.n_qpus)):
             if mask:
@@ -346,8 +334,8 @@ class SegmentCostEvaluator:
             po = self.prev.qpu_of
             for q in range(len(qo)):
                 if po[q] != qo[q]:
-                    e_move += cp.teleport_cost * inter_cost[(po[q], qo[q])]
-                    epr += inter_hops[(po[q], qo[q])]
+                    e_move += cp.teleport_cost * inter_cost[po[q]][qo[q]]
+                    epr += inter_hops[po[q]][qo[q]]
         total = cp.gamma1 * e_inter + cp.gamma2 * e_local + cp.gamma3 * e_move
         return CostBreakdown(e_inter=e_inter, e_local=e_local, e_move=e_move,
                              e_total=total, epr_pairs=epr)
@@ -385,10 +373,10 @@ class SegmentCostEvaluator:
             return 0.0
         q2 = moved[-1][0]
         old1, old2 = masks[p1], masks[p2]
-        if q1 == q2 and old2.bit_count() >= self._caps[p2]:  # a relocation
+        if q1 == q2 and old2.bit_count() >= self.cluster.caps[p2]:  # a relocation
             raise InfeasibleError(f"QPU {p2} is full")
         cp = self.cp
-        rows = self._cost_rows
+        rows = self.cluster.distances.inter_cost
         adj = self.adj
         prev = self.prev
         # One walk over each moved qubit's partners skips the other moved

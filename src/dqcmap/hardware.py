@@ -4,10 +4,13 @@ A cluster is a set of QPUs, each with a qubit coupling map and a compute
 capacity, joined by weighted interconnect links through one global switch.
 Distance tables are precomputed at load time: intra-QPU hop counts per
 coupling map, with the two per-QPU constants the cost model reads beside
-them (the hub and the cumulative distance histogram), and for every QPU
-pair the cheapest link path by total cost_factor (ties broken toward fewer
-hops, then lower ids, so the path and its hop count are deterministic).
-EPR consumption is tracked on the switch, one pair per link traversed.
+them (the hub and the cumulative distance histogram), each QPU's linked
+QPUs, and for every QPU pair the cheapest link path by total cost_factor
+(ties broken toward fewer hops, then lower ids, so the path and its hop
+count are deterministic). Every per-QPU table, and every row of a per-pair
+table, is a tuple indexed by the 1-based QPU id, index 0 unused, so readers
+index them in place. EPR consumption is tracked on the switch, one pair per
+link traversed.
 """
 from __future__ import annotations
 
@@ -76,33 +79,39 @@ def record_teleport(switch: QuantumSwitch, link_path: tuple[Link, ...]) -> None:
 
 @dataclass(frozen=True)
 class DistanceTables:
-    """Precomputed distances.
+    """Precomputed distances, indexed by 1-based QPU id. Index 0 is unused:
+    it holds () in a table of rows and 0 in hubs, and column 0 of a per-pair
+    row holds 0.0, 0 or ().
 
-    intra[p-1][i][j]: coupling-graph hops between physical qubits i, j of QPU p.
-    inter_cost[(p, q)]: cheapest total cost_factor between QPUs p and q.
-    inter_hops[(p, q)]: links on that cheapest path.
-    inter_path[(p, q)]: the path itself as a tuple of links, in travel order.
-    hubs[p-1]: the physical qubit of QPU p of highest coupling degree (see _hub).
-    ranks[p-1]: (cum, extra) of QPU p's physical pairs by coupling distance
+    intra[p][i][j]: coupling-graph hops between physical qubits i, j of QPU p.
+    inter_cost[p][q]: cheapest total cost_factor between QPUs p and q.
+    inter_hops[p][q]: links on that cheapest path.
+    inter_path[p][q]: the path itself as a tuple of links, in travel order.
+    hubs[p]: the physical qubit of QPU p of highest coupling degree (see _hub).
+    ranks[p]: (cum, extra) of QPU p's physical pairs by coupling distance
     (see _distance_ranks).
+    neighbors[p]: the QPUs linked to QPU p, ascending.
     """
 
     intra: tuple[tuple[tuple[int, ...], ...], ...]
-    inter_cost: dict[tuple[int, int], float]
-    inter_hops: dict[tuple[int, int], int]
-    inter_path: dict[tuple[int, int], tuple[Link, ...]]
+    inter_cost: tuple[tuple[float, ...], ...]
+    inter_hops: tuple[tuple[int, ...], ...]
+    inter_path: tuple[tuple[tuple[Link, ...], ...], ...]
     hubs: tuple[int, ...]
     ranks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    neighbors: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class ClusterTopology:
-    """Validated cluster: QPUs, links and distance tables. EPR accounting
-    runs on a switch from fresh_switch()."""
+    """Validated cluster: QPUs, links and distance tables. caps[p] is the
+    comp_capacity of QPU p (caps[0] = 0, unused). EPR accounting runs on a
+    switch from fresh_switch()."""
 
     qpus: tuple[QPU, ...]
     links: tuple[tuple[int, int, float], ...]  # (a, b, cost_factor), a < b
     distances: DistanceTables
+    caps: tuple[int, ...]
 
     @property
     def n_qpus(self) -> int:
@@ -110,27 +119,12 @@ class ClusterTopology:
 
     @property
     def total_capacity(self) -> int:
-        return sum(p.comp_capacity for p in self.qpus)
+        return sum(self.caps)
 
     def qpu(self, pid: int) -> QPU:
         if not 1 <= pid <= len(self.qpus):
             raise ValueError(f"no QPU with id {pid}")
         return self.qpus[pid - 1]
-
-    def capacities(self) -> list[int]:
-        return [p.comp_capacity for p in self.qpus]
-
-    def inter_path(self, a: int, b: int) -> tuple[Link, ...]:
-        return self.distances.inter_path[(a, b)]
-
-    def link_neighbors(self, pid: int) -> list[int]:
-        out = set()
-        for a, b, _ in self.links:
-            if a == pid:
-                out.add(b)
-            elif b == pid:
-                out.add(a)
-        return sorted(out)
 
     def fresh_switch(self) -> QuantumSwitch:
         return QuantumSwitch([(a, b) for a, b, _ in self.links])
@@ -190,18 +184,18 @@ def _distance_ranks(table) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(cum), tuple(extra)
 
 
-def _inter_tables(
-    n_qpus: int, links: tuple[tuple[int, int, float], ...]
-) -> tuple[dict, dict, dict]:
-    adj: dict[int, list[tuple[int, float]]] = {p: [] for p in range(1, n_qpus + 1)}
+def _inter_tables(n_qpus: int, links: tuple[tuple[int, int, float], ...]) -> tuple:
+    """(inter_cost, inter_hops, inter_path, neighbors), indexed by QPU id (see
+    DistanceTables)."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n_qpus + 1)]
     for a, b, c in links:
         adj[a].append((b, c))
         adj[b].append((a, c))
-    for p in adj:
-        adj[p].sort()
-    cost: dict[tuple[int, int], float] = {}
-    hops: dict[tuple[int, int], int] = {}
-    path: dict[tuple[int, int], tuple[Link, ...]] = {}
+    for row in adj:
+        row.sort()
+    cost: list[tuple[float, ...]] = [()]
+    hops: list[tuple[int, ...]] = [()]
+    path: list[tuple[tuple[Link, ...], ...]] = [()]
     for src in range(1, n_qpus + 1):
         best: dict[int, tuple[float, int]] = {src: (0.0, 0)}
         parent: dict[int, int] = {}
@@ -218,6 +212,7 @@ def _inter_tables(
                     best[v] = cand
                     parent[v] = u
                     heapq.heappush(heap, (cand[0], cand[1], v))
+        cost_row, hops_row, path_row = [0.0], [0], [()]
         for dst in range(1, n_qpus + 1):
             if dst not in best:
                 raise ValidationError("interconnect graph is not connected")
@@ -225,15 +220,19 @@ def _inter_tables(
             if math.isinf(c):
                 raise ValidationError(f"topology: the cheapest path from QPU {src} to "
                                       f"QPU {dst} costs more than a float can hold")
-            cost[(src, dst)] = c
-            hops[(src, dst)] = h
+            cost_row.append(c)
+            hops_row.append(h)
             chain: list[Link] = []
             node = dst
             while node != src:
                 chain.append((parent[node], node))
                 node = parent[node]
-            path[(src, dst)] = tuple(reversed(chain))
-    return cost, hops, path
+            path_row.append(tuple(reversed(chain)))
+        cost.append(tuple(cost_row))
+        hops.append(tuple(hops_row))
+        path.append(tuple(path_row))
+    neighbors = tuple(tuple(v for v, _ in row) for row in adj)
+    return tuple(cost), tuple(hops), tuple(path), neighbors
 
 
 def _is_int(x) -> bool:
@@ -303,13 +302,15 @@ def build_cluster(
     links.sort()
 
     intra = tuple(_intra_table(p) for p in qpus)
-    cost, hops, path = _inter_tables(len(qpus), tuple(links))
+    cost, hops, path, neighbors = _inter_tables(len(qpus), tuple(links))
     return ClusterTopology(
         qpus=tuple(qpus),
         links=tuple(links),
-        distances=DistanceTables(intra=intra, inter_cost=cost, inter_hops=hops,
-                                 inter_path=path, hubs=tuple(_hub(p) for p in qpus),
-                                 ranks=tuple(_distance_ranks(t) for t in intra)),
+        distances=DistanceTables(intra=((), *intra), inter_cost=cost, inter_hops=hops,
+                                 inter_path=path, hubs=(0, *map(_hub, qpus)),
+                                 ranks=((), *map(_distance_ranks, intra)),
+                                 neighbors=neighbors),
+        caps=(0, *(p.comp_capacity for p in qpus)),
     )
 
 

@@ -103,11 +103,8 @@ def check_fits(n_qubits: int, cluster: ClusterTopology) -> None:
 
 def _chosen_qpus(cluster: ClusterTopology, partitions: int) -> list[int]:
     """The `partitions` largest-capacity QPU ids, capacity desc then id asc."""
-    order = sorted(
-        (p.id for p in cluster.qpus),
-        key=lambda pid: (-cluster.qpu(pid).comp_capacity, pid),
-    )
-    return order[:partitions]
+    caps = cluster.caps
+    return sorted(range(1, len(caps)), key=lambda pid: (-caps[pid], pid))[:partitions]
 
 
 def cluster_graph(g: InteractionGraph, cluster: ClusterTopology, partitions: int) -> Assignment:
@@ -132,7 +129,7 @@ def cluster_graph(g: InteractionGraph, cluster: ClusterTopology, partitions: int
         raise ValueError("partitions out of range")
     check_fits(n, cluster)
     chosen = _chosen_qpus(cluster, partitions)
-    cap_max = cluster.qpu(chosen[0]).comp_capacity
+    cap_max = cluster.caps[chosen[0]]
     target = min(partitions, n)
 
     groups: dict[int, set[int]] = {q: {q} for q in range(n)}
@@ -182,7 +179,7 @@ def _refine_cut(
     Deterministic scan order throughout.
     """
     qpu_of = list(a.qpu_of)
-    caps = {p: cluster.qpu(p).comp_capacity for p in chosen}
+    caps = cluster.caps
     adj = g.adjacency()
 
     def gain_relocate(cur: list[int], q: int, dst: int) -> float:
@@ -274,10 +271,10 @@ def repair_capacity(
         raise ValueError("assignment and graph differ in qubit count")
     check_fits(a.n_qubits, cluster)
     qpu_of = list(a.qpu_of)
-    caps = [p.comp_capacity for p in cluster.qpus]
-    loads = [0] * cluster.n_qpus
+    caps, neighbors = cluster.caps, cluster.distances.neighbors
+    loads = [0] * len(caps)
     for p in qpu_of:
-        loads[p - 1] += 1
+        loads[p] += 1
     adj = g.adjacency()
 
     def attraction(q: int, pid: int) -> float:
@@ -289,18 +286,18 @@ def repair_capacity(
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for v in cluster.link_neighbors(u):
+            for v in neighbors[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
-        cands = [p for p in dist if p != src and loads[p - 1] < caps[p - 1]]
+        cands = [p for p in dist if p != src and loads[p] < caps[p]]
         if not cands:
             return []
         dmin = min(dist[p] for p in cands)
         return sorted(p for p in cands if dist[p] == dmin)
 
     for pid in range(1, cluster.n_qpus + 1):
-        while loads[pid - 1] > caps[pid - 1]:
+        while loads[pid] > caps[pid]:
             members = [q for q in range(len(qpu_of)) if qpu_of[q] == pid]
             q = min(members, key=lambda x: (attraction(x, pid), x))
             pool = slack_ring(pid)
@@ -308,8 +305,8 @@ def repair_capacity(
                 raise InfeasibleError("no QPU with spare capacity reachable")
             dest = max(pool, key=lambda p: (attraction(q, p), -p))
             qpu_of[q] = dest
-            loads[pid - 1] -= 1
-            loads[dest - 1] += 1
+            loads[pid] -= 1
+            loads[dest] += 1
     return Assignment(tuple(qpu_of))
 
 
@@ -350,7 +347,7 @@ def random_placement(n_qubits: int, cluster: ClusterTopology, seed: int) -> Assi
     if n_qubits < 1:
         raise ValueError("nothing to place")
     check_fits(n_qubits, cluster)
-    caps = tuple(cluster.capacities())
+    caps = cluster.caps[1:]
     suffix = _suffix_counts(n_qubits, caps)
     rng = random.Random(seed)
     labels: list[int] = []

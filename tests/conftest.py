@@ -135,7 +135,7 @@ def e_move(prev: Assignment | None, cur: Assignment, cluster: ClusterTopology,
     out = 0.0
     for q in range(len(cur.qpu_of)):
         if prev.qpu_of[q] != cur.qpu_of[q]:
-            out += cp.teleport_cost * inter_cost[(prev.qpu_of[q], cur.qpu_of[q])]
+            out += cp.teleport_cost * inter_cost[prev.qpu_of[q]][cur.qpu_of[q]]
     return out
 
 
@@ -162,11 +162,10 @@ def full_layout_and_local(ev: SegmentCostEvaluator, pid: int, mask: int) -> tupl
     """Oracle for ev.layout_and_local: the local cost of mask under the
     greedy layout of every member built afresh, summed over the segment's
     pairs in ascending (i, j) order, and W, their summed gate count."""
-    qpu = ev.cluster.qpu(pid)
-    table = ev.cluster.distances.intra[pid - 1]
+    table = ev.cluster.distances.intra[pid]
     pairs = sorted(ev.seg.pairs.items())
     adj = _adjacency([(i, j, c) for (i, j), c in pairs])
-    phys_of = _greedy_layout(qpu, _partners(mask, adj), table, _hub(qpu))
+    phys_of = _greedy_layout(_partners(mask, adj), table, _hub(ev.cluster.qpu(pid)))
     cp = ev.cp
     cost, weight = 0.0, 0
     for (i, j), c in pairs:
@@ -206,7 +205,7 @@ def chain_lists(a: Assignment, cluster: ClusterTopology):
     QPU's qubit mask, load and capacity, indexed by QPU id (index 0 unused)."""
     qpu_of = list(a.qpu_of)
     masks = qpu_masks(qpu_of, cluster.n_qpus)
-    return qpu_of, masks, [m.bit_count() for m in masks], [0, *cluster.capacities()]
+    return qpu_of, masks, [m.bit_count() for m in masks], cluster.caps
 
 
 def apply_moved(moved, qpu_of: list[int], masks: list[int], loads: list[int]) -> None:
@@ -286,7 +285,7 @@ def brute_force_optimum(
     if not segments:
         return [], 0.0
 
-    states = _feasible_assignments(circuit.n_qubits, cluster.capacities())
+    states = _feasible_assignments(circuit.n_qubits, cluster.caps[1:])
     inter_cost = cluster.distances.inter_cost
     tele = cp.teleport_cost
     g3 = cp.gamma3
@@ -310,7 +309,7 @@ def brute_force_optimum(
                 hop = 0.0
                 for q in range(len(a)):
                     if a[q] != b[q]:
-                        hop += inter_cost[(a[q], b[q])]
+                        hop += inter_cost[a[q]][b[q]]
                 val = mv + g3 * tele * hop
                 if val < best_val:
                     best_val, best_ai = val, ai

@@ -65,7 +65,7 @@ def line3_cluster():
 
 
 def plan_is_feasible(plan, cluster) -> bool:
-    caps = cluster.capacities()
+    caps = cluster.caps[1:]
     for step in plan.steps:
         loads = [0] * cluster.n_qpus
         for p in step.assignment.qpu_of:

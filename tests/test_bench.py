@@ -92,6 +92,17 @@ class TestQft:
         with pytest.raises(ValueError):
             gen_qft(1)
 
+    def test_builds_past_float_exponent_range(self):
+        # 2 ** (k - j) no longer fits a float once k - j reaches 1024
+        n = 1100
+        circ = gen_qft(n)
+        assert sum(g.is_two_qubit for g in circ.gates) == n * (n - 1) // 2 + n // 2
+        angle = {g.qubits[0] - g.qubits[1]: g.params[0]
+                 for g in circ.gates if g.name == "cp" and g.qubits[1] == 0}
+        assert all(angle[e] == math.pi / 2 ** e for e in range(1, 1024))
+        steps = [angle[e] for e in range(1, n)]
+        assert all(a >= b >= 0.0 for a, b in zip(steps, steps[1:]))
+
 
 class TestAdder:
     def _add(self, n: int, a_val: int, b_val: int):

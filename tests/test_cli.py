@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dqcmap import harness
+from dqcmap import cli, harness
 from dqcmap.anneal import AnnealParams
 from dqcmap.bench import gen_adder
 from dqcmap.circuit import parse_qasm
@@ -153,6 +153,19 @@ class TestMap:
                                "--gen", "line", "--sizes", "2,2")
         assert code == EXIT_INFEASIBLE
         assert "3000000 qubits" in err
+
+    @pytest.mark.parametrize("command", ["map", "ablate", "sweep-ratio"])
+    @pytest.mark.parametrize("bench", ["qft", "qaoa", "adder"])
+    def test_wide_bench_refused_before_generation(self, command, bench, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("generated a circuit that cannot fit")
+
+        for name in ("gen_qft", "gen_qaoa", "gen_adder"):
+            monkeypatch.setattr(cli, name, fail)
+        code, _, err = run_cli(capsys, command, "--bench", bench, "--size", "100000",
+                               "--gen", "line", "--sizes", "2,2")
+        assert code == EXIT_INFEASIBLE
+        assert "100000 qubits" in err
 
     def test_deeply_signed_angle_is_input_error(self, tmp_path, capsys):
         qasm = tmp_path / "deep.qasm"

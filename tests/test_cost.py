@@ -127,7 +127,7 @@ class TestLocalTerm:
         ct = line3_cluster()
         qpu = ct.qpu(1)
         partners = _partners(0b111, {0: [(1, 2)], 1: [(0, 2)]})
-        phys_of = _greedy_layout(qpu, partners, ct.distances.intra[0], _hub(qpu))
+        phys_of = _greedy_layout(partners, ct.distances.intra[1], _hub(qpu))
         assert sorted(phys_of) == [0, 1, 2]
         assert len(set(phys_of.values())) == 3
         assert all(0 <= ph < 3 for ph in phys_of.values())
@@ -380,15 +380,27 @@ class TestPartneredCore:
         assert_exact(ev, 1, map(members_mask, data.draw(st.lists(sets, min_size=20,
                                                                  max_size=30))))
 
-    def test_evaluators_share_the_cluster_constants(self):
+    def test_evaluators_share_the_cluster_constants(self, monkeypatch):
         ct = two_qpu_line(3, 4)
+        read = []
+        build = dqcmap.cost._greedy_layout
+
+        def recorded(partners, table, hub):
+            read.append((table, hub))
+            return build(partners, table, hub)
+
+        monkeypatch.setattr(dqcmap.cost, "_greedy_layout", recorded)
         a = SegmentCostEvaluator(ct, seg_of({(0, 1): 1}), CostParams())
         b = SegmentCostEvaluator(ct, seg_of({(1, 2): 2}, index=2), CostParams(swap_cost=1.0))
-        for pid in (1, 2):
-            table, hub, pen, cum, extra = a._qpu_consts[pid]
-            assert b._qpu_consts[pid][:2] == (table, hub)
-            assert b._qpu_consts[pid][3] is cum and b._qpu_consts[pid][4] is extra
-            assert b._qpu_consts[pid][2] != pen  # pen depends on CostParams
+        dist = ct.distances
+        for ev in (a, b):
+            for pid in (1, 2):
+                read.clear()
+                ev.layout_and_local(pid, 0b111)
+                [(table, hub)] = read
+                assert table is dist.intra[pid]
+                assert hub == dist.hubs[pid]
+        assert b._pen != a._pen  # pen depends on CostParams
 
     def test_partnerless_members_share_the_core_entry(self):
         ct = two_qpu_line(4, 4)
@@ -447,7 +459,7 @@ class TestPartneredCore:
         cp = CostParams(cx_cost=1.5, swap_cost=2.0)
         for k in range(2, 13):
             ct = one_qpu(coupling, k)
-            table = ct.distances.intra[0]
+            table = ct.distances.intra[1]
             ranked = sorted(table[i][j] for i in range(k) for j in range(i + 1, k))
             edges = len(ct.qpu(1).coupling)
             ev = SegmentCostEvaluator(ct, seg_of({}), cp)
@@ -461,7 +473,7 @@ class TestPartneredCore:
     def test_layout_of_partnerless_set_starts_on_the_hub(self):
         ct = two_qpu_line(3, 3)
         qpu = ct.qpu(2)
-        phys_of = _greedy_layout(qpu, {2: [], 3: []}, ct.distances.intra[1], _hub(qpu))
+        phys_of = _greedy_layout({2: [], 3: []}, ct.distances.intra[2], _hub(qpu))
         assert phys_of == {2: 1, 3: 0}  # the middle of the line is the hub
 
 

@@ -116,7 +116,7 @@ class TestValidation:
 class TestIntraDistances:
     def test_line_hand_values(self):
         ct = two_qpu_line(4, 2)
-        table = ct.distances.intra[0]
+        table = ct.distances.intra[1]
         assert table[0][3] == 3
         assert table[1][2] == 1
         assert table[2][2] == 0
@@ -128,7 +128,7 @@ class TestIntraDistances:
             [],
         )
         for cluster in (ct, grid):
-            dist = cluster.distances.intra[0]
+            dist = cluster.distances.intra[1]
             n = cluster.qpus[0].comp_capacity
             for i, j, k in itertools.product(range(n), repeat=3):
                 d = dist[i][j]
@@ -185,17 +185,30 @@ class TestInterDistances:
             for a in range(1, p + 1):
                 for b in range(1, p + 1):
                     c, h = oracle[(a, b)]
-                    assert ct.distances.inter_cost[(a, b)] == pytest.approx(c, rel=1e-12)
-                    assert ct.distances.inter_hops[(a, b)] == h
+                    assert ct.distances.inter_cost[a][b] == pytest.approx(c, rel=1e-12)
+                    assert ct.distances.inter_hops[a][b] == h
 
     def test_path_reconstruction_consistent(self):
         rng = random.Random(2929)
         for _ in range(20):
             ct, p, edges = random_interconnect(rng)
+            d = ct.distances
+            # index 0 is unused: () in a table of rows, 0 in hubs and caps,
+            # and 0.0, 0 or () in column 0 of a per-pair row
+            assert d.intra[0] == d.ranks[0] == d.neighbors[0] == ()
+            assert d.inter_cost[0] == d.inter_hops[0] == d.inter_path[0] == ()
+            assert d.hubs[0] == ct.caps[0] == 0
+            for table in (d.intra, d.hubs, d.ranks, d.neighbors, d.inter_cost,
+                          d.inter_hops, d.inter_path, ct.caps):
+                assert len(table) == p + 1
             for a in range(1, p + 1):
+                assert ct.caps[a] == ct.qpu(a).comp_capacity
+                assert d.neighbors[a] == tuple(sorted(
+                    y if x == a else x for x, y in edges if a in (x, y)))
+                assert (d.inter_cost[a][0], d.inter_hops[a][0], d.inter_path[a][0]) == (0.0, 0, ())
                 for b in range(1, p + 1):
-                    path = ct.inter_path(a, b)
-                    assert len(path) == ct.distances.inter_hops[(a, b)]
+                    path = d.inter_path[a][b]
+                    assert len(path) == d.inter_hops[a][b]
                     node = a
                     cost = 0.0
                     for u, v in path:
@@ -204,7 +217,7 @@ class TestInterDistances:
                         cost += edges[key]
                         node = v
                     assert node == b
-                    assert cost == pytest.approx(ct.distances.inter_cost[(a, b)], rel=1e-12)
+                    assert cost == pytest.approx(d.inter_cost[a][b], rel=1e-12)
 
     def test_cheapest_beats_fewest_hops(self):
         # 1-3 direct costs 5; 1-2-3 costs 2 total: cost wins, hops follow
@@ -215,9 +228,9 @@ class TestInterDistances:
              {"a": 1, "b": 2, "cost_factor": 1.0},
              {"a": 2, "b": 3, "cost_factor": 1.0}],
         )
-        assert ct.distances.inter_cost[(1, 3)] == pytest.approx(2.0)
-        assert ct.distances.inter_hops[(1, 3)] == 2
-        assert ct.inter_path(1, 3) == ((1, 2), (2, 3))
+        assert ct.distances.inter_cost[1][3] == pytest.approx(2.0)
+        assert ct.distances.inter_hops[1][3] == 2
+        assert ct.distances.inter_path[1][3] == ((1, 2), (2, 3))
 
     def test_hops_break_cost_ties(self):
         # both routes cost 2.0; the direct link has fewer hops
@@ -228,18 +241,19 @@ class TestInterDistances:
              {"a": 1, "b": 2, "cost_factor": 1.0},
              {"a": 2, "b": 3, "cost_factor": 1.0}],
         )
-        assert ct.distances.inter_cost[(1, 3)] == pytest.approx(2.0)
-        assert ct.distances.inter_hops[(1, 3)] == 1
-        assert ct.inter_path(1, 3) == ((1, 3),)
+        assert ct.distances.inter_cost[1][3] == pytest.approx(2.0)
+        assert ct.distances.inter_hops[1][3] == 1
+        assert ct.distances.inter_path[1][3] == ((1, 3),)
 
 
 class TestSwitch:
     def test_counters(self):
         ct = two_qpu_line(2, 2)
         sw = ct.fresh_switch()
-        record_remote_op(sw, ct.inter_path(1, 2))
-        record_remote_op(sw, ct.inter_path(2, 1))
-        record_teleport(sw, ct.inter_path(1, 2))
+        paths = ct.distances.inter_path
+        record_remote_op(sw, paths[1][2])
+        record_remote_op(sw, paths[2][1])
+        record_teleport(sw, paths[1][2])
         assert sw.remote_ops == 2
         assert sw.teleports == 1
         assert sw.epr_consumed == 3
@@ -253,7 +267,7 @@ class TestSwitch:
              {"a": 2, "b": 3, "cost_factor": 1.0}],
         )
         sw = ct.fresh_switch()
-        record_remote_op(sw, ct.inter_path(1, 3))
+        record_remote_op(sw, ct.distances.inter_path[1][3])
         assert sw.epr_consumed == 2
         assert sw.per_link_epr == {(1, 2): 1, (2, 3): 1}
 
@@ -290,7 +304,7 @@ class TestGenTopology:
         for kind in TOPOLOGY_KINDS:
             ct = gen_topology(kind, [4, 5, 6, 7], seed=3)
             assert ct.n_qpus == 4
-            assert ct.capacities() == [4, 5, 6, 7]
+            assert ct.caps == (0, 4, 5, 6, 7)
             assert [p.name for p in ct.qpus] == ["qpu1", "qpu2", "qpu3", "qpu4"]
             for a, b, c in ct.links:
                 assert 0.5 <= c <= 2.0

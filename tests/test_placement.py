@@ -491,7 +491,7 @@ def reference_repair_capacity(a: Assignment, g: InteractionGraph, cluster) -> As
         dist = {src: 0}
         queue = [src]
         for u in queue:
-            for v in cluster.link_neighbors(u):
+            for v in sorted({b if a == u else a for a, b, _ in cluster.links if u in (a, b)}):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
