@@ -284,7 +284,6 @@ def compile(
     circuit: Circuit,
     cluster: ClusterTopology,
     seed: int = 0,
-    seg_params: SegmentationParams | None = None,
     cost_params: CostParams | None = None,
     anneal_params: AnnealParams | None = None,
     decay: float | None = None,
@@ -303,8 +302,9 @@ def compile(
     randomness derives from `seed`. Each segment gets one
     SegmentCostEvaluator, whose cost cache serves the annealing chain and
     the step's breakdown.
-    `prepared`, the result of prepare(circuit, seg_params), skips the
-    layering and segmentation; seg_params is then not read.
+    `prepared`, the result of prepare(circuit, seg_params), carries the
+    layering and segmentation; without it they are prepared with the
+    default SegmentationParams.
     """
     if segmentation_mode not in ("pattern", "random"):
         raise ValueError(f"unknown segmentation mode '{segmentation_mode}'")
@@ -315,7 +315,7 @@ def compile(
     ap = anneal_params if anneal_params is not None else AnnealParams()
 
     if prepared is None:
-        prepared = prepare(circuit, seg_params)
+        prepared = prepare(circuit)
     elif prepared.layered.circuit != circuit:
         raise ValueError("prepared is for another circuit")
     lc, pattern = prepared.layered, prepared.segments

@@ -1,8 +1,11 @@
 """Circuit intermediate representation.
 
 Covers the OpenQASM 2.0 subset the rest of the pipeline consumes: a flat gate
-list on a single quantum register, layered into an ASAP schedule. Everything
-here is immutable after construction and safe to share across threads.
+list on a single quantum register, layered into an ASAP schedule. parse_qasm
+reads each statement kind by one rule: GATES holds every gate's operand and
+parameter counts, and max_qubits refuses a register too wide for a cluster at
+its declaration. Everything here is immutable after construction and safe to
+share across threads.
 """
 from __future__ import annotations
 
@@ -10,16 +13,16 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import QasmError
+from .errors import InfeasibleError, QasmError
 
-# Gate name -> number of angle parameters. Single-qubit set.
-ONE_QUBIT_GATES: dict[str, int] = {
-    "h": 0, "x": 0, "y": 0, "z": 0, "s": 0, "t": 0, "sdg": 0, "tdg": 0,
-    "id": 0, "rx": 1, "ry": 1, "rz": 1, "u1": 1, "u2": 2, "u3": 3,
+# Gate name -> (operand count, angle parameter count). cu1 is accepted on
+# input as an alias for cp.
+GATES: dict[str, tuple[int, int]] = {
+    "h": (1, 0), "x": (1, 0), "y": (1, 0), "z": (1, 0), "s": (1, 0), "t": (1, 0),
+    "sdg": (1, 0), "tdg": (1, 0), "id": (1, 0), "rx": (1, 1), "ry": (1, 1),
+    "rz": (1, 1), "u1": (1, 1), "u2": (1, 2), "u3": (1, 3),
+    "cx": (2, 0), "cz": (2, 0), "swap": (2, 0), "cp": (2, 1),
 }
-
-# Two-qubit set. cu1 is accepted on input as an alias for cp.
-TWO_QUBIT_GATES: dict[str, int] = {"cx": 0, "cz": 0, "swap": 0, "cp": 1}
 
 # Known wider gates get a targeted "decompose first" message.
 _WIDE_GATES = {"ccx", "cswap", "ccz", "c3x", "c4x", "mcx", "rccx", "rc3x"}
@@ -209,59 +212,42 @@ def _eval_angle(expr: str, line: int) -> float:
     return val
 
 
-_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_CREG_RE = re.compile(r"^creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
+_REG_RE = re.compile(r"^([qc])reg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
 _GATE_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\((.*)\))?\s+(.+)$")
 _MEASURE_RE = re.compile(r"^measure\s+(\S+?)\s*->\s*(\S+)$")
 _OPERAND_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?$")
+# Register kind -> the words its messages use for the register and a position.
+_KINDS = {"q": ("quantum", "qubit"), "c": ("classical", "bit")}
 
 
-class _RegisterView:
-    """Resolves register operands against the declared qreg/creg."""
-
-    def __init__(self):
-        self.qreg: tuple[str, int] | None = None
-        self.creg: tuple[str, int] | None = None
-
-    def qubits(self, operand: str, line: int) -> list[int]:
-        name, idx = self._split(operand, line)
-        if self.qreg is None or name != self.qreg[0]:
-            raise QasmError(f"unknown quantum register '{name}'", line)
-        size = self.qreg[1]
-        if idx is None:
-            return list(range(size))
-        if idx >= size:
-            raise QasmError(f"qubit index {idx} out of range for {name}[{size}]", line)
-        return [idx]
-
-    def clbits(self, operand: str, line: int) -> list[int]:
-        name, idx = self._split(operand, line)
-        if self.creg is None or name != self.creg[0]:
-            raise QasmError(f"unknown classical register '{name}'", line)
-        size = self.creg[1]
-        if idx is None:
-            return list(range(size))
-        if idx >= size:
-            raise QasmError(f"bit index {idx} out of range for {name}[{size}]", line)
-        return [idx]
-
-    @staticmethod
-    def _split(operand: str, line: int) -> tuple[str, int | None]:
-        m = _OPERAND_RE.match(operand.strip())
-        if m is None:
-            raise QasmError(f"bad operand '{operand}'", line)
-        return m.group(1), int(m.group(2)) if m.group(2) is not None else None
+def _positions(reg: tuple[str, int] | None, kind: str, operand: str,
+               line: int) -> tuple[int] | range:
+    """The positions of the declared register `reg` (kind "q" or "c") that
+    `operand` names: (i,) for name[i], every position for a bare name."""
+    m = _OPERAND_RE.match(operand)
+    if m is None:
+        raise QasmError(f"bad operand '{operand}'", line)
+    name, idx = m.groups()
+    word, unit = _KINDS[kind]
+    if reg is None or name != reg[0]:
+        raise QasmError(f"unknown {word} register '{name}'", line)
+    if idx is None:
+        return range(reg[1])
+    if (i := int(idx)) >= reg[1]:
+        raise QasmError(f"{unit} index {i} out of range for {name}[{reg[1]}]", line)
+    return (i,)
 
 
-def parse_qasm(text: str, name: str = "circuit") -> Circuit:
+def parse_qasm(text: str, name: str = "circuit", max_qubits: int | None = None) -> Circuit:
     """Parse an OpenQASM 2.0 source string into a Circuit.
 
-    Supports one qreg, an optional creg, barrier, measure, the single-qubit
-    gates in ONE_QUBIT_GATES and the two-qubit gates in TWO_QUBIT_GATES.
-    Wider gates are rejected with a hint to decompose them first. Errors
-    carry the offending source line.
+    Supports one qreg, an optional creg, barrier, measure and the gates in
+    GATES, a 1-qubit gate broadcast over a bare register operand. Wider
+    gates are rejected with a hint to decompose them first. Errors carry the
+    offending source line. A qreg wider than max_qubits, if given, raises
+    InfeasibleError at its declaration, before any gate is built.
     """
-    regs = _RegisterView()
+    regs: dict[str, tuple[str, int] | None] = {"q": None, "c": None}
     gates: list[GateOp] = []
     barriers: list[int] = []
     saw_version = False
@@ -278,39 +264,36 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
                 continue
             if stmt.startswith("include"):
                 continue
-            m = _QREG_RE.match(stmt)
+            m = _REG_RE.match(stmt)
             if m:
-                if regs.qreg is not None:
-                    raise QasmError("multiple quantum registers are not supported", lineno)
-                if int(m.group(2)) < 1:
+                kind, size = m.group(1), int(m.group(3))
+                if regs[kind] is not None:
+                    raise QasmError(f"multiple {_KINDS[kind][0]} registers are not "
+                                    "supported", lineno)
+                if kind == "q" and size < 1:
                     raise QasmError("empty quantum register", lineno)
-                regs.qreg = (m.group(1), int(m.group(2)))
-                continue
-            m = _CREG_RE.match(stmt)
-            if m:
-                if regs.creg is not None:
-                    raise QasmError("multiple classical registers are not supported", lineno)
-                regs.creg = (m.group(1), int(m.group(2)))
+                if kind == "q" and max_qubits is not None and size > max_qubits:
+                    raise InfeasibleError(f"{size} qubits exceed total capacity {max_qubits}")
+                regs[kind] = (m.group(2), size)
                 continue
             m = _MEASURE_RE.match(stmt)
             if m:
-                qs = regs.qubits(m.group(1), lineno)
-                cs = regs.clbits(m.group(2), lineno)
+                qs = _positions(regs["q"], "q", m.group(1), lineno)
+                cs = _positions(regs["c"], "c", m.group(2), lineno)
                 if len(qs) != len(cs):
                     raise QasmError("measure operand sizes differ", lineno)
-                for q, c in zip(qs, cs):
-                    gates.append(GateOp("measure", (q,), (), clbit=c))
+                gates += [GateOp("measure", (q,), (), clbit=c) for q, c in zip(qs, cs)]
                 continue
             if stmt == "barrier" or stmt.startswith("barrier ") or stmt.startswith("barrier\t"):
                 # Operand list ignored: every barrier is treated as full width.
-                if regs.qreg is None:
+                if regs["q"] is None:
                     raise QasmError("barrier before qreg declaration", lineno)
                 barriers.append(len(gates))
                 continue
             m = _GATE_RE.match(stmt)
             if m is None:
                 raise QasmError(f"cannot parse statement '{stmt}'", lineno)
-            gname, params_src, operands_src = m.group(1), m.group(2), m.group(3)
+            gname, params_src, operands_src = m.groups()
             gname = "cp" if gname == "cu1" else gname
             if gname in _WIDE_GATES:
                 raise QasmError(
@@ -321,44 +304,38 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
                 for p in (params_src.split(",") if params_src else [])
                 if p.strip()
             )
-            operands = [o.strip() for o in operands_src.split(",")]
-            if gname in ONE_QUBIT_GATES:
-                want = ONE_QUBIT_GATES[gname]
-                if len(params) != want:
-                    raise QasmError(f"{gname} takes {want} parameter(s)", lineno)
-                if len(operands) != 1:
-                    raise QasmError(f"{gname} takes one operand", lineno)
-                for q in regs.qubits(operands[0], lineno):
-                    gates.append(GateOp(gname, (q,), params))
-            elif gname in TWO_QUBIT_GATES:
-                want = TWO_QUBIT_GATES[gname]
-                if len(params) != want:
-                    raise QasmError(f"{gname} takes {want} parameter(s)", lineno)
-                if len(operands) != 2:
-                    raise QasmError(f"{gname} takes two indexed operands", lineno)
-                pair = []
-                for op in operands:
-                    qs = regs.qubits(op, lineno)
-                    if len(qs) != 1:
-                        raise QasmError(
-                            f"{gname} operands must be indexed, got '{op}'", lineno
-                        )
-                    pair.append(qs[0])
-                if pair[0] == pair[1]:
-                    raise QasmError(f"{gname} operands must differ", lineno)
-                gates.append(GateOp(gname, (pair[0], pair[1]), params))
-            else:
+            if gname not in GATES:
                 raise QasmError(f"unsupported gate '{gname}'", lineno)
+            arity, want = GATES[gname]
+            if len(params) != want:
+                raise QasmError(f"{gname} takes {want} parameter(s)", lineno)
+            operands = [o.strip() for o in operands_src.split(",")]
+            if len(operands) != arity:
+                what = "one operand" if arity == 1 else "two indexed operands"
+                raise QasmError(f"{gname} takes {what}", lineno)
+            if arity == 1:
+                gates += [GateOp(gname, (q,), params)
+                          for q in _positions(regs["q"], "q", operands[0], lineno)]
+                continue
+            pair: list[int] = []
+            for op in operands:
+                qs = _positions(regs["q"], "q", op, lineno)
+                if len(qs) != 1:
+                    raise QasmError(f"{gname} operands must be indexed, got '{op}'", lineno)
+                pair += qs
+            if pair[0] == pair[1]:
+                raise QasmError(f"{gname} operands must differ", lineno)
+            gates.append(GateOp(gname, tuple(pair), params))
 
     if not saw_version:
         raise QasmError("missing OPENQASM 2.0 header", 1)
-    if regs.qreg is None:
+    if regs["q"] is None:
         raise QasmError("no quantum register declared", 1)
     return Circuit(
-        n_qubits=regs.qreg[1],
+        n_qubits=regs["q"][1],
         gates=tuple(gates),
         name=name,
-        n_clbits=regs.creg[1] if regs.creg else 0,
+        n_clbits=regs["c"][1] if regs["c"] else 0,
         barriers=tuple(barriers),
     )
 

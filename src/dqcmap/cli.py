@@ -126,9 +126,10 @@ def _parse_ratios(raw: str) -> list[float]:
 
 def _load_circuit(args: argparse.Namespace, seed: int,
                   cluster: ClusterTopology | None = None) -> Circuit:
-    """The --circuit file, or the --bench circuit of --size qubits; a
-    benchmark too wide for `cluster` is refused before it is generated, as
-    generating it costs time and memory that grow with --size."""
+    """The --circuit file, or the --bench circuit of --size qubits. A
+    circuit too wide for `cluster` is refused before it is built: a file at
+    its qreg line, a benchmark before it is generated, as building it costs
+    time and memory that grow with the register size."""
     # gen-bench has no --circuit flag but shares this loader
     if getattr(args, "circuit", None):
         try:
@@ -137,7 +138,8 @@ def _load_circuit(args: argparse.Namespace, seed: int,
         except OSError as exc:
             raise InputError(f"cannot read circuit file: {exc}") from exc
         name = os.path.splitext(os.path.basename(args.circuit))[0]
-        return parse_qasm(text, name=name)
+        return parse_qasm(text, name=name,
+                          max_qubits=cluster.total_capacity if cluster is not None else None)
     if args.size is None:
         raise InputError("--bench requires --size")
     if cluster is not None:

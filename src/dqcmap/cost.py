@@ -269,10 +269,7 @@ class SegmentCostEvaluator:
                     o, c = of[low]
                     flat += (r, rank[o], c)
                     rest ^= low
-            try:
-                key = (pid, len(members), bytes(flat))
-            except ValueError:  # a rank or a count of 256 or more
-                key = (pid, len(members), tuple(flat))
+            key = (pid, len(members), tuple(flat))
             out = self._shape_cache.get(key)
             if out is None:
                 dist, pen = self.cluster.distances, self._pen

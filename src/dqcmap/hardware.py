@@ -241,10 +241,31 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_QPU_FIELDS = {"name", "comp_capacity", "coupling", "comm_qubits"}
+_LINK_FIELDS = {"a", "b", "cost_factor"}
+
+
+def _check_fields(spec, what: str, fields: set[str]) -> None:
+    """Raise ValidationError unless spec is a dict with exactly `fields`."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{what} must be an object")
+    missing = fields - set(spec)
+    if missing:
+        raise ValidationError(f"{what}: missing fields {sorted(missing)}")
+    extra = set(spec) - fields
+    if extra:
+        raise ValidationError(f"{what}: unknown fields {sorted(extra)}")
+
+
 def build_cluster(
     qpu_specs: list[dict], link_specs: list[dict]
 ) -> ClusterTopology:
-    """Assemble and validate a topology from plain dict specs."""
+    """Assemble and validate a topology from plain dict specs, each with
+    exactly the fields load_cluster documents."""
+    for pos, spec in enumerate(qpu_specs, start=1):
+        _check_fields(spec, f"qpu {pos}", _QPU_FIELDS)
+    for pos, spec in enumerate(link_specs, start=1):
+        _check_fields(spec, f"link {pos}", _LINK_FIELDS)
     if not qpu_specs:
         raise ValidationError("cluster needs at least one QPU")
     qpus = []
@@ -314,10 +335,6 @@ def build_cluster(
     )
 
 
-_QPU_FIELDS = {"name", "comp_capacity", "coupling", "comm_qubits"}
-_LINK_FIELDS = {"a", "b", "cost_factor"}
-
-
 def load_cluster(text: str) -> ClusterTopology:
     """Parse and validate a cluster config JSON document.
 
@@ -341,24 +358,6 @@ def load_cluster(text: str) -> ClusterTopology:
     link_specs = doc.get("links", [])
     if not isinstance(link_specs, list):
         raise ValidationError("'links' must be an array")
-    for pos, spec in enumerate(doc["qpus"], start=1):
-        if not isinstance(spec, dict):
-            raise ValidationError(f"qpu {pos} must be an object")
-        missing = _QPU_FIELDS - set(spec)
-        if missing:
-            raise ValidationError(f"qpu {pos}: missing fields {sorted(missing)}")
-        extra = set(spec) - _QPU_FIELDS
-        if extra:
-            raise ValidationError(f"qpu {pos}: unknown fields {sorted(extra)}")
-    for pos, spec in enumerate(link_specs, start=1):
-        if not isinstance(spec, dict):
-            raise ValidationError(f"link {pos} must be an object")
-        missing = _LINK_FIELDS - set(spec)
-        if missing:
-            raise ValidationError(f"link {pos}: missing fields {sorted(missing)}")
-        extra = set(spec) - _LINK_FIELDS
-        if extra:
-            raise ValidationError(f"link {pos}: unknown fields {sorted(extra)}")
     return build_cluster(doc["qpus"], link_specs)
 
 

@@ -181,6 +181,7 @@ def _refine_cut(
     qpu_of = list(a.qpu_of)
     caps = cluster.caps
     adj = g.adjacency()
+    rows = [dict(row) for row in adj]  # rows[i][j] is the weight of edge (i, j)
 
     def gain_relocate(cur: list[int], q: int, dst: int) -> float:
         src = cur[q]
@@ -195,30 +196,30 @@ def _refine_cut(
     def kl_pass(pa: int, pb: int) -> bool:
         """One KL round between QPUs pa and pb; True if the cut shrank."""
         cur = list(qpu_of)
-        locked: set[int] = set()
+        # The unlocked qubits of each side, ascending; a swapped pair locks.
+        free_a = [q for q in range(len(cur)) if cur[q] == pa]
+        free_b = [q for q in range(len(cur)) if cur[q] == pb]
         seq: list[tuple[float, int, int]] = []
         cum = 0.0
         while True:
             best = None
             # Each unlocked qubit's relocate gain, once per step.
-            free = [q for q in range(len(cur)) if q not in locked]
-            side_b = [(qb, gain_relocate(cur, qb, pa)) for qb in free if cur[qb] == pb]
-            for qa in free:
-                if cur[qa] != pa:
-                    continue
+            side_b = [(qb, gain_relocate(cur, qb, pa)) for qb in free_b]
+            for qa in free_a:
                 ga = gain_relocate(cur, qa, pb)
+                row = rows[qa]
                 for qb, gb in side_b:
                     # The (qa, qb) edge stays cut either way but both
                     # relocate gains count it as resolved: subtract twice.
-                    gain = ga + gb - 2.0 * g.weight(qa, qb)
+                    gain = ga + gb - 2.0 * row.get(qb, 0.0)
                     if best is None or gain > best[0] + 1e-15:
                         best = (gain, qa, qb)
             if best is None:
                 break
             gain, qa, qb = best
             cur[qa], cur[qb] = pb, pa
-            locked.add(qa)
-            locked.add(qb)
+            free_a.remove(qa)
+            free_b.remove(qb)
             cum += gain
             seq.append((cum, qa, qb))
         if not seq:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqcmap.circuit import Circuit, GateOp, layerize, parse_qasm, serialize_qasm
-from dqcmap.errors import QasmError
+from dqcmap.errors import InfeasibleError, QasmError
 from dqcmap.segmentation import random_segment
 
 from conftest import count_interactions, cx_chain
@@ -95,6 +95,64 @@ class TestParse:
     def test_missing_header_rejected(self):
         with pytest.raises(QasmError):
             parse_qasm("qreg q[2];\nh q[0];\n")
+
+    def test_register_wider_than_max_qubits_refused(self):
+        with pytest.raises(InfeasibleError, match="5 qubits exceed total capacity 4"):
+            parse_qasm("OPENQASM 2.0;\nqreg q[5];\nh q;\n", max_qubits=4)
+        assert parse_qasm("OPENQASM 2.0;\nqreg q[4];\nh q;\n", max_qubits=4).n_gates == 4
+
+
+HEAD = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"  # the statement under test is line 4
+
+
+# One input per raise site of the reader, plus inputs that fail two checks
+# and must report the one the reader makes first.
+@pytest.mark.parametrize("text, line, fragment", [
+    (HEAD + "h q[x];", 4, "bad operand 'q[x]'"),
+    (HEAD + "h r[0];", 4, "unknown quantum register 'r'"),
+    (HEAD + "measure q[0] -> d[0];", 4, "unknown classical register 'd'"),
+    (HEAD + "h q[5];", 4, "qubit index 5 out of range for q[2]"),
+    (HEAD + "h q[007];", 4, "qubit index 7 out of range for q[2]"),
+    (HEAD + "measure q[0] -> c[3];", 4, "bit index 3 out of range for c[2]"),
+    (HEAD + "qreg r[2];", 4, "multiple quantum registers are not supported"),
+    (HEAD + "creg d[2];", 4, "multiple classical registers are not supported"),
+    ("OPENQASM 2.0;\nqreg q[0];", 2, "empty quantum register"),
+    ("OPENQASM 2.0;\nqreg q[3];\ncreg c[2];\nmeasure q -> c;", 4,
+     "measure operand sizes differ"),
+    ("OPENQASM 2.0;\nbarrier q;\nqreg q[2];", 2, "barrier before qreg declaration"),
+    (HEAD + "h;", 4, "cannot parse statement 'h'"),
+    (HEAD + "ccx q[0],q[1],q[0];", 4, "gate 'ccx' acts on 3 or more qubits"),
+    (HEAD + "foo q[0];", 4, "unsupported gate 'foo'"),
+    (HEAD + "rz q[0];", 4, "rz takes 1 parameter(s)"),
+    (HEAD + "h(pi) q[0];", 4, "h takes 0 parameter(s)"),
+    (HEAD + "cp q[0],q[1];", 4, "cp takes 1 parameter(s)"),
+    (HEAD + "cu1 q[0],q[1];", 4, "cp takes 1 parameter(s)"),
+    (HEAD + "cx(pi) q[0],q[1];", 4, "cx takes 0 parameter(s)"),
+    (HEAD + "h q[0],q[1];", 4, "h takes one operand"),
+    (HEAD + "cx q[0];", 4, "cx takes two indexed operands"),
+    (HEAD + "cx q,q[1];", 4, "cx operands must be indexed, got 'q'"),
+    (HEAD + "cx q[1],q;", 4, "cx operands must be indexed, got 'q'"),
+    (HEAD + "cx q[1],q[1];", 4, "cx operands must differ"),
+    ("qreg q[2];\nh q[0];", 1, "missing OPENQASM 2.0 header"),
+    ("OPENQASM 2.0;\ncreg c[2];", 1, "no quantum register declared"),
+    ("OPENQASM 3.0;\nqreg q[2];", 1, "unsupported version 'OPENQASM 3.0'"),
+    # the order of checks within a statement
+    (HEAD + "h q[0]; foo q[9];", 4, "unsupported gate 'foo'"),
+    (HEAD + "ccx(1e999) q[0],q[1],q[0];", 4, "gate 'ccx' acts on 3 or more"),
+    (HEAD + "foo(1e999) q[0];", 4, "not a finite number"),
+    (HEAD + "rz q[0],q[1];", 4, "rz takes 1 parameter(s)"),
+    (HEAD + "cx q[5];", 4, "cx takes two indexed operands"),
+    (HEAD + "cx q,r[0];", 4, "cx operands must be indexed, got 'q'"),
+    (HEAD + "cx r[0],q;", 4, "unknown quantum register 'r'"),
+    (HEAD + "measure r[0] -> d[0];", 4, "unknown quantum register 'r'"),
+    (HEAD + "measure q -> c[5];", 4, "bit index 5 out of range for c[2]"),
+    ("OPENQASM 2.0;\nqreg q[2];\nqreg r[0];", 3, "multiple quantum registers"),
+])
+def test_reader_error_table(text, line, fragment):
+    with pytest.raises(QasmError) as info:
+        parse_qasm(text)
+    assert info.value.line == line
+    assert fragment in str(info.value)
 
 
 class TestCircuitModel:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dqcmap import cli, harness
+from dqcmap import circuit, cli, harness
 from dqcmap.anneal import AnnealParams
 from dqcmap.bench import gen_adder
 from dqcmap.circuit import parse_qasm
@@ -153,6 +153,18 @@ class TestMap:
                                "--gen", "line", "--sizes", "2,2")
         assert code == EXIT_INFEASIBLE
         assert "3000000 qubits" in err
+
+    def test_wide_register_refused_before_broadcast(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built a gate of a circuit that cannot fit")
+
+        monkeypatch.setattr(circuit, "GateOp", fail)
+        qasm = tmp_path / "bcast.qasm"
+        qasm.write_text("OPENQASM 2.0;\nqreg q[5];\nh q;\n")
+        code, _, err = run_cli(capsys, "map", "--circuit", str(qasm),
+                               "--gen", "line", "--sizes", "2,2")
+        assert code == EXIT_INFEASIBLE
+        assert "5 qubits exceed total capacity 4" in err
 
     @pytest.mark.parametrize("command", ["map", "ablate", "sweep-ratio"])
     @pytest.mark.parametrize("bench", ["qft", "qaoa", "adder"])

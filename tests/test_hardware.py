@@ -52,6 +52,20 @@ class TestValidation:
         with pytest.raises(ValidationError, match="oops"):
             load_cluster(json.dumps(doc))
 
+    @pytest.mark.parametrize("qpus, links, fragment", [
+        ([{"name": "a", "comp_capacity": 2, "coupling": [[0, 1]]}], [],
+         "qpu 1: missing fields ['comm_qubits']"),
+        (["a"], [], "qpu 1 must be an object"),
+        ([qpu_spec("a", 2, [[0, 1]]), qpu_spec("b", 2, [[0, 1]])],
+         [{"a": 1, "b": 2}], "link 1: missing fields ['cost_factor']"),
+        ([qpu_spec("a", 2, [[0, 1]]), qpu_spec("b", 2, [[0, 1]])],
+         [[1, 2, 1.0]], "link 1 must be an object"),
+    ], ids=["qpu-missing-field", "qpu-not-a-dict", "link-missing-field", "link-not-a-dict"])
+    def test_malformed_spec_rejected_by_build(self, qpus, links, fragment):
+        with pytest.raises(ValidationError) as info:
+            build_cluster(qpus, links)
+        assert fragment in str(info.value)
+
     def test_disconnected_interconnect_rejected(self):
         with pytest.raises(ValidationError, match="not connected"):
             build_cluster(

@@ -223,13 +223,15 @@ class TestPrepareOnce:
     @pytest.mark.parametrize("mode", ["pattern", "random"])
     def test_prepared_compile_equals_fresh(self, mode):
         ct = triangle_cluster()
-        sp = SegmentationParams(window=2, top_k=3, threshold=0.6)
-        fresh = compile(CIRC, ct, seed=6, seg_params=sp, anneal_params=FAST,
-                        segmentation_mode=mode)
+        fresh = compile(CIRC, ct, seed=6, anneal_params=FAST, segmentation_mode=mode)
         reused = compile(CIRC, ct, seed=6, anneal_params=FAST, segmentation_mode=mode,
-                         prepared=prepare(CIRC, sp))
+                         prepared=prepare(CIRC))
         assert reused == fresh
-        assert len(fresh.steps) > 1
+        # a custom segmentation reaches compile only through `prepared`
+        sp = SegmentationParams(window=2, top_k=3, threshold=0.6)
+        custom = compile(CIRC, ct, seed=6, anneal_params=FAST, segmentation_mode=mode,
+                         prepared=prepare(CIRC, sp))
+        assert len(custom.steps) > 1
 
     def test_prepared_for_another_circuit_rejected(self):
         other = cx_chain(6, [(0, 1)])
