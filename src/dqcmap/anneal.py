@@ -101,21 +101,39 @@ def _draws(rng: random.Random, qpu_of: list[int], masks: list[int], loads: list[
         return
     everyone = (1 << n) - 1
     qpus = range(1, len(caps))
-    random_, randrange = rng.random, rng.randrange
+    # rng.randrange(m) for an int m > 0 is CPython's _randbelow_with_getrandbits:
+    # getrandbits(m.bit_length()), drawn again while >= m. It is inlined here
+    # with the same calls, so the stream is randrange's.
+    random_, getrandbits = rng.random, rng.getrandbits
+    kn = n.bit_length()
     while True:
         if random_() < 0.5:
-            q = randrange(n)
+            q = getrandbits(kn)
+            while q >= n:
+                q = getrandbits(kn)
             p = qpu_of[q]
             dests = [d for d in qpus if d != p and loads[d] < caps[d]]
             if dests:
-                yield ((q, p, dests[randrange(len(dests))]),)
+                m = len(dests)
+                k = m.bit_length()
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                yield ((q, p, dests[r]),)
                 continue
-        qa = randrange(n)
+        qa = getrandbits(kn)
+        while qa >= n:
+            qa = getrandbits(kn)
         pa = qpu_of[qa]
         others = everyone ^ masks[pa]
         if not others:
             return
-        qb = _nth_bit(others, randrange(others.bit_count()))
+        m = others.bit_count()
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        qb = _nth_bit(others, r)
         pb = qpu_of[qb]
         yield ((qa, pa, pb), (qb, pb, pa))
 

@@ -23,14 +23,15 @@ core's entry. A core the cache has not seen is answered by its shape: its
 pairs with their gate counts, each member named by its rank among the
 core's members. The greedy layout and the cost loop read qubit labels only
 through their order, so all cores of one shape on one QPU cost the same,
-and a layout is built only when the shape is new. A core's shape and its
-layout cost work in proportion to its members and their adjacency lists
-within the core, read from partner bitmasks, not to the whole segment.
-The per-QPU constants a layout needs (distance rows, first
-pick, the cumulative distance histogram of the floor), the link distances
-and the capacities are the cluster's, computed at load time and read in
-place by QPU id (see hardware.DistanceTables); only the per-hop gate cost,
-which depends on the cost parameters, is computed per evaluator.
+and a layout is built only when the shape is new, in rank space from the
+shape's own triples. A core's shape and its layout cost work in proportion
+to its members and their adjacency lists within the core, read from
+partner bitmasks, not to the whole segment. The per-QPU constants a
+layout needs (distance rows, first pick, nearest-first orders, the
+cumulative distance histogram of the floor), the link distances and the
+capacities are the cluster's, computed at load time and read in place by
+QPU id (see hardware.DistanceTables); only the per-hop gate cost, which
+depends on the cost parameters, is computed per evaluator.
 
 A move, a relocation or a swap, is handed to a delta as its transfers
 (qubit, from QPU, to QPU), as the annealer draws them: one for a
@@ -115,41 +116,57 @@ def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:
     return adj
 
 
-def _greedy_layout(partners, table, hub: int) -> dict[int, int]:
-    """Greedy deterministic embedding of logical qubits into a coupling map,
-    as logical qubit -> physical qubit index.
+def _greedy_layout(m: int, flat, table, near, hub: int) -> list[int]:
+    """Greedy deterministic embedding of a core's m members, named by their
+    ranks 0..m-1, into a coupling map, as phys_of[rank] = physical qubit.
 
-    partners maps each qubit to place to its partners among them,
-    ascending, as [(partner, count), ...]. Qubits are placed in order
-    of decreasing interaction weight among the co-located set (ties toward
-    lower qubit index). The first goes to `hub`, the physical qubit of
-    highest coupling degree (see _hub); each later one to the free physical
-    qubit minimizing the weighted coupling distance to its already placed
-    partners (ties toward the lower physical index). table holds the QPU's
-    distance rows, one per physical qubit; counts and hops are integers, so
-    the scores are exact whatever the order they are summed in.
+    flat lists the core's pairs in rank space as consecutive (i, j, count)
+    triples, i < j and count >= 1, in ascending (i, j) order: the triples of
+    a shape key. Members are placed in order of decreasing interaction
+    weight among the core, ties toward the lower rank. The first goes to
+    `hub`, the physical qubit of highest coupling degree (see
+    hardware._hub). Each later one goes to the free physical qubit that
+    minimizes the weighted coupling distance to its placed partners, ties
+    toward the lower index, or to the lowest free index if none is placed.
+    With one placed partner, on v, with count c, that score is c times v's
+    distance row, so the pick is the first free qubit of near[v], the QPU's
+    qubits ordered by (hops from v, index). With more, their rows in table,
+    the QPU's distance rows, are summed into a score; counts and hops are
+    integers, so the scores are exact whatever the order they are summed in.
     """
-    order = sorted(partners, key=lambda q: (-sum([c for _, c in partners[q]]), q))
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    negw = [0] * m
+    triples = iter(flat)
+    for i, j, c in zip(triples, triples, triples):
+        adj[i].append((j, c))
+        adj[j].append((i, c))
+        negw[i] -= c
+        negw[j] -= c
+    order = sorted(range(m), key=negw.__getitem__)  # stable: ties to the lower rank
 
-    phys_of: dict[int, int] = {}
-    free: list[int] = list(range(len(table)))
+    cap = len(table)
+    phys_of = [-1] * m
+    used = bytearray(cap)
+    free: list[int] = list(range(cap))
     for q in order:
-        if not phys_of:
-            pick = hub
-        elif len(free) == 1:
-            pick = free[0]
-        else:
+        placed = [(phys_of[o], c) for o, c in adj[q] if phys_of[o] >= 0]
+        if len(placed) == 1:
+            for pick in near[placed[0][0]]:
+                if not used[pick]:
+                    break
+        elif placed:
             # Score every physical qubit, one placed partner's distance row
             # at a time; min() keeps the lowest free index among ties.
             score = None
-            for o, c in partners[q]:
-                po = phys_of.get(o)
-                if po is not None:
-                    row = table[po]
-                    score = ([c * d for d in row] if score is None
-                             else [s + c * d for s, d in zip(score, row)])
-            pick = free[0] if score is None else min(free, key=score.__getitem__)
+            for v, c in placed:
+                row = table[v]
+                score = ([c * d for d in row] if score is None
+                         else [s + c * d for s, d in zip(score, row)])
+            pick = min(free, key=score.__getitem__)
+        else:
+            pick = free[0] if len(free) < cap else hub
         phys_of[q] = pick
+        used[pick] = 1
         free.remove(pick)
     return phys_of
 
@@ -160,16 +177,6 @@ def qpu_masks(qpu_of, n_qpus: int) -> list[int]:
     for q, p in enumerate(qpu_of):
         masks[p] |= 1 << q
     return masks
-
-
-def _members(mask: int) -> list[int]:
-    """Set bits of mask, ascending: qubit q is a member when bit q is set."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class SegmentCostEvaluator:
@@ -220,30 +227,20 @@ class SegmentCostEvaluator:
 
     # -- per-QPU local term ------------------------------------------------
 
-    def _core(self, mask: int) -> int:
-        """The members of mask with a gate partner in mask."""
-        bits = self._partner_bits
-        core = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if bits.get(low.bit_length() - 1, 0) & mask:
-                core |= low
-            rest ^= low
-        return core
-
     def layout_and_local(self, pid: int, mask: int) -> tuple[float, int, int]:
         """The local cost of `mask` on QPU pid under the greedy layout of its
         partnered core, W, the summed gate count of its pairs, and P, the
         number of its pairs. Partnerless members are placed after all others
-        and pay nothing, so mask shares its core's entry. A core that is not
-        cached is looked up by its shape: its pairs (rank i, rank j, count)
-        in ascending order, a member's rank its position among the core's
-        members. The greedy layout and the cost loop read qubit labels only
-        through their order, so cores of one shape on one QPU have the same
-        entry, and a layout is built only for a new shape. Since
-        swap_cost >= 0 the local cost is at least the distance-rank floor
-        (see _floor)."""
+        and pay nothing, so mask shares its core's entry. One walk of mask
+        yields the core as a bitmask, the key of its entry, and as its
+        members in ascending order. A core that is not cached is looked up
+        by its shape: its pairs (rank i, rank j, count) in ascending order,
+        a member's rank its position among the core's members. The greedy
+        layout and the cost loop read qubit labels only through their order,
+        so cores of one shape on one QPU have the same entry, and a layout
+        is built, in rank space from the shape's triples, only for a new
+        shape. Since swap_cost >= 0 the local cost is at least the
+        distance-rank floor (see _floor)."""
         hit = self._layout_cache.get((pid, mask))
         if hit is not None:
             return hit
@@ -252,13 +249,24 @@ class SegmentCostEvaluator:
             raise InfeasibleError(f"{mask.bit_count()} qubits exceed capacity "
                                   f"{cap} of '{self.cluster.qpu(pid).name}'")
         cache = self._layout_cache
-        core = self._core(mask)
+        # one walk of mask: the partnered core, as a bitmask and as its
+        # members in ascending order
+        partner_bits = self._partner_bits
+        core = 0
+        members = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            q = low.bit_length() - 1
+            if partner_bits.get(q, 0) & mask:
+                core |= low
+                members.append(q)
+            rest ^= low
         out = cache.get((pid, core))
         if out is None:
             # the core's pairs in rank space, flat, in ascending (i, j) order,
             # read from each member's partner bits above its own
-            partner_bits, partner_of = self._partner_bits, self._partner_of
-            members = _members(core)
+            partner_of = self._partner_of
             rank = {q: r for r, q in enumerate(members)}
             flat = []
             for q in members:
@@ -274,15 +282,16 @@ class SegmentCostEvaluator:
             if out is None:
                 dist, pen = self.cluster.distances, self._pen
                 table = dist.intra[pid]
-                pairs = list(zip(flat[0::3], flat[1::3], flat[2::3]))
-                phys_of = _greedy_layout(_adjacency(pairs), table, dist.hubs[pid])
+                phys_of = _greedy_layout(len(members), flat, table, dist.near[pid],
+                                         dist.hubs[pid])
                 cost = 0.0
                 weight = 0
                 # a fixed float summation order: pairs in ascending (i, j) order
-                for i, j, c in pairs:
+                triples = iter(flat)
+                for i, j, c in zip(triples, triples, triples):
                     cost += c * pen[table[phys_of[i]][phys_of[j]]]
                     weight += c
-                out = self._shape_cache[key] = (cost, weight, len(pairs))
+                out = self._shape_cache[key] = (cost, weight, len(flat) // 3)
             cache[(pid, core)] = out
         cache[(pid, mask)] = out
         return out

@@ -3,14 +3,14 @@
 A cluster is a set of QPUs, each with a qubit coupling map and a compute
 capacity, joined by weighted interconnect links through one global switch.
 Distance tables are precomputed at load time: intra-QPU hop counts per
-coupling map, with the two per-QPU constants the cost model reads beside
-them (the hub and the cumulative distance histogram), each QPU's linked
-QPUs, and for every QPU pair the cheapest link path by total cost_factor
-(ties broken toward fewer hops, then lower ids, so the path and its hop
-count are deterministic). Every per-QPU table, and every row of a per-pair
-table, is a tuple indexed by the 1-based QPU id, index 0 unused, so readers
-index them in place. EPR consumption is tracked on the switch, one pair per
-link traversed.
+coupling map, with the per-QPU constants the cost model reads beside
+them (the hub, the cumulative distance histogram and each physical qubit's
+nearest-first order), each QPU's linked QPUs, and for every QPU pair the
+cheapest link path by total cost_factor (ties broken toward fewer hops,
+then lower ids, so the path and its hop count are deterministic). Every
+per-QPU table, and every row of a per-pair table, is a tuple indexed by the
+1-based QPU id, index 0 unused, so readers index them in place. EPR
+consumption is tracked on the switch, one pair per link traversed.
 """
 from __future__ import annotations
 
@@ -90,6 +90,8 @@ class DistanceTables:
     hubs[p]: the physical qubit of QPU p of highest coupling degree (see _hub).
     ranks[p]: (cum, extra) of QPU p's physical pairs by coupling distance
     (see _distance_ranks).
+    near[p][v]: QPU p's physical qubits ordered by (hops from v, index), v
+    itself first.
     neighbors[p]: the QPUs linked to QPU p, ascending.
     """
 
@@ -99,6 +101,7 @@ class DistanceTables:
     inter_path: tuple[tuple[tuple[Link, ...], ...], ...]
     hubs: tuple[int, ...]
     ranks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    near: tuple[tuple[tuple[int, ...], ...], ...]
     neighbors: tuple[tuple[int, ...], ...]
 
 
@@ -145,6 +148,10 @@ def _bfs_hops(n: int, adj: dict[int, list[int]], start: int) -> list[int]:
 
 def _intra_table(qpu: QPU) -> tuple[tuple[int, ...], ...]:
     n = qpu.comp_capacity
+    # A connected graph on n nodes has at least n - 1 edges; checking that
+    # first bounds what is allocated here by the size of the input.
+    if len(qpu.coupling) < n - 1:
+        raise ValidationError(f"QPU '{qpu.name}': coupling graph is not connected")
     adj: dict[int, list[int]] = {i: [] for i in range(n)}
     for i, j in qpu.coupling:
         adj[i].append(j)
@@ -154,7 +161,7 @@ def _intra_table(qpu: QPU) -> tuple[tuple[int, ...], ...]:
     rows = []
     for start in range(n):
         dist = _bfs_hops(n, adj, start)
-        if any(d < 0 for d in dist):
+        if -1 in dist:
             raise ValidationError(f"QPU '{qpu.name}': coupling graph is not connected")
         rows.append(tuple(dist))
     return tuple(rows)
@@ -182,6 +189,14 @@ def _distance_ranks(table) -> tuple[tuple[int, ...], tuple[int, ...]]:
         cum.append(cum[-1] + pairs)
         extra.append(extra[-1] + pairs * (d - 1))
     return tuple(cum), tuple(extra)
+
+
+def _near(table) -> tuple[tuple[int, ...], ...]:
+    """Per physical qubit v, all of the QPU's physical qubits ordered by
+    (hops from v, index): a stable sort of the indices by v's distance row.
+    Every row reuses the int objects of one index list."""
+    idx = list(range(len(table)))
+    return tuple(tuple(sorted(idx, key=row.__getitem__)) for row in table)
 
 
 def _inter_tables(n_qpus: int, links: tuple[tuple[int, int, float], ...]) -> tuple:
@@ -284,6 +299,8 @@ def build_cluster(
             raise ValidationError(f"qpu '{name}': comp_capacity must be a positive integer")
         if not _is_int(comm) or comm < 1:
             raise ValidationError(f"qpu '{name}': comm_qubits must be a positive integer")
+        if not isinstance(coupling, (list, tuple)):
+            raise ValidationError(f"qpu '{name}': coupling must be an array of edges")
         edges = []
         for e in coupling:
             if (not isinstance(e, (list, tuple)) or len(e) != 2
@@ -330,6 +347,7 @@ def build_cluster(
         distances=DistanceTables(intra=((), *intra), inter_cost=cost, inter_hops=hops,
                                  inter_path=path, hubs=(0, *map(_hub, qpus)),
                                  ranks=((), *map(_distance_ranks, intra)),
+                                 near=((), *map(_near, intra)),
                                  neighbors=neighbors),
         caps=(0, *(p.comp_capacity for p in qpus)),
     )

@@ -16,8 +16,6 @@ from dqcmap.cost import (
     CostParams,
     SegmentCostEvaluator,
     _adjacency,
-    _greedy_layout,
-    _members,
     qpu_masks,
 )
 from dqcmap.errors import InfeasibleError
@@ -151,10 +149,57 @@ def delta_total(ev: SegmentCostEvaluator, a: Assignment, moved) -> float:
     return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus), moved)
 
 
+def _members(mask: int) -> list[int]:
+    """Set bits of mask, ascending: qubit q is a member when bit q is set."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def reference_greedy_layout(partners, table, hub: int) -> dict[int, int]:
+    """Reference for cost._greedy_layout on qubit labels and dicts, as
+    logical qubit -> physical qubit index.
+
+    partners maps each qubit to place to its partners among them,
+    ascending, as [(partner, count), ...]. Qubits are placed in order
+    of decreasing interaction weight among the co-located set (ties toward
+    lower qubit index). The first goes to `hub`; each later one to the free
+    physical qubit minimizing the weighted coupling distance to its already
+    placed partners (ties toward the lower physical index), scored over
+    every physical qubit, or to the lowest free index when none is placed.
+    """
+    order = sorted(partners, key=lambda q: (-sum([c for _, c in partners[q]]), q))
+
+    phys_of: dict[int, int] = {}
+    free: list[int] = list(range(len(table)))
+    for q in order:
+        if not phys_of:
+            pick = hub
+        elif len(free) == 1:
+            pick = free[0]
+        else:
+            # Score every physical qubit, one placed partner's distance row
+            # at a time; min() keeps the lowest free index among ties.
+            score = None
+            for o, c in partners[q]:
+                po = phys_of.get(o)
+                if po is not None:
+                    row = table[po]
+                    score = ([c * d for d in row] if score is None
+                             else [s + c * d for s, d in zip(score, row)])
+            pick = free[0] if score is None else min(free, key=score.__getitem__)
+        phys_of[q] = pick
+        free.remove(pick)
+    return phys_of
+
+
 def _partners(mask: int, adj) -> dict[int, list[tuple[int, int]]]:
     """Each qubit of mask, ascending -> its partners within mask, ascending,
     as [(partner, count), ...], filtered from adj, the segment's adjacency
-    (see _adjacency): the input _greedy_layout takes."""
+    (see _adjacency): the input reference_greedy_layout takes."""
     return {q: [(o, c) for o, c in adj.get(q, ()) if mask >> o & 1] for q in _members(mask)}
 
 
@@ -165,7 +210,7 @@ def full_layout_and_local(ev: SegmentCostEvaluator, pid: int, mask: int) -> tupl
     table = ev.cluster.distances.intra[pid]
     pairs = sorted(ev.seg.pairs.items())
     adj = _adjacency([(i, j, c) for (i, j), c in pairs])
-    phys_of = _greedy_layout(_partners(mask, adj), table, _hub(ev.cluster.qpu(pid)))
+    phys_of = reference_greedy_layout(_partners(mask, adj), table, _hub(ev.cluster.qpu(pid)))
     cp = ev.cp
     cost, weight = 0.0, 0
     for (i, j), c in pairs:

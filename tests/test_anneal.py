@@ -259,6 +259,23 @@ class TestLoopDraws:
         assert all(seen.values()), seen
 
 
+class TestIntegerDraw:
+    def test_getrandbits_loop_is_randrange(self):
+        # _draws inlines rng.randrange(m) as CPython's
+        # _randbelow_with_getrandbits; if CPython changes randrange, this
+        # fails rather than the plans moving unexplained.
+        ms = [*range(1, 4097), *(2 ** k + d for k in range(1, 71) for d in (-1, 1))]
+        for seed in range(4):
+            loop, ref = random.Random(seed), random.Random(seed)
+            for m in ms:
+                k = m.bit_length()
+                r = loop.getrandbits(k)
+                while r >= m:
+                    r = loop.getrandbits(k)
+                assert r == ref.randrange(m)
+            assert loop.getstate() == ref.getstate()
+
+
 class TestAnnealSegment:
     def _instance(self):
         ct = two_qpu_line(3, 3)

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -255,6 +258,30 @@ class TestMap:
         assert code == EXIT_INPUT
         assert out == ""
         assert "integer" in err
+
+    def test_huge_capacity_refused_before_allocation(self, tmp_path):
+        # One edge cannot connect 10^20 qubits. That is checked before any
+        # table of comp_capacity entries is built; without the check the run
+        # grows without bound, so it runs in a child process under a 2 GB
+        # address-space limit, which times itself.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"qpus": [{"name": "a", "comp_capacity": 10 ** 20,
+                                              "coupling": [[0, 1]], "comm_qubits": 1}]}))
+        script = ("import resource, sys, time\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "from dqcmap.cli import main\n"
+                  "t = time.perf_counter()\n"
+                  "code = main(['map', '--bench', 'qft', '--size', '6', '--topology', sys.argv[1]])\n"
+                  "print(code, time.perf_counter() - t)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        code, seconds = done.stdout.split()
+        assert int(code) == EXIT_INPUT
+        assert float(seconds) < 0.1
+        assert "coupling graph is not connected" in done.stderr
 
     @pytest.mark.parametrize("links", [
         '[{"a": 1, "b": 2, "cost_factor": NaN}]',

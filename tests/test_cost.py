@@ -21,7 +21,6 @@ from dqcmap.placement import Assignment
 from dqcmap.segmentation import Segment
 
 from conftest import (
-    _partners,
     cost_params,
     delta_total,
     e_inter,
@@ -31,6 +30,7 @@ from conftest import (
     full_layout_and_local,
     line_coupling,
     random_case,
+    reference_greedy_layout,
     total,
     two_qpu_line,
 )
@@ -126,8 +126,10 @@ class TestLocalTerm:
     def test_intra_layout_injective_and_bounded(self):
         ct = line3_cluster()
         qpu = ct.qpu(1)
-        partners = _partners(0b111, {0: [(1, 2)], 1: [(0, 2)]})
-        phys_of = _greedy_layout(partners, ct.distances.intra[1], _hub(qpu))
+        dist = ct.distances
+        # one pair (0, 1) with 2 gates among 3 members, in rank space
+        phys_of = dict(enumerate(_greedy_layout(3, [0, 1, 2], dist.intra[1], dist.near[1],
+                                                _hub(qpu))))
         assert sorted(phys_of) == [0, 1, 2]
         assert len(set(phys_of.values())) == 3
         assert all(0 <= ph < 3 for ph in phys_of.values())
@@ -385,9 +387,9 @@ class TestPartneredCore:
         read = []
         build = dqcmap.cost._greedy_layout
 
-        def recorded(partners, table, hub):
+        def recorded(m, flat, table, near, hub):
             read.append((table, hub))
-            return build(partners, table, hub)
+            return build(m, flat, table, near, hub)
 
         monkeypatch.setattr(dqcmap.cost, "_greedy_layout", recorded)
         a = SegmentCostEvaluator(ct, seg_of({(0, 1): 1}), CostParams())
@@ -473,8 +475,44 @@ class TestPartneredCore:
     def test_layout_of_partnerless_set_starts_on_the_hub(self):
         ct = two_qpu_line(3, 3)
         qpu = ct.qpu(2)
-        phys_of = _greedy_layout({2: [], 3: []}, ct.distances.intra[2], _hub(qpu))
+        dist = ct.distances
+        # qubits 2 and 3, ranks 0 and 1, with no pair
+        phys_of = dict(zip((2, 3), _greedy_layout(2, [], dist.intra[2], dist.near[2],
+                                                  _hub(qpu))))
         assert phys_of == {2: 1, 3: 0}  # the middle of the line is the hub
+
+
+class TestGreedyLayout:
+    """_greedy_layout in rank space, with its nearest-free pick for a member
+    with one placed partner, against reference_greedy_layout, which scores
+    every physical qubit on qubit labels and dicts."""
+
+    @pytest.mark.parametrize("coupling", ["line", "ring", "grid", "heavy_hex_like", "complete"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, coupling, data):
+        # Counts of 1 or 2 make weight ties; line, ring and grid maps make
+        # distance ties. Sparse and dense pair sets give members with 0, 1
+        # and 2 or more placed partners when they are placed.
+        k = data.draw(st.integers(2, 12))
+        ct = one_qpu(coupling, k)
+        m = data.draw(st.integers(1, k))
+        labels = sorted(data.draw(st.lists(st.integers(0, 60), unique=True,
+                                           min_size=m, max_size=m)))
+        density = data.draw(st.sampled_from([1, 2, 4]))
+        flat = []
+        partners = {q: [] for q in labels}
+        for i in range(m):
+            for j in range(i + 1, m):
+                if data.draw(st.integers(0, 3)) < density:
+                    c = data.draw(st.integers(1, 2))
+                    flat += (i, j, c)
+                    partners[labels[i]].append((labels[j], c))
+                    partners[labels[j]].append((labels[i], c))
+        dist = ct.distances
+        got = _greedy_layout(m, flat, dist.intra[1], dist.near[1], dist.hubs[1])
+        want = reference_greedy_layout(partners, dist.intra[1], dist.hubs[1])
+        assert got == [want[q] for q in labels]
 
 
 class TestCoreShape:

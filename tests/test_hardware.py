@@ -8,6 +8,7 @@ import pytest
 
 from dqcmap.errors import InfeasibleError, ValidationError
 from dqcmap.hardware import (
+    _COUPLING_BUILDERS,
     TOPOLOGY_KINDS,
     build_cluster,
     cluster_to_config,
@@ -101,6 +102,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="topology: the cheapest path from QPU 1 to QPU 3"):
             load_cluster(json.dumps(doc))
 
+    @pytest.mark.parametrize("coupling", ["5", "1.5", "null"])
+    def test_coupling_that_is_not_an_array_rejected(self, coupling):
+        # iterating it would raise TypeError, an internal error (exit 4)
+        text = ('{"qpus": [{"name": "a", "comp_capacity": 2, "coupling": '
+                + coupling + ', "comm_qubits": 1}]}')
+        with pytest.raises(ValidationError, match="qpu 'a': coupling must be an array"):
+            load_cluster(text)
+
     def test_coupling_index_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             build_cluster([qpu_spec("a", 2, [[0, 2]])], [])
@@ -150,6 +159,19 @@ class TestIntraDistances:
                 if i == j:
                     assert d == 0
                 assert d <= dist[i][k] + dist[k][j]
+
+
+    @pytest.mark.parametrize("kind", ["line", "ring", "grid", "heavy_hex_like", "complete"])
+    def test_near_orders_each_row_by_hops_then_index(self, kind):
+        for k in range(1, 13):
+            coupling = (full_coupling(k) if kind == "complete"
+                        else [list(e) for e in _COUPLING_BUILDERS[kind](k)])
+            ct = build_cluster([qpu_spec("a", k, coupling)], [])
+            table, near = ct.distances.intra[1], ct.distances.near[1]
+            assert len(near) == k
+            for v, order in enumerate(near):
+                assert sorted(order) == list(range(k))
+                assert list(order) == sorted(range(k), key=lambda u: (table[v][u], u))
 
 
 def random_interconnect(rng):
