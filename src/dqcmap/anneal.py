@@ -38,6 +38,7 @@ from .cost import CostBreakdown, CostParams, SegmentCostEvaluator, qpu_masks
 from .hardware import ClusterTopology, QuantumSwitch, record_remote_op, record_teleport
 from .placement import (
     Assignment,
+    _left_sum,
     build_graph,
     check_fits,
     cluster_graph,
@@ -139,13 +140,12 @@ def _draws(rng: random.Random, qpu_of: list[int], masks: list[int], loads: list[
 
 
 def calibrate_t0(ev: SegmentCostEvaluator, qpu_of: list[int], masks: list[int],
-                 draws: Iterable[tuple[tuple[int, int, int], ...]],
-                 samples: int = 100) -> float:
-    """Mean |dE| over the first `samples` moves of draws, none applied, from
+                 draws: Iterable[tuple[tuple[int, int, int], ...]]) -> float:
+    """Mean |dE| over the first 100 moves of draws, none applied, from
     the assignment in qpu_of and masks; 1.0 if the neighborhood is empty or
     flat."""
-    magnitudes = [abs(ev.delta(qpu_of, masks, moved)) for moved in islice(draws, samples)]
-    mean = sum(magnitudes) / len(magnitudes) if magnitudes else 0.0
+    magnitudes = [abs(ev.delta(qpu_of, masks, moved)) for moved in islice(draws, 100)]
+    mean = _left_sum(magnitudes) / len(magnitudes) if magnitudes else 0.0
     return mean if mean > 0 else 1.0
 
 
@@ -369,10 +369,10 @@ def compile(
         prev = current
 
     totals = CostBreakdown(
-        e_inter=sum(s.costs.e_inter for s in steps),
-        e_local=sum(s.costs.e_local for s in steps),
-        e_move=sum(s.costs.e_move for s in steps),
-        e_total=sum(s.costs.e_total for s in steps),
+        e_inter=_left_sum(s.costs.e_inter for s in steps),
+        e_local=_left_sum(s.costs.e_local for s in steps),
+        e_move=_left_sum(s.costs.e_move for s in steps),
+        e_total=_left_sum(s.costs.e_total for s in steps),
         epr_pairs=sum(s.costs.epr_pairs for s in steps),
     )
     plan = Plan(steps=tuple(steps), totals=totals, epr_total=0)

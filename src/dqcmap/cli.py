@@ -25,7 +25,8 @@ from .hardware import (
     load_cluster,
     serialize_cluster,
 )
-from .harness import render_json, render_sweep_csv, run_ablate, run_map, run_sweep_ratio
+from .harness import (SCHEMA_VERSION, render_json, render_sweep_csv, run_ablate, run_map,
+                      run_sweep_ratio)
 from .placement import check_fits
 from .segmentation import SegmentationParams
 
@@ -181,10 +182,9 @@ def _seg_params(args: argparse.Namespace) -> SegmentationParams | None:
         raise InputError(str(exc)) from exc
 
 
-def _cost_params(args: argparse.Namespace, ratio: float | None = None) -> CostParams:
-    r = args.ratio if ratio is None else ratio
+def _cost_params(args: argparse.Namespace) -> CostParams:
     try:
-        return CostParams.from_ratio(r, gamma1=args.gamma1, gamma2=args.gamma2,
+        return CostParams.from_ratio(args.ratio, gamma1=args.gamma1, gamma2=args.gamma2,
                                      gamma3=args.gamma3)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -319,7 +319,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                                cost_params=_cost_params(args), decay=decay)
         _require_finite(rows)
         if args.format == "json":
-            _emit(render_json({"schema_version": 1, "rows": rows}), args.out)
+            _emit(render_json({"schema_version": SCHEMA_VERSION, "rows": rows}), args.out)
         else:
             _emit(render_sweep_csv(rows), args.out)
         return EXIT_OK

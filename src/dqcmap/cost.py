@@ -435,9 +435,5 @@ class SegmentCostEvaluator:
                 return lb
         x1 = local(p1, new1)[0] if h1 else c1
         x2 = local(p2, new2)[0] if h2 else c2
-        d_local = x1 - c1
-        if q1 == q2:  # a relocation; each kind keeps its own summation order
-            d_local += x2 - c2
-        else:
-            d_local = d_local + x2 - c2
+        d_local = x1 - c1 + x2 - c2
         return cp.gamma1 * d_inter + cp.gamma2 * d_local + cp.gamma3 * d_move

@@ -237,12 +237,12 @@ def _inter_tables(n_qpus: int, links: tuple[tuple[int, int, float], ...]) -> tup
                                       f"QPU {dst} costs more than a float can hold")
             cost_row.append(c)
             hops_row.append(h)
-            chain: list[Link] = []
+            route: list[Link] = []
             node = dst
             while node != src:
-                chain.append((parent[node], node))
+                route.append((parent[node], node))
                 node = parent[node]
-            path_row.append(tuple(reversed(chain)))
+            path_row.append(tuple(reversed(route)))
         cost.append(tuple(cost_row))
         hops.append(tuple(hops_row))
         path.append(tuple(path_row))

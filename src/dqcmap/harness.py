@@ -24,6 +24,7 @@ from .segmentation import SegmentationParams
 SCHEMA_VERSION = 1
 
 ARMS = ("baseline", "L1", "L2", "L3")
+BASELINE_SAMPLES = 10
 
 
 def render_json(report: dict) -> str:
@@ -99,11 +100,10 @@ def run_map(
     seg_params: SegmentationParams | None = None,
     cost_params: CostParams | None = None,
     anneal_params: AnnealParams | None = None,
-    baseline_samples: int = 10,
     decay: float | None = None,
 ) -> dict:
     """Full pipeline on one circuit; report includes a random-placement
-    baseline (median of `baseline_samples` static draws) for context. The
+    baseline (median of BASELINE_SAMPLES static draws) for context. The
     circuit is layered and segmented once for the plan and every draw.
     decay is the interaction graph decay of the clustering (None: the
     compile default)."""
@@ -113,17 +113,17 @@ def run_map(
     plan = compile(circuit, cluster, seed=seed, cost_params=cp,
                    anneal_params=anneal_params, decay=decay, prepared=prep)
     base_totals = []
-    for i in range(baseline_samples):
+    for i in range(BASELINE_SAMPLES):
         base = compile(circuit, cluster, seed=split_seed(seed, f"baseline:{i}"),
                        cost_params=cp, initial="random", do_anneal=False,
                        prepared=prep)
         base_totals.append(base.total_cost)
-    base_median = statistics.median(base_totals) if base_totals else 0.0
+    base_median = statistics.median(base_totals)
     reduction = ((base_median - plan.total_cost) / base_median) if base_median > 0 else 0.0
     report = _run_header("map", seed, circuit, cluster, cp, prep.layered.depth)
     report.update(_plan_dict(plan))
     report["baseline"] = {
-        "samples": baseline_samples,
+        "samples": BASELINE_SAMPLES,
         "median_total": base_median,
         "reduction": reduction,
     }
@@ -175,7 +175,7 @@ def run_ablate(
     }
     report["reductions"] = {
         arm: ((base_total - plans[arm].total_cost) / base_total) if base_total > 0 else 0.0
-        for arm in ("L1", "L2", "L3")
+        for arm in ARMS[1:]
     }
     return report
 

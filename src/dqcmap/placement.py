@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -84,13 +85,20 @@ def build_graph(segments: list[Segment], decay: float, n_qubits: int) -> Interac
     return InteractionGraph(n_qubits=n_qubits, weights=weights)
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """values added left to right from the int 0, as sum() did before Python
+    3.12 made float sums compensated, so a seed's float totals match on every Python."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def edge_cut(g: InteractionGraph, a: Assignment) -> float:
     """Total weight of edges whose endpoints sit on different QPUs."""
     if a.n_qubits < g.n_qubits:
         raise ValueError("assignment does not cover the graph")
-    return sum(
-        w for (i, j), w in g.weights.items() if a.qpu_of[i] != a.qpu_of[j]
-    )
+    return _left_sum(w for (i, j), w in g.weights.items() if a.qpu_of[i] != a.qpu_of[j])
 
 
 def check_fits(n_qubits: int, cluster: ClusterTopology) -> None:
@@ -279,7 +287,7 @@ def repair_capacity(
     adj = g.adjacency()
 
     def attraction(q: int, pid: int) -> float:
-        return sum(w for o, w in adj[q] if qpu_of[o] == pid)
+        return _left_sum(w for o, w in adj[q] if qpu_of[o] == pid)
 
     def slack_ring(src: int) -> list[int]:
         """QPUs with slack at the smallest link-hop distance from src."""

@@ -1,12 +1,20 @@
 """Command line behavior, exercised in process through main(argv)."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqcmap import circuit, cli, harness
 from dqcmap.anneal import AnnealParams
@@ -14,7 +22,7 @@ from dqcmap.bench import gen_adder
 from dqcmap.circuit import parse_qasm
 from dqcmap.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from dqcmap.cost import CostParams
-from dqcmap.hardware import gen_topology, load_cluster
+from dqcmap.hardware import gen_topology, load_cluster, serialize_cluster
 from dqcmap.harness import render_json, run_map
 
 
@@ -356,8 +364,9 @@ class TestAblateAndSweep:
                                "--ratios", "3:1", "--iters", "200",
                                "--format", "json")
         assert code == EXIT_OK
-        rows = json.loads(out)["rows"]
-        assert rows[0]["ratio"] == 3.0
+        doc = json.loads(out)
+        assert doc["schema_version"] == harness.SCHEMA_VERSION
+        assert doc["rows"][0]["ratio"] == 3.0
 
     def test_bad_ratio(self, topo_file, capsys):
         code, _, err = run_cli(capsys, "sweep-ratio", "--bench", "qft",
@@ -373,3 +382,106 @@ class TestAblateAndSweep:
                                "--ratios", ratios)
         assert code == EXIT_INPUT
         assert "finite" in err
+
+
+FUZZ_QASM = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[6];
+creg c[6];
+h q;
+cx q[0],q[1];
+rz(pi/4) q[2];
+u3(0.1,-0.2,2*pi) q[3];
+cx q[3],q[4];
+barrier q;
+cp(-pi/8) q[4],q[5];
+measure q -> c;
+"""
+# Each token keeps its leading whitespace, so joining the tokens gives the text back.
+_TOKEN = re.compile(r'\s*(?:->|"[^"]*"|[\w.]+|\S)')
+FUZZ_STATEMENTS = [_TOKEN.findall(stmt + ";") for stmt in FUZZ_QASM.split(";")[:-1]]
+FUZZ_TOKENS = ["qreg", " creg", " q", "c", "[", "]", "(", ")", ",", ";", "\n", " cx", "h ",
+               "measure", "->", "barrier", "pi", "-", "/", "*", "0", "7", "999999", "1e308",
+               "nan", "inf", "OPENQASM 3.0", "gate", "{", "}", "//", "ccx"]
+FUZZ_TOPOLOGY = json.loads(serialize_cluster(gen_topology("ring", [3, 3, 4], seed=0)))
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 3, 4, 10, 2 ** 31, 2 ** 63, -(2 ** 63), 10 ** 20]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.5, -0.0, 5e-324]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 12), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b", "cost_factor", "name", "comp_capacity",
+                                     "coupling", "comm_qubits", "qpus", "links"]),
+                    st.integers(-1, 4), max_size=3),
+)
+
+
+def _json_slots(node, path=()):
+    """Every (container path, key or index) in a JSON value, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path, key
+        if isinstance(child, (dict, list)):
+            yield from _json_slots(child, (*path, key))
+
+
+class TestCliFuzz:
+    """Mutated QASM and topology inputs end in exit 0, 2 or 3, never in a
+    traceback (exit 4), and each finishes quickly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(qasm_edits=st.lists(st.tuples(st.sampled_from(["drop", "copy", "splice",
+                                                          "insert", "delete"]),
+                                         st.integers(0, 99), st.integers(0, 99),
+                                         st.integers(0, 99), st.sampled_from(FUZZ_TOKENS)),
+                               max_size=4),
+           topo_edits=st.lists(st.tuples(st.sampled_from(["set", "delete", "append"]),
+                                         st.integers(0, 999), FUZZ_VALUES), max_size=3))
+    def test_mutated_inputs_exit_cleanly(self, qasm_edits, topo_edits):
+        stmts = [list(s) for s in FUZZ_STATEMENTS]
+        for op, i, j, k, token in qasm_edits:
+            if not stmts:
+                break
+            i, j = i % len(stmts), j % len(stmts)
+            if op == "drop":
+                del stmts[i]
+            elif op == "copy":
+                stmts.insert(i, list(stmts[j]))
+            elif op == "splice":
+                stmts[i] = stmts[i][:k % (len(stmts[i]) + 1)] + stmts[j][k % (len(stmts[j]) + 1):]
+            elif op == "insert":
+                stmts[i].insert(k % (len(stmts[i]) + 1), token)
+            elif stmts[i]:
+                del stmts[i][k % len(stmts[i])]
+        topo = json.loads(json.dumps(FUZZ_TOPOLOGY))
+        for op, slot, value in topo_edits:
+            slots = list(_json_slots(topo))
+            if not slots:
+                break
+            path, key = slots[slot % len(slots)]
+            parent = topo
+            for step in path:
+                parent = parent[step]
+            if op == "set":
+                parent[key] = value
+            elif op == "delete":
+                del parent[key]
+            elif isinstance(parent, list):
+                parent.append(value)
+            else:
+                parent[f"extra{slot}"] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            qasm, topology = os.path.join(tmp, "c.qasm"), os.path.join(tmp, "t.json")
+            with open(qasm, "w") as f:
+                f.write("".join(tok for s in stmts for tok in s))
+            with open(topology, "w") as f:
+                json.dump(topo, f)
+            err = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["map", "--circuit", qasm, "--topology", topology,
+                             "--iters", "20"])
+            seconds = time.perf_counter() - start
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE), err.getvalue()
+        assert seconds < 2.0

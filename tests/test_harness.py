@@ -75,10 +75,10 @@ class TestRunMap:
 
     def test_reduction_recomputes(self):
         ct = two_qpu_line(4, 4)
-        rep = run_map(CIRC, ct, seed=9, anneal_params=FAST, baseline_samples=5)
-        assert rep["baseline"]["samples"] == 5
+        rep = run_map(CIRC, ct, seed=9, anneal_params=FAST)
+        assert rep["baseline"]["samples"] == 10
         base = []
-        for i in range(5):
+        for i in range(10):
             p = compile(CIRC, ct, seed=split_seed(9, f"baseline:{i}"),
                         initial="random", do_anneal=False)
             base.append(p.total_cost)
