@@ -8,27 +8,32 @@ segment s starts from segment s-1's final assignment and pays movement cost
 against it. The best assignment seen is returned, so the result is never
 worse than the initial one.
 
-The chain keeps the assignment as qpu_of, one qubit bitmask and one load
-per QPU, so a move's layout-cache keys are the current masks with the moved
-bits flipped. Moves come from one generator, _draws, as the transfers
-SegmentCostEvaluator.delta reads, and the samples that calibrate t0 come
-from the same generator on their own rng. An accepted move is applied in
-place. A move whose lower bound on dE (see SegmentCostEvaluator.delta) is
-positive is surely uphill, so it takes its draw before the exact dE; when
-that draw rejects the bound, the move is rejected without building the
-layouts of its new QPU sets. The random stream, every accept decision and
-the exact dE of every other move are those of evaluating every move
-exactly. A temperature that underflows to 0.0 rejects every uphill move
-after its draw, the limit of exp(-dE / T). compile builds one
-SegmentCostEvaluator per segment and reads the step's costs from the same
-cache the annealing chain filled. A plan step holds the segment, its
-qubit->QPU assignment and its costs; the intra-QPU layouts that price the
-local term stay inside the evaluator.
+The chain keeps the assignment as qpu_of, one qubit bitmask and one load per
+QPU, so a move's layout-cache keys are the current masks with the moved bits
+flipped. Beside them it keeps, per QPU, what only an accepted move changes
+(Fiduccia-Mattheyses-style bookkeeping): the ascending qubits not on it and
+the ascending other QPUs with slack, which the move generator _draws reads
+instead of the masks, and the (cost, W, P) of its current set, which
+SegmentCostEvaluator.delta reads instead of looking the set up. Moves come
+from _draws as the transfers delta reads, and the samples that calibrate t0
+come from the same generator on their own rng. An accepted move is applied
+in place to all of these lists. A move whose lower bound on dE (see
+SegmentCostEvaluator.delta) is positive is surely uphill, so it takes its
+draw before the exact dE; when that draw rejects the bound, the move is
+rejected without building the layouts of its new QPU sets. The random
+stream, every accept decision and the exact dE of every other move are those
+of evaluating every move exactly. A temperature that underflows to 0.0
+rejects every uphill move after its draw, the limit of exp(-dE / T). compile
+builds one SegmentCostEvaluator per segment and reads the step's costs from
+the same cache the annealing chain filled. A plan step holds the segment,
+its qubit->QPU assignment and its costs; the intra-QPU layouts that price
+the local term stay inside the evaluator.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -69,39 +74,31 @@ class AnnealParams:
             raise ValueError("iters_per_segment must be >= 1")
 
 
-def _nth_bit(mask: int, k: int) -> int:
-    """Position of the k-th lowest set bit of mask (k from 0), by bisecting
-    on the count of set bits at or below a position."""
-    lo, hi = 0, mask.bit_length() - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mask & ((2 << mid) - 1)).bit_count() > k:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _dests(loads: list[int], caps: tuple[int, ...]) -> list[list[int]]:
+    """dests[p], the QPUs other than p with slack, in ascending order, for
+    each QPU p (index 0 unused)."""
+    slack = [p for p in range(1, len(caps)) if loads[p] < caps[p]]
+    return [[]] + [[d for d in slack if d != p] for p in range(1, len(caps))]
 
 
-def _draws(rng: random.Random, qpu_of: list[int], masks: list[int], loads: list[int],
-           caps: tuple[int, ...]) -> Iterator[tuple[tuple[int, int, int], ...]]:
+def _draws(rng: random.Random, qpu_of: list[int], outside: list[list[int]],
+           dests: list[list[int]]) -> Iterator[tuple[tuple[int, int, int], ...]]:
     """Capacity-feasible moves of the assignment held in the caller's lists,
     read afresh at each draw, as transfers: ((q, from, to),) for a
     relocation, ((qa, pa, pb), (qb, pb, pa)) for a swap.
 
-    masks[p], loads[p] and caps[p] are QPU p's qubit bitmask, qubit count and
-    capacity (index 0 unused). Each kind is drawn with probability 1/2. A
-    relocation picks a uniform qubit and a uniform destination among the
-    other QPUs with slack, in ascending order; when none has slack it falls
-    back to a swap. A swap picks a uniform qubit and a uniform partner among
-    the qubits on other QPUs, in ascending order, read from the union of the
-    other QPUs' masks. Stops when a swap finds no qubit on another QPU, or at
-    once when there are fewer than 2 QPUs or no qubits.
+    outside[p] lists the qubits not on QPU p and dests[p] the other QPUs
+    with slack, both in ascending order (index 0 unused); the caller keeps
+    them current as it applies moves. Each kind is drawn with probability
+    1/2. A relocation picks a uniform qubit and a uniform destination from
+    its QPU's dests; when there is none it falls back to a swap. A swap
+    picks a uniform qubit and a uniform partner from its QPU's outside list.
+    Stops when a swap finds no qubit on another QPU, or at once when there
+    are fewer than 2 QPUs or no qubits.
     """
     n = len(qpu_of)
-    if len(caps) < 3 or n < 1:
+    if len(outside) < 3 or n < 1:
         return
-    everyone = (1 << n) - 1
-    qpus = range(1, len(caps))
     # rng.randrange(m) for an int m > 0 is CPython's _randbelow_with_getrandbits:
     # getrandbits(m.bit_length()), drawn again while >= m. It is inlined here
     # with the same calls, so the stream is randrange's.
@@ -113,38 +110,38 @@ def _draws(rng: random.Random, qpu_of: list[int], masks: list[int], loads: list[
             while q >= n:
                 q = getrandbits(kn)
             p = qpu_of[q]
-            dests = [d for d in qpus if d != p and loads[d] < caps[d]]
-            if dests:
-                m = len(dests)
+            to = dests[p]
+            if to:
+                m = len(to)
                 k = m.bit_length()
                 r = getrandbits(k)
                 while r >= m:
                     r = getrandbits(k)
-                yield ((q, p, dests[r]),)
+                yield ((q, p, to[r]),)
                 continue
         qa = getrandbits(kn)
         while qa >= n:
             qa = getrandbits(kn)
         pa = qpu_of[qa]
-        others = everyone ^ masks[pa]
-        if not others:
+        others = outside[pa]
+        m = len(others)
+        if not m:
             return
-        m = others.bit_count()
         k = m.bit_length()
         r = getrandbits(k)
         while r >= m:
             r = getrandbits(k)
-        qb = _nth_bit(others, r)
+        qb = others[r]
         pb = qpu_of[qb]
         yield ((qa, pa, pb), (qb, pb, pa))
 
 
 def calibrate_t0(ev: SegmentCostEvaluator, qpu_of: list[int], masks: list[int],
-                 draws: Iterable[tuple[tuple[int, int, int], ...]]) -> float:
+                 local: list, draws: Iterable[tuple[tuple[int, int, int], ...]]) -> float:
     """Mean |dE| over the first 100 moves of draws, none applied, from
-    the assignment in qpu_of and masks; 1.0 if the neighborhood is empty or
-    flat."""
-    magnitudes = [abs(ev.delta(qpu_of, masks, moved)) for moved in islice(draws, 100)]
+    the assignment in qpu_of, masks and local (see SegmentCostEvaluator.delta);
+    1.0 if the neighborhood is empty or flat."""
+    magnitudes = [abs(ev.delta(qpu_of, masks, local, moved)) for moved in islice(draws, 100)]
     mean = _left_sum(magnitudes) / len(magnitudes) if magnitudes else 0.0
     return mean if mean > 0 else 1.0
 
@@ -181,6 +178,14 @@ def anneal_segment(
     masks = qpu_masks(qpu_of, ev.cluster.n_qpus)
     loads = [mask.bit_count() for mask in masks]
     caps = ev.cluster.caps
+    # The chain's per-QPU state beside the masks and loads, kept current in
+    # the accept block below (index 0 unused): the qubits not on each QPU and
+    # its relocation destinations, which _draws reads, and the (cost, W, P)
+    # of its current set, which delta reads.
+    outside = [[]] + [[q for q, p in enumerate(qpu_of) if p != pid]
+                      for pid in range(1, len(masks))]
+    dests = _dests(loads, caps)
+    local = ev.local_costs(masks)
     cur_cost = ev.breakdown(init).e_total
     best = list(qpu_of)
     best_cost = cur_cost
@@ -195,7 +200,7 @@ def anneal_segment(
     t0 = ap.t0
     if t0 is None:
         t0_rng = random.Random(split_seed(ap.seed, "t0"))
-        t0 = calibrate_t0(ev, qpu_of, masks, _draws(t0_rng, qpu_of, masks, loads, caps))
+        t0 = calibrate_t0(ev, qpu_of, masks, local, _draws(t0_rng, qpu_of, outside, dests))
 
     draw = None
     random_, exp = rng.random, math.exp
@@ -212,10 +217,10 @@ def anneal_segment(
 
     delta = ev.delta
     # range comes first in zip, so no move is drawn past the last iteration.
-    for k, moved in zip(range(iters), _draws(rng, qpu_of, masks, loads, caps)):
+    for k, moved in zip(range(iters), _draws(rng, qpu_of, outside, dests)):
         temperature = t0 / (1.0 + rate * k)
         draw = None
-        de = delta(qpu_of, masks, moved, surely_rejected)
+        de = delta(qpu_of, masks, local, moved, surely_rejected)
         if draw is None and de > 0:
             draw = random_()
         accepted = draw is None or (temperature > 0 and draw < exp(-de / temperature))
@@ -229,6 +234,18 @@ def anneal_segment(
                 loads[frm] -= 1
                 loads[to] += 1
                 qpu_of[q] = to
+                insort(outside[frm], q)
+                gone = outside[to]
+                del gone[bisect_left(gone, q)]
+            p1, p2 = moved[0][1:]
+            if len(moved) == 1 and (loads[p1] == caps[p1] - 1 or loads[p2] == caps[p2]):
+                # the relocation gave p1 slack or took p2's last slot; the
+                # list is refilled in place, since _draws holds it
+                dests[:] = _dests(loads, caps)
+            # delta priced both new sets, or kept a set's core, so these
+            # lookups build no layout
+            local[p1] = ev.layout_and_local(p1, masks[p1])
+            local[p2] = ev.layout_and_local(p2, masks[p2])
             cur_cost += de
             if cur_cost < best_cost:
                 best_cost = cur_cost

@@ -296,6 +296,11 @@ class SegmentCostEvaluator:
         cache[(pid, mask)] = out
         return out
 
+    def local_costs(self, masks) -> list:
+        """The (cost, W, P) of each QPU's set in masks (see layout_and_local),
+        by QPU id; index 0 is unused and not priced."""
+        return [None] + [self.layout_and_local(p, masks[p]) for p in range(1, len(masks))]
+
     def _floor(self, pid: int, mask: int, weight: int, npairs: int) -> float:
         """The local cost of `mask` on QPU pid if it is cached, else the
         distance-rank floor cx_cost * W + swap_cost * sum_{k<P} (D[k] - 1)
@@ -348,15 +353,17 @@ class SegmentCostEvaluator:
 
     # -- incremental evaluation ----------------------------------------------
 
-    def delta(self, qpu_of: list[int], masks, moved: tuple[tuple[int, int, int], ...],
+    def delta(self, qpu_of: list[int], masks, local, moved: tuple[tuple[int, int, int], ...],
               reject: Callable[[float], bool] | None = None) -> float:
         """Objective change if the move with transfers `moved` were applied
         to the current state.
 
-        qpu_of and masks describe the current assignment and are not
-        modified; masks[p] is the bitmask of the qubits on QPU p. moved is
-        ((q, from, to),) for a relocation and ((qa, pa, pb), (qb, pb, pa))
-        for a swap.
+        qpu_of, masks and local describe the current assignment and are not
+        modified; masks[p] is the bitmask of the qubits on QPU p and local[p]
+        its (cost, W, P), layout_and_local(p, masks[p]), as local_costs
+        builds it and the annealing chain keeps it, so the current sets are
+        not looked up. moved is ((q, from, to),) for a relocation and
+        ((qa, pa, pb), (qb, pb, pa)) for a swap.
         One walk over each moved qubit's partners gives the inter and move
         terms and, for each changed QPU, its change in W and P and whether a
         moved qubit has a partner there. The layout keys of the changed QPUs
@@ -368,11 +375,11 @@ class SegmentCostEvaluator:
 
         reject, if given, is called once with a lower bound lb on the change
         before any layout of a changed QPU set is built. lb takes the exact
-        inter and move terms, the cached local costs of the current sets, and
-        for each new set its known or cached local cost or else its
-        distance-rank floor (see _floor), minus a margin of 1e-9 * (1 + the
-        sum of the terms' magnitudes) for float rounding. When reject(lb) is
-        true, delta returns lb; otherwise it returns the exact change.
+        inter and move terms, the local costs of the current sets from
+        local, and for each new set its known or cached local cost or else
+        its distance-rank floor (see _floor), minus a margin of 1e-9 * (1 +
+        the sum of the terms' magnitudes) for float rounding. When reject(lb)
+        is true, delta returns lb; otherwise it returns the exact change.
         """
         q1, p1, p2 = moved[0]
         if p1 == p2:
@@ -422,8 +429,8 @@ class SegmentCostEvaluator:
         flip = (1 << q1) | (1 << q2)
         new1, new2 = old1 ^ flip, old2 ^ flip
 
-        local = self.layout_and_local
-        (c1, w1, n1), (c2, w2, n2) = local(p1, old1), local(p2, old2)
+        c1, w1, n1 = local[p1]
+        c2, w2, n2 = local[p2]
         if reject is not None:
             f1 = self._floor(p1, new1, w1 + dw1, n1 + dp1) if h1 else c1
             f2 = self._floor(p2, new2, w2 + dw2, n2 + dp2) if h2 else c2
@@ -433,7 +440,7 @@ class SegmentCostEvaluator:
                           + cp.gamma2 * (f1 + c1 + f2 + c2))
             if reject(lb):
                 return lb
-        x1 = local(p1, new1)[0] if h1 else c1
-        x2 = local(p2, new2)[0] if h2 else c2
+        x1 = self.layout_and_local(p1, new1)[0] if h1 else c1
+        x2 = self.layout_and_local(p2, new2)[0] if h2 else c2
         d_local = x1 - c1 + x2 - c2
         return cp.gamma1 * d_inter + cp.gamma2 * d_local + cp.gamma3 * d_move

@@ -128,10 +128,13 @@ def segment(lc: LayeredCircuit, params: SegmentationParams | None = None) -> lis
         raise ValueError("top_k exceeds qubit count")
     wd = _windowed_matrix(lc, params.window)
     k = params.top_k
+    qubits = range(lc.n_qubits)
 
     def active(l: int) -> frozenset[int]:
-        scores = sorted((-wd[q][l], q) for q in range(lc.n_qubits))
-        return frozenset(q for _, q in scores[:k])
+        # A reverse sort is stable, so ties keep ascending qubit order: the k
+        # highest scores, ties toward the lower index.
+        col = [row[l] for row in wd]
+        return frozenset(sorted(qubits, key=col.__getitem__, reverse=True)[:k])
 
     starts = [1]
     prev_set = active(1)

@@ -19,7 +19,7 @@ from dqcmap.cost import (
     qpu_masks,
 )
 from dqcmap.errors import InfeasibleError
-from dqcmap.hardware import ClusterTopology, _hub, build_cluster
+from dqcmap.hardware import _COUPLING_BUILDERS, ClusterTopology, _hub, build_cluster
 from dqcmap.placement import Assignment, random_placement
 from dqcmap.segmentation import Segment, SegmentationParams
 
@@ -36,6 +36,18 @@ def line_coupling(k: int) -> list[list[int]]:
 
 def full_coupling(k: int) -> list[list[int]]:
     return [[i, j] for i in range(k) for j in range(i + 1, k)]
+
+
+def coupled_cluster(coupling: str, caps) -> ClusterTopology:
+    """QPUs of the given capacities, each with the named coupling map
+    (line, ring, grid, heavy_hex_like or complete), on a line interconnect
+    with unequal cost factors."""
+    qpus = [{"name": f"q{i}", "comp_capacity": c, "comm_qubits": 1,
+             "coupling": (full_coupling(c) if coupling == "complete"
+                          else [list(e) for e in _COUPLING_BUILDERS[coupling](c)])}
+            for i, c in enumerate(caps)]
+    links = [{"a": p, "b": p + 1, "cost_factor": 1.0 + 0.5 * p} for p in range(1, len(caps))]
+    return build_cluster(qpus, links)
 
 
 def two_qpu_line(cap_a: int, cap_b: int, cost_factor: float = 1.0) -> ClusterTopology:
@@ -146,7 +158,8 @@ def total(a: Assignment, seg: Segment, prev: Assignment | None,
 def delta_total(ev: SegmentCostEvaluator, a: Assignment, moved) -> float:
     """Incremental objective change of the move with transfers `moved`
     applied to assignment `a`."""
-    return ev.delta(list(a.qpu_of), qpu_masks(a.qpu_of, ev.cluster.n_qpus), moved)
+    masks = qpu_masks(a.qpu_of, ev.cluster.n_qpus)
+    return ev.delta(list(a.qpu_of), masks, ev.local_costs(masks), moved)
 
 
 def _members(mask: int) -> list[int]:
@@ -245,15 +258,90 @@ def propose(qpu_of: list[int], caps: list[int], rng: random.Random):
     return ((qa, qpu_of[qa], qpu_of[qb]), (qb, qpu_of[qb], qpu_of[qa]))
 
 
+def _nth_bit(mask: int, k: int) -> int:
+    """Position of the k-th lowest set bit of mask (k from 0), by bisecting
+    on the count of set bits at or below a position."""
+    lo, hi = 0, mask.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((2 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def reference_draws(rng: random.Random, qpu_of: list[int], masks: list[int],
+                    loads: list[int], caps: tuple[int, ...]):
+    """Reference for anneal._draws that reads the assignment from qpu_of and
+    each QPU's qubit mask, load and capacity (index 0 unused), afresh at each
+    draw, with the same rng calls: a relocation's destinations are listed
+    from the loads, and a swap's partner is the r-th set bit of the union of
+    the other QPUs' masks."""
+    n = len(qpu_of)
+    if len(caps) < 3 or n < 1:
+        return
+    everyone = (1 << n) - 1
+    qpus = range(1, len(caps))
+    random_, getrandbits = rng.random, rng.getrandbits
+    kn = n.bit_length()
+    while True:
+        if random_() < 0.5:
+            q = getrandbits(kn)
+            while q >= n:
+                q = getrandbits(kn)
+            p = qpu_of[q]
+            dests = [d for d in qpus if d != p and loads[d] < caps[d]]
+            if dests:
+                m = len(dests)
+                k = m.bit_length()
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                yield ((q, p, dests[r]),)
+                continue
+        qa = getrandbits(kn)
+        while qa >= n:
+            qa = getrandbits(kn)
+        pa = qpu_of[qa]
+        others = everyone ^ masks[pa]
+        if not others:
+            return
+        m = others.bit_count()
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        qb = _nth_bit(others, r)
+        pb = qpu_of[qb]
+        yield ((qa, pa, pb), (qb, pb, pa))
+
+
+def _scan_draw_lists(qpu_of: list[int], caps, outside: list, dests: list) -> None:
+    """Fill outside and dests, as anneal._draws reads them, in place by
+    scanning qpu_of: outside[p] the qubits not on QPU p, dests[p] the other
+    QPUs with room, both ascending (index 0 unused)."""
+    qpus = range(1, len(caps))
+    outside[:] = [[]] + [[q for q, on in enumerate(qpu_of) if on != p] for p in qpus]
+    dests[:] = [[]] + [[d for d in qpus if d != p and qpu_of.count(d) < caps[d]]
+                       for p in qpus]
+
+
 def chain_lists(a: Assignment, cluster: ClusterTopology):
-    """The lists anneal._draws reads for assignment a: qpu_of, and each
-    QPU's qubit mask, load and capacity, indexed by QPU id (index 0 unused)."""
+    """The lists of an annealing chain at assignment a: qpu_of, and each
+    QPU's qubit mask, load and capacity, outside list and destinations,
+    indexed by QPU id (index 0 unused). anneal._draws reads qpu_of, outside
+    and dests; reference_draws reads qpu_of, masks, loads and caps."""
     qpu_of = list(a.qpu_of)
     masks = qpu_masks(qpu_of, cluster.n_qpus)
-    return qpu_of, masks, [m.bit_count() for m in masks], cluster.caps
+    outside: list = []
+    dests: list = []
+    _scan_draw_lists(qpu_of, cluster.caps, outside, dests)
+    return qpu_of, masks, [m.bit_count() for m in masks], cluster.caps, outside, dests
 
 
-def apply_moved(moved, qpu_of: list[int], masks: list[int], loads: list[int]) -> None:
+def apply_moved(moved, qpu_of: list[int], masks: list[int], loads: list[int],
+                caps, outside: list, dests: list) -> None:
     """Apply a move's transfers to the lists of chain_lists, in place."""
     for q, frm, to in moved:
         masks[frm] ^= 1 << q
@@ -261,6 +349,7 @@ def apply_moved(moved, qpu_of: list[int], masks: list[int], loads: list[int]) ->
         loads[frm] -= 1
         loads[to] += 1
         qpu_of[q] = to
+    _scan_draw_lists(qpu_of, caps, outside, dests)
 
 
 def traced_temperatures(t0: float, rate: float, iters: int) -> list[float]:

@@ -209,13 +209,13 @@ def test_criterion_3_delta_consistency(acceptance):
     worst = 0.0
     for i, (n, cluster, seg0, prev) in enumerate(contexts):
         ev = SegmentCostEvaluator(cluster, seg0, CostParams(), prev=prev)
-        qpu_of, masks, loads, caps = chain_lists(random_placement(n, cluster, seed=40 + i),
-                                                 cluster)
-        draws = _draws(random.Random(1000 + i), qpu_of, masks, loads, caps)
+        lists = chain_lists(random_placement(n, cluster, seed=40 + i), cluster)
+        qpu_of, masks, loads, caps, outside, dests = lists
+        draws = _draws(random.Random(1000 + i), qpu_of, outside, dests)
         before = ev.breakdown(Assignment(tuple(qpu_of))).e_total
         for moved in islice(draws, per_ctx):
-            d = ev.delta(qpu_of, masks, moved)
-            apply_moved(moved, qpu_of, masks, loads)
+            d = ev.delta(qpu_of, masks, ev.local_costs(masks), moved)
+            apply_moved(moved, *lists)
             after = ev.breakdown(Assignment(tuple(qpu_of))).e_total
             full = after - before
             err = abs(d - full) / max(1.0, abs(full))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqcmap import anneal
 from dqcmap.anneal import (
     AnnealParams,
     TraceEntry,
@@ -33,12 +34,15 @@ from conftest import (
     brute_force_optimum,
     chain_lists,
     cost_params,
+    coupled_cluster,
     cx_chain,
     line_coupling,
     propose,
     random_case,
+    reference_draws,
     total,
     traced_temperatures,
+    triangle_cluster,
     two_qpu_line,
 )
 
@@ -88,9 +92,10 @@ class TestPropose:
 
     def test_moves_stay_feasible(self):
         ct = two_qpu_line(2, 3)
-        qpu_of, masks, loads, caps = chain_lists(random_placement(4, ct, seed=2), ct)
+        lists = chain_lists(random_placement(4, ct, seed=2), ct)
+        qpu_of, masks, loads, caps, outside, dests = lists
         drawn = 0
-        for moved in islice(_draws(random.Random(1), qpu_of, masks, loads, caps), 500):
+        for moved in islice(_draws(random.Random(1), qpu_of, outside, dests), 500):
             q, frm, to = moved[0]
             assert frm == qpu_of[q] != to
             if len(moved) == 1:
@@ -98,7 +103,7 @@ class TestPropose:
             else:
                 qb = moved[1][0]
                 assert moved[1] == (qb, to, frm) and qpu_of[qb] == to
-            apply_moved(moved, qpu_of, masks, loads)
+            apply_moved(moved, *lists)
             assert masks == qpu_masks(qpu_of, ct.n_qpus)
             for p in (1, 2):
                 assert masks[p].bit_count() == loads[p] <= caps[p]
@@ -109,7 +114,8 @@ class TestPropose:
         # both kinds always available here; equal weights give p = 1/2,
         # checked against a 3 sigma binomial band
         ct = two_qpu_line(3, 3)
-        draws = _draws(random.Random(11), *chain_lists(Assignment((1, 1, 2, 2)), ct))
+        qpu_of, _, _, _, outside, dests = chain_lists(Assignment((1, 1, 2, 2)), ct)
+        draws = _draws(random.Random(11), qpu_of, outside, dests)
         n_draws = 10_000
         relocs = sum(len(moved) == 1 for moved in islice(draws, n_draws))
         sigma = math.sqrt(0.25 / n_draws)
@@ -117,7 +123,8 @@ class TestPropose:
 
     def test_full_cluster_falls_back_to_swap(self):
         ct = two_qpu_line(2, 2)
-        draws = _draws(random.Random(5), *chain_lists(Assignment((1, 1, 2, 2)), ct))
+        qpu_of, _, _, _, outside, dests = chain_lists(Assignment((1, 1, 2, 2)), ct)
+        draws = _draws(random.Random(5), qpu_of, outside, dests)
         kinds = [len(moved) for moved in islice(draws, 100)]
         assert kinds == [2] * 100
 
@@ -128,12 +135,13 @@ class TestPropose:
         # fill up, so both kinds and the fallback occur.
         ct = two_qpu_line(6, 7)
         for seed in range(20):
-            qpu_of, masks, loads, caps = chain_lists(random_placement(12, ct, seed=seed), ct)
+            lists = chain_lists(random_placement(12, ct, seed=seed), ct)
+            qpu_of, masks, loads, caps, outside, dests = lists
             ref = random.Random(seed)
             drawn = 0
-            for moved in islice(_draws(random.Random(seed), qpu_of, masks, loads, caps), 50):
+            for moved in islice(_draws(random.Random(seed), qpu_of, outside, dests), 50):
                 assert moved == propose(qpu_of, caps, ref)
-                apply_moved(moved, qpu_of, masks, loads)
+                apply_moved(moved, *lists)
                 drawn += 1
             assert drawn == 50
 
@@ -141,18 +149,20 @@ class TestPropose:
         ct = build_cluster(
             [{"name": "solo", "comp_capacity": 4,
               "coupling": line_coupling(4), "comm_qubits": 1}], [])
-        solo = _draws(random.Random(0), *chain_lists(Assignment((1, 1, 1)), ct))
+        qpu_of, _, _, _, outside, dests = chain_lists(Assignment((1, 1, 1)), ct)
+        solo = _draws(random.Random(0), qpu_of, outside, dests)
         assert list(islice(solo, 1)) == []
-        empty = _draws(random.Random(0), *chain_lists(Assignment(()), two_qpu_line(2, 2)))
+        qpu_of, _, _, _, outside, dests = chain_lists(Assignment(()), two_qpu_line(2, 2))
+        empty = _draws(random.Random(0), qpu_of, outside, dests)
         assert list(islice(empty, 1)) == []
 
     def test_calibration_positive_and_flat_fallback(self):
         ct = two_qpu_line(3, 3)
-        qpu_of, masks, loads, caps = chain_lists(Assignment((1, 1, 2, 2)), ct)
+        qpu_of, masks, _, _, outside, dests = chain_lists(Assignment((1, 1, 2, 2)), ct)
 
         def t0(ev):
-            draws = _draws(random.Random(0), qpu_of, masks, loads, caps)
-            return calibrate_t0(ev, qpu_of, masks, draws)
+            draws = _draws(random.Random(0), qpu_of, outside, dests)
+            return calibrate_t0(ev, qpu_of, masks, ev.local_costs(masks), draws)
 
         assert t0(SegmentCostEvaluator(ct, seg_of({}), CostParams())) == 1.0
         busy = SegmentCostEvaluator(ct, seg_of({(0, 2): 3, (1, 3): 1}), CostParams())
@@ -163,7 +173,8 @@ def reference_anneal(init, ev, ap, trace):
     """anneal_segment with the list-scan draw of conftest.propose, the exact
     dE of every move and no early rejection: the oracle for the
     bound-rejecting loop."""
-    qpu_of, masks, loads, caps = chain_lists(init, ev.cluster)
+    lists = chain_lists(init, ev.cluster)
+    qpu_of, masks, loads, caps, outside, dests = lists
     cur_cost = ev.breakdown(init).e_total
     best, best_cost = list(qpu_of), cur_cost
     iters = ap.iters_per_segment
@@ -172,13 +183,14 @@ def reference_anneal(init, ev, ap, trace):
     t0 = ap.t0
     if t0 is None:
         t0_rng = random.Random(split_seed(ap.seed, "t0"))
-        t0 = calibrate_t0(ev, qpu_of, masks, iter(lambda: propose(qpu_of, caps, t0_rng), None))
+        t0 = calibrate_t0(ev, qpu_of, masks, ev.local_costs(masks),
+                          iter(lambda: propose(qpu_of, caps, t0_rng), None))
     for k in range(iters):
         moved = propose(qpu_of, caps, rng)
         if moved is None:
             break
         temperature = t0 / (1.0 + rate * k)
-        de = ev.delta(qpu_of, masks, moved)
+        de = ev.delta(qpu_of, masks, ev.local_costs(masks), moved)
         if de <= 0:
             accepted, draw = True, None
         else:
@@ -187,7 +199,7 @@ def reference_anneal(init, ev, ap, trace):
         trace.append(TraceEntry(k=k, temperature=temperature, delta_e=de,
                                 draw=draw, accepted=accepted))
         if accepted:
-            apply_moved(moved, qpu_of, masks, loads)
+            apply_moved(moved, *lists)
             cur_cost += de
             if cur_cost < best_cost:
                 best_cost, best = cur_cost, list(qpu_of)
@@ -205,15 +217,16 @@ def loop_against_propose(init, ct, seg, ap, seen):
     handed = []
     exact = ev.delta
 
-    def recording(qpu_of, masks, moved, reject=None):
+    def recording(qpu_of, masks, local, moved, reject=None):
         handed.append(moved)
-        return exact(qpu_of, masks, moved, reject)
+        return exact(qpu_of, masks, local, moved, reject)
 
     ev.delta = recording
     trace: list[TraceEntry] = []
     anneal_segment(init, ev, ap, trace=trace)
     assert len(handed) == len(trace)
-    qpu_of, masks, loads, caps = chain_lists(init, ct)
+    lists = chain_lists(init, ct)
+    qpu_of, masks, loads, caps, outside, dests = lists
     twin = random.Random(split_seed(ap.seed, "chain"))
     for moved, entry in zip(handed, trace):
         peek = random.Random()
@@ -226,7 +239,7 @@ def loop_against_propose(init, ct, seg, ap, seen):
         if entry.draw is not None:
             assert twin.random() == entry.draw
         if entry.accepted:
-            apply_moved(moved, qpu_of, masks, loads)
+            apply_moved(moved, *lists)
     if len(trace) < ap.iters_per_segment:
         assert propose(qpu_of, caps, twin) is None
         seen["none"] += 1
@@ -257,6 +270,105 @@ class TestLoopDraws:
             loop_against_propose(init, ct, seg_of({tuple(sorted(p)): c
                                                    for p, c in pairs.items()}), ap, seen)
         assert all(seen.values()), seen
+
+
+class TestReferenceDraws:
+    def test_draws_match_mask_reference(self):
+        # The draw from the chain's outside and destination lists against the
+        # mask-based reference on a twin rng, both reading one chain whose
+        # moves are accepted at random: the same transfers, the same stop and
+        # the same final rng state.
+        solo = build_cluster(
+            [{"name": "solo", "comp_capacity": 4,
+              "coupling": line_coupling(4), "comm_qubits": 1}], [])
+        cases = [
+            (random_placement(12, two_qpu_line(6, 7), seed=s), two_qpu_line(6, 7))
+            for s in range(3)
+        ] + [
+            (random_placement(16, triangle_cluster(), seed=5), triangle_cluster()),
+            (random_placement(5, triangle_cluster(), seed=6), triangle_cluster()),
+            # full QPUs: every relocation falls back to a swap
+            (Assignment((1, 2, 1, 2)), two_qpu_line(2, 2)),
+            # every qubit on one QPU: a swap finds no one until one moves out
+            (Assignment((1, 1, 1)), two_qpu_line(3, 3)),
+            (Assignment((2, 2, 2, 2, 2, 2)), triangle_cluster()),
+            # a single QPU or no qubits: no move at all
+            (Assignment((1, 1, 1)), solo),
+            (Assignment(()), two_qpu_line(2, 2)),
+        ]
+        kinds = dict.fromkeys(["relocate", "swap", "stop", "accepted"], 0)
+        for i, (init, ct) in enumerate(cases):
+            lists = chain_lists(init, ct)
+            qpu_of, masks, loads, caps, outside, dests = lists
+            ours_rng, ref_rng = random.Random(i), random.Random(i)
+            ours = _draws(ours_rng, qpu_of, outside, dests)
+            ref = reference_draws(ref_rng, qpu_of, masks, loads, caps)
+            coin = random.Random(100 + i)
+            for _ in range(300):
+                moved = next(ours, None)
+                assert moved == next(ref, None)
+                if moved is None:
+                    kinds["stop"] += 1
+                    break
+                kinds["relocate" if len(moved) == 1 else "swap"] += 1
+                if coin.random() < 0.5:
+                    apply_moved(moved, *lists)
+                    kinds["accepted"] += 1
+            assert ours_rng.getstate() == ref_rng.getstate()
+        assert all(kinds.values()), kinds
+
+
+class TestChainState:
+    @pytest.mark.parametrize("coupling", ["line", "ring", "grid", "heavy_hex_like", "complete"])
+    @pytest.mark.parametrize("n", [9, 15])
+    def test_lists_stay_current(self, coupling, n, monkeypatch):
+        # Before every move of the chain and after its last one, the lists
+        # the annealer keeps beside qpu_of equal what a scan of the
+        # assignment gives: outside[p] the qubits not on p, dests[p] the
+        # other QPUs with room, and local[p] the (cost, W, P) of masks[p].
+        ct = coupled_cluster(coupling, (4, 6, 8))
+        rng = random.Random(n)
+        pairs = {(i, j): rng.randint(1, 3)
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+        ev = SegmentCostEvaluator(ct, seg_of(pairs), CostParams(),
+                                  prev=random_placement(n, ct, seed=n + 1))
+        seen = {}
+        draws = anneal._draws
+
+        def spy(rng, qpu_of, outside, dests):
+            seen.update(qpu_of=qpu_of, outside=outside, dests=dests)
+            return draws(rng, qpu_of, outside, dests)
+
+        def check():
+            qpu_of, masks, local = seen["qpu_of"], seen["masks"], seen["local"]
+            assert masks == qpu_masks(qpu_of, ct.n_qpus)
+            for p in range(1, ct.n_qpus + 1):
+                assert seen["outside"][p] == [q for q in range(n) if qpu_of[q] != p]
+                assert seen["dests"][p] == [d for d in range(1, ct.n_qpus + 1)
+                                            if d != p and qpu_of.count(d) < ct.caps[d]]
+                assert local[p] == ev.layout_and_local(p, masks[p])
+
+        exact = ev.delta
+        handed, slack = [], set()
+
+        def checking(qpu_of, masks, local, moved, reject=None):
+            seen.update(masks=masks, local=local)
+            check()
+            handed.append(moved)
+            slack.add(tuple(map(tuple, seen["dests"])))
+            return exact(qpu_of, masks, local, moved, reject)
+
+        monkeypatch.setattr(anneal, "_draws", spy)
+        ev.delta = checking
+        trace: list[TraceEntry] = []
+        anneal_segment(random_placement(n, ct, seed=n), ev,
+                       AnnealParams(cooling_rate=0.01, iters_per_segment=400, seed=n),
+                       trace=trace)
+        check()
+        # calibration's 100 moves come first; both kinds are accepted, and
+        # the QPUs with room change along the chain
+        kinds = {len(moved) for moved, e in zip(handed[100:], trace) if e.accepted}
+        assert len(trace) == 400 and kinds == {1, 2} and len(slack) > 1
 
 
 class TestIntegerDraw:

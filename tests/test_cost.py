@@ -16,17 +16,17 @@ from dqcmap.cost import (
     qpu_masks,
 )
 from dqcmap.errors import InfeasibleError
-from dqcmap.hardware import _COUPLING_BUILDERS, _hub, build_cluster
+from dqcmap.hardware import _hub, build_cluster
 from dqcmap.placement import Assignment
 from dqcmap.segmentation import Segment
 
 from conftest import (
     cost_params,
+    coupled_cluster,
     delta_total,
     e_inter,
     e_local,
     e_move,
-    full_coupling,
     full_layout_and_local,
     line_coupling,
     random_case,
@@ -286,15 +286,16 @@ class TestDelta:
             moved = swap(cur.qpu_of, data.draw(st.integers(0, n - 1)),
                          data.draw(st.integers(0, n - 1)))
         qo, masks = list(cur.qpu_of), qpu_masks(cur.qpu_of, 3)
+        local = ev.local_costs(masks)
         bounds = []
 
         def reject(lb):
             bounds.append(lb)
             return True
 
-        first = ev.delta(qo, masks, moved, reject)
-        exact = ev.delta(qo, masks, moved)
-        again = ev.delta(qo, masks, moved, reject)
+        first = ev.delta(qo, masks, local, moved, reject)
+        exact = ev.delta(qo, masks, local, moved)
+        again = ev.delta(qo, masks, local, moved, reject)
         assert exact == delta_total(ev, cur, moved)
         if not bounds:  # a null move: no bound, no change
             assert first == exact == again == 0.0
@@ -318,12 +319,7 @@ class TestDelta:
 
 
 def one_qpu(coupling: str, k: int):
-    return build_cluster(
-        [{"name": "solo", "comp_capacity": k, "comm_qubits": 1,
-          "coupling": (full_coupling(k) if coupling == "complete"
-                       else [list(e) for e in _COUPLING_BUILDERS[coupling](k)])}],
-        [],
-    )
+    return coupled_cluster(coupling, (k,))
 
 
 def members_mask(qubits) -> int:
