@@ -40,7 +40,7 @@ from itertools import islice
 
 from .circuit import Circuit, LayeredCircuit, layerize
 from .cost import CostBreakdown, CostParams, SegmentCostEvaluator, qpu_masks
-from .hardware import ClusterTopology, QuantumSwitch, record_remote_op, record_teleport
+from .hardware import ClusterTopology, QuantumSwitch
 from .placement import (
     Assignment,
     _left_sum,
@@ -295,24 +295,26 @@ class Plan:
 
 
 def replay_epr(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
-    """Walk a plan through a fresh switch, consuming EPR pairs per remote
-    gate and per teleport, one per link hop. Returns the switch."""
-    sw = cluster.fresh_switch()
+    """Replay a plan's EPR use, one pair per link hop: each qubit moved
+    between steps consumes one on every link of its path, and each cut pair
+    of a segment one per gate on every link of its path."""
+    per_link = {(a, b): 0 for a, b, _ in cluster.links}
     paths = cluster.distances.inter_path
-    prev: Assignment | None = None
+    remote_ops = teleports = 0
+    prev: tuple[int, ...] | None = None
     for step in plan.steps:
         qo = step.assignment.qpu_of
-        if prev is not None:
-            for q in range(len(qo)):
-                if prev.qpu_of[q] != qo[q]:
-                    record_teleport(sw, paths[prev.qpu_of[q]][qo[q]])
+        uses = [] if prev is None else [(paths[p][q], 1) for p, q in zip(prev, qo) if p != q]
+        teleports += len(uses)
         for (i, j), count in step.segment.pairs.items():
             if qo[i] != qo[j]:
-                path = paths[qo[i]][qo[j]]
-                for _ in range(count):
-                    record_remote_op(sw, path)
-        prev = step.assignment
-    return sw
+                uses.append((paths[qo[i]][qo[j]], count))
+                remote_ops += count
+        for path, count in uses:
+            for a, b in path:
+                per_link[(a, b) if a < b else (b, a)] += count
+        prev = qo
+    return QuantumSwitch(per_link, sum(per_link.values()), remote_ops, teleports)
 
 
 def compile(
@@ -394,5 +396,4 @@ def compile(
     )
     plan = Plan(steps=tuple(steps), totals=totals, epr_total=0)
     switch = replay_epr(plan, cluster)
-    return replace(plan, epr_total=switch.epr_consumed,
-                   per_link_epr=dict(switch.per_link_epr))
+    return replace(plan, epr_total=switch.epr_consumed, per_link_epr=switch.per_link_epr)

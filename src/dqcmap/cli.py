@@ -78,8 +78,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma1", type=float, default=1.0)
     p.add_argument("--gamma2", type=float, default=1.0)
     p.add_argument("--gamma3", type=float, default=1.0)
-    p.add_argument("--ratio", type=float, default=5.0,
-                   help="inter:intra cost ratio (default 5)")
     p.add_argument("--iters", type=int, help="annealing iterations per segment")
     p.add_argument("--t0", type=float, help="initial temperature (default: calibrated)")
     p.add_argument("--cooling-rate", type=float, help="cooling rate (default 10/iters)")
@@ -245,13 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_circuit_flags(p_abl)
     _add_topology_flags(p_abl)
     _add_param_flags(p_abl)
+    for p in (p_map, p_abl):
+        p.add_argument("--ratio", type=float, default=5.0,
+                       help="inter:intra cost ratio (default 5)")
 
-    p_sweep = sub.add_parser("sweep-ratio", help="sweep the inter:intra cost ratio")
+    # no abbreviations here, so that --ratio is refused, not read as --ratios
+    p_sweep = sub.add_parser("sweep-ratio", help="sweep the inter:intra cost ratio",
+                             allow_abbrev=False)
     _add_circuit_flags(p_sweep)
     _add_topology_flags(p_sweep)
     _add_param_flags(p_sweep)
     p_sweep.add_argument("--ratios", default="5,4,3,2,1",
                          help="comma list, each a number or N:1 form (default 5,4,3,2,1)")
+    p_sweep.set_defaults(ratio=5.0)  # for _cost_params; each --ratios entry replaces its costs
 
     p_bench = sub.add_parser("gen-bench", help="emit a benchmark circuit as OpenQASM")
     p_bench.add_argument("--bench", choices=("qft", "qaoa", "adder"), required=True)

@@ -327,7 +327,7 @@ class SegmentCostEvaluator:
     def breakdown(self, a: Assignment) -> CostBreakdown:
         cp = self.cp
         inter_cost = self.cluster.distances.inter_cost
-        inter_hops = self.cluster.distances.inter_hops
+        inter_path = self.cluster.distances.inter_path
         qo = a.qpu_of
         e_inter = 0.0
         epr = 0
@@ -335,7 +335,7 @@ class SegmentCostEvaluator:
             pi, pj = qo[i], qo[j]
             if pi != pj:
                 e_inter += c * cp.remote_op_cost * inter_cost[pi][pj]
-                epr += c * inter_hops[pi][pj]
+                epr += c * len(inter_path[pi][pj])
         e_local = 0.0
         for pid, mask in enumerate(qpu_masks(qo, self.cluster.n_qpus)):
             if mask:
@@ -346,7 +346,7 @@ class SegmentCostEvaluator:
             for q in range(len(qo)):
                 if po[q] != qo[q]:
                     e_move += cp.teleport_cost * inter_cost[po[q]][qo[q]]
-                    epr += inter_hops[po[q]][qo[q]]
+                    epr += len(inter_path[po[q]][qo[q]])
         total = cp.gamma1 * e_inter + cp.gamma2 * e_local + cp.gamma3 * e_move
         return CostBreakdown(e_inter=e_inter, e_local=e_local, e_move=e_move,
                              e_total=total, epr_pairs=epr)

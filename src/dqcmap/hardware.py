@@ -9,8 +9,8 @@ nearest-first order), each QPU's linked QPUs, and for every QPU pair the
 cheapest link path by total cost_factor (ties broken toward fewer hops,
 then lower ids, so the path and its hop count are deterministic). Every
 per-QPU table, and every row of a per-pair table, is a tuple indexed by the
-1-based QPU id, index 0 unused, so readers index them in place. EPR
-consumption is tracked on the switch, one pair per link traversed.
+1-based QPU id, index 0 unused, so readers index them in place. A
+QuantumSwitch records one EPR replay of a plan (see anneal.replay_epr).
 """
 from __future__ import annotations
 
@@ -41,40 +41,16 @@ class QPU:
     comm_qubits: int = 1
 
 
+@dataclass(frozen=True)
 class QuantumSwitch:
-    """EPR bookkeeping for the cluster interconnect.
+    """EPR use of one plan on the cluster interconnect. per_link_epr holds
+    the pairs consumed on each link, every link ascending, zeros kept, and
+    epr_consumed their total."""
 
-    Counters only; no routing logic lives here. epr_consumed grows by one per
-    link traversed, per_link_epr splits the same total by link.
-    """
-
-    def __init__(self, links: list[Link]):
-        self.per_link_epr: dict[Link, int] = {lk: 0 for lk in sorted(links)}
-        self.epr_consumed = 0
-        self.remote_ops = 0
-        self.teleports = 0
-
-    def _consume(self, link_path: tuple[Link, ...]) -> None:
-        if not link_path:
-            raise ValueError("empty link path")
-        for a, b in link_path:
-            key = (a, b) if a < b else (b, a)
-            if key not in self.per_link_epr:
-                raise ValueError(f"unknown link {key}")
-            self.per_link_epr[key] += 1
-            self.epr_consumed += 1
-
-
-def record_remote_op(switch: QuantumSwitch, link_path: tuple[Link, ...]) -> None:
-    """Account one remote two-qubit gate routed along link_path."""
-    switch._consume(link_path)
-    switch.remote_ops += 1
-
-
-def record_teleport(switch: QuantumSwitch, link_path: tuple[Link, ...]) -> None:
-    """Account one qubit teleport routed along link_path."""
-    switch._consume(link_path)
-    switch.teleports += 1
+    per_link_epr: dict[Link, int]
+    epr_consumed: int
+    remote_ops: int
+    teleports: int
 
 
 @dataclass(frozen=True)
@@ -85,8 +61,8 @@ class DistanceTables:
 
     intra[p][i][j]: coupling-graph hops between physical qubits i, j of QPU p.
     inter_cost[p][q]: cheapest total cost_factor between QPUs p and q.
-    inter_hops[p][q]: links on that cheapest path.
-    inter_path[p][q]: the path itself as a tuple of links, in travel order.
+    inter_path[p][q]: the links of that path, in travel order; its length is
+    the hop count.
     hubs[p]: the physical qubit of QPU p of highest coupling degree (see _hub).
     ranks[p]: (cum, extra) of QPU p's physical pairs by coupling distance
     (see _distance_ranks).
@@ -97,7 +73,6 @@ class DistanceTables:
 
     intra: tuple[tuple[tuple[int, ...], ...], ...]
     inter_cost: tuple[tuple[float, ...], ...]
-    inter_hops: tuple[tuple[int, ...], ...]
     inter_path: tuple[tuple[tuple[Link, ...], ...], ...]
     hubs: tuple[int, ...]
     ranks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -108,8 +83,7 @@ class DistanceTables:
 @dataclass(frozen=True)
 class ClusterTopology:
     """Validated cluster: QPUs, links and distance tables. caps[p] is the
-    comp_capacity of QPU p (caps[0] = 0, unused). EPR accounting runs on a
-    switch from fresh_switch()."""
+    comp_capacity of QPU p (caps[0] = 0, unused)."""
 
     qpus: tuple[QPU, ...]
     links: tuple[tuple[int, int, float], ...]  # (a, b, cost_factor), a < b
@@ -128,9 +102,6 @@ class ClusterTopology:
         if not 1 <= pid <= len(self.qpus):
             raise ValueError(f"no QPU with id {pid}")
         return self.qpus[pid - 1]
-
-    def fresh_switch(self) -> QuantumSwitch:
-        return QuantumSwitch([(a, b) for a, b, _ in self.links])
 
 
 def _bfs_hops(n: int, adj: dict[int, list[int]], start: int) -> list[int]:
@@ -200,7 +171,7 @@ def _near(table) -> tuple[tuple[int, ...], ...]:
 
 
 def _inter_tables(n_qpus: int, links: tuple[tuple[int, int, float], ...]) -> tuple:
-    """(inter_cost, inter_hops, inter_path, neighbors), indexed by QPU id (see
+    """(inter_cost, inter_path, neighbors), indexed by QPU id (see
     DistanceTables)."""
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n_qpus + 1)]
     for a, b, c in links:
@@ -209,7 +180,6 @@ def _inter_tables(n_qpus: int, links: tuple[tuple[int, int, float], ...]) -> tup
     for row in adj:
         row.sort()
     cost: list[tuple[float, ...]] = [()]
-    hops: list[tuple[int, ...]] = [()]
     path: list[tuple[tuple[Link, ...], ...]] = [()]
     for src in range(1, n_qpus + 1):
         best: dict[int, tuple[float, int]] = {src: (0.0, 0)}
@@ -227,16 +197,15 @@ def _inter_tables(n_qpus: int, links: tuple[tuple[int, int, float], ...]) -> tup
                     best[v] = cand
                     parent[v] = u
                     heapq.heappush(heap, (cand[0], cand[1], v))
-        cost_row, hops_row, path_row = [0.0], [0], [()]
+        cost_row, path_row = [0.0], [()]
         for dst in range(1, n_qpus + 1):
             if dst not in best:
                 raise ValidationError("interconnect graph is not connected")
-            c, h = best[dst]
+            c = best[dst][0]
             if math.isinf(c):
                 raise ValidationError(f"topology: the cheapest path from QPU {src} to "
                                       f"QPU {dst} costs more than a float can hold")
             cost_row.append(c)
-            hops_row.append(h)
             route: list[Link] = []
             node = dst
             while node != src:
@@ -244,10 +213,9 @@ def _inter_tables(n_qpus: int, links: tuple[tuple[int, int, float], ...]) -> tup
                 node = parent[node]
             path_row.append(tuple(reversed(route)))
         cost.append(tuple(cost_row))
-        hops.append(tuple(hops_row))
         path.append(tuple(path_row))
     neighbors = tuple(tuple(v for v, _ in row) for row in adj)
-    return tuple(cost), tuple(hops), tuple(path), neighbors
+    return tuple(cost), tuple(path), neighbors
 
 
 def _is_int(x) -> bool:
@@ -340,12 +308,12 @@ def build_cluster(
     links.sort()
 
     intra = tuple(_intra_table(p) for p in qpus)
-    cost, hops, path, neighbors = _inter_tables(len(qpus), tuple(links))
+    cost, path, neighbors = _inter_tables(len(qpus), tuple(links))
     return ClusterTopology(
         qpus=tuple(qpus),
         links=tuple(links),
-        distances=DistanceTables(intra=((), *intra), inter_cost=cost, inter_hops=hops,
-                                 inter_path=path, hubs=(0, *map(_hub, qpus)),
+        distances=DistanceTables(intra=((), *intra), inter_cost=cost, inter_path=path,
+                                 hubs=(0, *map(_hub, qpus)),
                                  ranks=((), *map(_distance_ranks, intra)),
                                  near=((), *map(_near, intra)),
                                  neighbors=neighbors),

@@ -40,12 +40,6 @@ class InteractionGraph:
             if not (math.isfinite(w) and w >= 0):
                 raise ValueError(f"edge {(i, j)} has weight {w}, not finite and >= 0")
 
-    def weight(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        key = (i, j) if i < j else (j, i)
-        return self.weights.get(key, 0.0)
-
     def adjacency(self) -> list[list[tuple[int, float]]]:
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_qubits)]
         for (i, j), w in sorted(self.weights.items()):

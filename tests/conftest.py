@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from dqcmap.anneal import AnnealParams, anneal_segment, prepare
+from dqcmap.anneal import AnnealParams, Plan, anneal_segment, prepare
 from dqcmap.circuit import Circuit, GateOp, LayeredCircuit
 from dqcmap.cost import (
     CostBreakdown,
@@ -19,8 +19,14 @@ from dqcmap.cost import (
     qpu_masks,
 )
 from dqcmap.errors import InfeasibleError
-from dqcmap.hardware import _COUPLING_BUILDERS, ClusterTopology, _hub, build_cluster
-from dqcmap.placement import Assignment, random_placement
+from dqcmap.hardware import (
+    _COUPLING_BUILDERS,
+    ClusterTopology,
+    QuantumSwitch,
+    _hub,
+    build_cluster,
+)
+from dqcmap.placement import Assignment, InteractionGraph, random_placement
 from dqcmap.segmentation import Segment, SegmentationParams
 
 
@@ -373,6 +379,47 @@ def accept_probability(delta_e: float, temperature: float) -> float:
     if delta_e <= 0:
         return 1.0
     return math.exp(-delta_e / temperature)
+
+
+# -- graph and EPR reads, one call per pair, gate and hop -------------------
+
+def pair_weight(g: InteractionGraph, i: int, j: int) -> float:
+    """The weight of edge {i, j} of g: 0.0 when it is absent or i == j."""
+    return 0.0 if i == j else g.weights.get((min(i, j), max(i, j)), 0.0)
+
+
+def reference_replay(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
+    """anneal.replay_epr as a ledger: one call per moved qubit and one per
+    remote gate, each consuming one pair on every link of its travel-order
+    path, looked up as (min, max)."""
+    per_link = {(a, b): 0 for a, b, _ in cluster.links}
+    calls = {"epr": 0, "remote": 0, "teleport": 0}
+
+    def consume(path, kind: str) -> None:
+        if not path:
+            raise ValueError("empty link path")
+        for a, b in path:
+            key = (min(a, b), max(a, b))
+            if key not in per_link:
+                raise ValueError(f"unknown link {key}")
+            per_link[key] += 1
+            calls["epr"] += 1
+        calls[kind] += 1
+
+    paths = cluster.distances.inter_path
+    prev = None
+    for step in plan.steps:
+        qo = step.assignment.qpu_of
+        if prev is not None:
+            for q in range(len(qo)):
+                if prev[q] != qo[q]:
+                    consume(paths[prev[q]][qo[q]], "teleport")
+        for (i, j), count in step.segment.pairs.items():
+            if qo[i] != qo[j]:
+                for _ in range(count):
+                    consume(paths[qo[i]][qo[j]], "remote")
+        prev = qo
+    return QuantumSwitch(per_link, calls["epr"], calls["remote"], calls["teleport"])
 
 
 # -- exhaustive reference -----------------------------------------------------

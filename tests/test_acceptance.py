@@ -38,6 +38,8 @@ from conftest import (
     e_local,
     e_move,
     line_coupling,
+    pair_weight,
+    reference_replay,
     total,
     traced_temperatures,
     triangle_cluster,
@@ -106,8 +108,8 @@ def test_criterion_1_formula_suite(acceptance):
         ("jaccard overlap", jaccard(frozenset({0, 1}), frozenset({1, 2})), 1 / 3),
         ("jaccard empty", jaccard(frozenset(), frozenset()), 1.0),
         ("jaccard disjoint", jaccard(frozenset({0}), frozenset({1})), 0.0),
-        ("graph decayed", g_decay.weight(0, 1), 1.75),
-        ("graph undecayed", g_flat.weight(0, 1), 5.0),
+        ("graph decayed", pair_weight(g_decay, 0, 1), 1.75),
+        ("graph undecayed", pair_weight(g_flat, 0, 1), 5.0),
         ("cut split", edge_cut(InteractionGraph(2, {(0, 1): 5.0}),
                                Assignment((1, 2))), 5.0),
         ("cut together", edge_cut(InteractionGraph(2, {(0, 1): 5.0}),
@@ -356,6 +358,7 @@ def test_criterion_7_epr_accounting(acceptance):
             and plan.totals.epr_pairs == plan.epr_total
             and dict(sw.per_link_epr) == plan.per_link_epr
             and sum(sw.per_link_epr.values()) == plan.epr_total
+            and sw == reference_replay(plan, cluster)
         )
     elapsed = time.perf_counter() - start
     passed = exact == checked

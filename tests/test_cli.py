@@ -375,6 +375,15 @@ class TestAblateAndSweep:
         assert code == EXIT_INPUT
         assert "ratio" in err
 
+    def test_sweep_ratio_refuses_ratio(self, topo_file, capsys):
+        # each --ratios entry sets the inter-QPU costs, so --ratio would be
+        # ignored; nor may it pass as an abbreviation of --ratios
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-ratio", "--bench", "qft", "--size", "6", "--topology", topo_file,
+                  "--ratios", "5,2", "--iters", "20", "--ratio", "2"])
+        assert exc.value.code == EXIT_INPUT
+        assert "--ratio" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ratios", ["nan", "3,inf"])
     def test_non_finite_ratio(self, topo_file, capsys, ratios):
         code, _, err = run_cli(capsys, "sweep-ratio", "--bench", "qft",

@@ -1,4 +1,4 @@
-"""Cluster model: validation, distance tables, switch accounting, generation."""
+"""Cluster model: validation, distance tables, EPR replay, generation."""
 from __future__ import annotations
 
 import itertools
@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from dqcmap.anneal import Plan, PlanStep, compile, replay_epr
+from dqcmap.cost import CostBreakdown
 from dqcmap.errors import InfeasibleError, ValidationError
 from dqcmap.hardware import (
     _COUPLING_BUILDERS,
@@ -14,12 +16,12 @@ from dqcmap.hardware import (
     cluster_to_config,
     gen_topology,
     load_cluster,
-    record_remote_op,
-    record_teleport,
     serialize_cluster,
 )
+from dqcmap.placement import Assignment
+from dqcmap.segmentation import Segment
 
-from conftest import full_coupling, line_coupling, two_qpu_line
+from conftest import cx_chain, full_coupling, line_coupling, reference_replay, two_qpu_line
 
 
 def qpu_spec(name, cap, coupling, comm=1):
@@ -222,7 +224,7 @@ class TestInterDistances:
                 for b in range(1, p + 1):
                     c, h = oracle[(a, b)]
                     assert ct.distances.inter_cost[a][b] == pytest.approx(c, rel=1e-12)
-                    assert ct.distances.inter_hops[a][b] == h
+                    assert len(ct.distances.inter_path[a][b]) == h
 
     def test_path_reconstruction_consistent(self):
         rng = random.Random(2929)
@@ -232,19 +234,18 @@ class TestInterDistances:
             # index 0 is unused: () in a table of rows, 0 in hubs and caps,
             # and 0.0, 0 or () in column 0 of a per-pair row
             assert d.intra[0] == d.ranks[0] == d.neighbors[0] == ()
-            assert d.inter_cost[0] == d.inter_hops[0] == d.inter_path[0] == ()
+            assert d.inter_cost[0] == d.inter_path[0] == ()
             assert d.hubs[0] == ct.caps[0] == 0
             for table in (d.intra, d.hubs, d.ranks, d.neighbors, d.inter_cost,
-                          d.inter_hops, d.inter_path, ct.caps):
+                          d.inter_path, ct.caps):
                 assert len(table) == p + 1
             for a in range(1, p + 1):
                 assert ct.caps[a] == ct.qpu(a).comp_capacity
                 assert d.neighbors[a] == tuple(sorted(
                     y if x == a else x for x, y in edges if a in (x, y)))
-                assert (d.inter_cost[a][0], d.inter_hops[a][0], d.inter_path[a][0]) == (0.0, 0, ())
+                assert (d.inter_cost[a][0], d.inter_path[a][0]) == (0.0, ())
                 for b in range(1, p + 1):
                     path = d.inter_path[a][b]
-                    assert len(path) == d.inter_hops[a][b]
                     node = a
                     cost = 0.0
                     for u, v in path:
@@ -265,7 +266,7 @@ class TestInterDistances:
              {"a": 2, "b": 3, "cost_factor": 1.0}],
         )
         assert ct.distances.inter_cost[1][3] == pytest.approx(2.0)
-        assert ct.distances.inter_hops[1][3] == 2
+        assert len(ct.distances.inter_path[1][3]) == 2
         assert ct.distances.inter_path[1][3] == ((1, 2), (2, 3))
 
     def test_hops_break_cost_ties(self):
@@ -278,39 +279,89 @@ class TestInterDistances:
              {"a": 2, "b": 3, "cost_factor": 1.0}],
         )
         assert ct.distances.inter_cost[1][3] == pytest.approx(2.0)
-        assert ct.distances.inter_hops[1][3] == 1
+        assert len(ct.distances.inter_path[1][3]) == 1
         assert ct.distances.inter_path[1][3] == ((1, 3),)
 
 
+def plan_of(*steps) -> Plan:
+    """A plan of (pairs, qpu_of) steps; the replay reads no costs."""
+    zero = CostBreakdown(0.0, 0.0, 0.0, 0.0, 0)
+    return Plan(steps=tuple(PlanStep(Segment(k, k, k, pairs), Assignment(qo), zero)
+                            for k, (pairs, qo) in enumerate(steps, start=1)),
+                totals=zero, epr_total=0)
+
+
+def line3():
+    return build_cluster(
+        [qpu_spec(n, 2, [[0, 1]]) for n in "abc"],
+        [{"a": 1, "b": 2, "cost_factor": 1.0}, {"a": 2, "b": 3, "cost_factor": 1.0}],
+    )
+
+
 class TestSwitch:
+    """replay_epr against the per-gate, per-hop ledger of reference_replay."""
+
     def test_counters(self):
         ct = two_qpu_line(2, 2)
-        sw = ct.fresh_switch()
-        paths = ct.distances.inter_path
-        record_remote_op(sw, paths[1][2])
-        record_remote_op(sw, paths[2][1])
-        record_teleport(sw, paths[1][2])
-        assert sw.remote_ops == 2
-        assert sw.teleports == 1
-        assert sw.epr_consumed == 3
-        assert sw.per_link_epr == {(1, 2): 3}
+        # 3 gates across the link, one pair each, then qubit 1 moves back
+        # next to qubit 0
+        plan = plan_of(({(0, 1): 3}, (1, 2)), ({(0, 1): 2}, (1, 1)))
+        sw = replay_epr(plan, ct)
+        assert (sw.remote_ops, sw.teleports, sw.epr_consumed) == (3, 1, 4)
+        assert sw.per_link_epr == {(1, 2): 4}
+        assert reference_replay(plan, ct) == sw
 
     def test_multi_hop_consumes_per_link(self):
-        ct = build_cluster(
-            [qpu_spec("a", 2, [[0, 1]]), qpu_spec("b", 2, [[0, 1]]),
-             qpu_spec("c", 2, [[0, 1]])],
-            [{"a": 1, "b": 2, "cost_factor": 1.0},
-             {"a": 2, "b": 3, "cost_factor": 1.0}],
-        )
-        sw = ct.fresh_switch()
-        record_remote_op(sw, ct.distances.inter_path[1][3])
-        assert sw.epr_consumed == 2
+        ct = line3()
+        assert ct.distances.inter_path[3][1] == ((3, 2), (2, 1))
+        # 2 gates from QPU 3 to QPU 1, then qubit 0 moves 3 -> 1
+        plan = plan_of(({(0, 1): 2}, (3, 1)), ({}, (1, 1)))
+        sw = replay_epr(plan, ct)
+        assert (sw.remote_ops, sw.teleports, sw.epr_consumed) == (2, 1, 6)
+        assert sw.per_link_epr == {(1, 2): 3, (2, 3): 3}
+        assert reference_replay(plan, ct) == sw
+
+    def test_zero_count_pair_consumes_nothing(self):
+        ct = line3()
+        plan = plan_of(({(0, 1): 0, (1, 2): 1}, (1, 3, 1)))
+        sw = replay_epr(plan, ct)
+        assert sw == reference_replay(plan, ct)
+        assert (sw.remote_ops, sw.teleports, sw.epr_consumed) == (1, 0, 2)
         assert sw.per_link_epr == {(1, 2): 1, (2, 3): 1}
 
-    def test_unknown_link_rejected(self):
-        sw = two_qpu_line(2, 2).fresh_switch()
-        with pytest.raises(ValueError, match="unknown link"):
-            record_remote_op(sw, ((1, 3),))
+    def test_empty_plan_keeps_every_link_at_zero(self):
+        ct = line3()
+        sw = replay_epr(plan_of(), ct)
+        assert sw == reference_replay(plan_of(), ct)
+        assert (sw.remote_ops, sw.teleports, sw.epr_consumed) == (0, 0, 0)
+        assert sw.per_link_epr == {(1, 2): 0, (2, 3): 0}
+        # an empty compiled plan reports no links at all
+        assert compile(cx_chain(3, []), ct, seed=0).per_link_epr == {}
+
+    @pytest.mark.parametrize("kind", ["line", "ring"])
+    @pytest.mark.parametrize("n_qpus", [3, 4, 5])
+    def test_random_plans_match_reference(self, kind, n_qpus):
+        rng = random.Random(f"{kind}{n_qpus}")
+        # on seed 17 even the 3-QPU ring routes one pair over two links
+        ct = gen_topology(kind, [2] * n_qpus, seed=17)
+        paths = ct.distances.inter_path
+        # some plan must travel a multi-hop path from a higher QPU id down
+        descending = {(p, q) for p in range(1, n_qpus + 1) for q in range(1, p)
+                      if len(paths[p][q]) > 1}
+        assert descending
+        walked = set()
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            steps = []
+            for _ in range(rng.randint(1, 4)):
+                qo = tuple(rng.randint(1, n_qpus) for _ in range(n))
+                pairs = {(i, j): rng.randint(0, 3) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < 0.5}
+                walked |= {(qo[i], qo[j]) for i, j in pairs} & descending
+                steps.append((pairs, qo))
+            plan = plan_of(*steps)
+            assert replay_epr(plan, ct) == reference_replay(plan, ct)
+        assert walked
 
 
 class TestSerialization:

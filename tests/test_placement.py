@@ -29,7 +29,7 @@ from dqcmap.placement import (
 )
 from dqcmap.segmentation import Segment
 
-from conftest import _feasible_assignments, line_coupling, two_qpu_line
+from conftest import _feasible_assignments, line_coupling, pair_weight, two_qpu_line
 
 
 def seg_with(index: int, pairs: dict) -> Segment:
@@ -42,23 +42,23 @@ class TestBuildGraph:
         segs = [seg_with(1, {(0, 1): 2}), seg_with(2, {(0, 1): 3})]
         g = build_graph(segs, math.log(2), 2)
         # 2 * exp(-ln2 * 1) + 3 * exp(-ln2 * 2) = 1 + 0.75
-        assert g.weight(0, 1) == pytest.approx(1.75, rel=1e-9)
+        assert pair_weight(g, 0, 1) == pytest.approx(1.75, rel=1e-9)
 
     def test_zero_decay_sums_counts(self):
         segs = [seg_with(1, {(0, 1): 2}), seg_with(2, {(0, 1): 3})]
         g = build_graph(segs, 0.0, 2)
-        assert g.weight(0, 1) == pytest.approx(5.0)
+        assert pair_weight(g, 0, 1) == pytest.approx(5.0)
 
     def test_silent_pair_has_no_edge(self):
         g = build_graph([seg_with(1, {(0, 1): 1})], 0.5, 3)
         assert g.n_qubits == 3  # qubit 2 has no gate and is still a vertex
         assert (0, 2) not in g.weights
-        assert g.weight(0, 2) == 0.0
+        assert pair_weight(g, 0, 2) == 0.0
 
     def test_monotone_in_counts(self):
         lo = build_graph([seg_with(1, {(0, 1): 1}), seg_with(2, {(0, 1): 4})], 0.7, 2)
         hi = build_graph([seg_with(1, {(0, 1): 2}), seg_with(2, {(0, 1): 4})], 0.7, 2)
-        assert hi.weight(0, 1) > lo.weight(0, 1)
+        assert pair_weight(hi, 0, 1) > pair_weight(lo, 0, 1)
 
     def test_default_decay(self):
         assert default_decay(6) == pytest.approx(0.5)
@@ -80,7 +80,7 @@ class TestGraphChecks:
             InteractionGraph(4, {pair: 1.0})
 
     def test_zero_weight_and_empty_accepted(self):
-        assert InteractionGraph(3, {(0, 2): 0.0}).weight(2, 0) == 0.0
+        assert pair_weight(InteractionGraph(3, {(0, 2): 0.0}), 2, 0) == 0.0
         assert InteractionGraph(0, {}).adjacency() == []
 
     @pytest.mark.parametrize("qpu_of", [(1, 1, 2), (1,)], ids=["longer", "shorter"])
@@ -323,7 +323,7 @@ def reference_refine_cut(
                     gain = (
                         gain_relocate(cur, qa, pb)
                         + gain_relocate(cur, qb, pa)
-                        - 2.0 * g.weight(qa, qb)
+                        - 2.0 * pair_weight(g, qa, qb)
                     )
                     if best is None or gain > best[0] + 1e-15:
                         best = (gain, qa, qb)
