@@ -362,8 +362,8 @@ def compile(
         segments = pattern
 
     if not segments:
-        empty = CostBreakdown(0.0, 0.0, 0.0, 0.0, 0)
-        return Plan(steps=(), totals=empty, epr_total=0)
+        empty = Plan(steps=(), totals=CostBreakdown(0.0, 0.0, 0.0, 0.0, 0), epr_total=0)
+        return replace(empty, per_link_epr=replay_epr(empty, cluster).per_link_epr)
 
     if initial == "random":
         first = random_placement(circuit.n_qubits, cluster, split_seed(seed, "init"))

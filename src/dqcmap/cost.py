@@ -125,9 +125,10 @@ def _greedy_layout(m: int, flat, table, near, hub: int) -> list[int]:
     a shape key. Members are placed in order of decreasing interaction
     weight among the core, ties toward the lower rank. The first goes to
     `hub`, the physical qubit of highest coupling degree (see
-    hardware._hub). Each later one goes to the free physical qubit that
-    minimizes the weighted coupling distance to its placed partners, ties
-    toward the lower index, or to the lowest free index if none is placed.
+    hardware._qpu_tables). Each later one goes to the free physical qubit
+    that minimizes the weighted coupling distance to its placed partners,
+    ties toward the lower index, or to the lowest free index if none is
+    placed.
     With one placed partner, on v, with count c, that score is c times v's
     distance row, so the pick is the first free qubit of near[v], the QPU's
     qubits ordered by (hops from v, index). With more, their rows in table,
@@ -310,8 +311,8 @@ class SegmentCostEvaluator:
         adjacency sum to at least those of the P closest physical pairs,
         and each pair has at least one gate. (A weak form of the
         Gilmore-Lawler bound of the quadratic assignment problem.) The sum
-        is read off the cumulative histogram (see _distance_ranks): the P
-        closest pairs are all pairs up to the distance i where cum[i]
+        is read off the cumulative histogram (see hardware._qpu_tables):
+        the P closest pairs are all pairs up to the distance i where cum[i]
         reaches P, less the cum[i] - P farthest of them, each i - 1 hops
         beyond adjacency."""
         hit = self._layout_cache.get((pid, mask))

@@ -5,7 +5,8 @@ capacity, joined by weighted interconnect links through one global switch.
 Distance tables are precomputed at load time: intra-QPU hop counts per
 coupling map, with the per-QPU constants the cost model reads beside
 them (the hub, the cumulative distance histogram and each physical qubit's
-nearest-first order), each QPU's linked QPUs, and for every QPU pair the
+nearest-first order), all four from one breadth-first sweep per physical
+qubit, then each QPU's linked QPUs, and for every QPU pair the
 cheapest link path by total cost_factor (ties broken toward fewer hops,
 then lower ids, so the path and its hop count are deterministic). Every
 per-QPU table, and every row of a per-pair table, is a tuple indexed by the
@@ -18,9 +19,7 @@ import heapq
 import json
 import math
 import sys
-from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import InfeasibleError, ValidationError
 from .seeding import component_rng
@@ -63,12 +62,16 @@ class DistanceTables:
     inter_cost[p][q]: cheapest total cost_factor between QPUs p and q.
     inter_path[p][q]: the links of that path, in travel order; its length is
     the hop count.
-    hubs[p]: the physical qubit of QPU p of highest coupling degree (see _hub).
-    ranks[p]: (cum, extra) of QPU p's physical pairs by coupling distance
-    (see _distance_ranks).
+    hubs[p]: the physical qubit of QPU p of highest coupling degree, lowest
+    index on ties.
+    ranks[p]: (cum, extra) over QPU p's physical pairs by coupling distance
+    d = 0, 1, ..., diameter: cum[d] pairs lie at most d hops apart, and
+    together they are extra[d] hops beyond adjacency. The lists grow with
+    the diameter, not with the number of pairs.
     near[p][v]: QPU p's physical qubits ordered by (hops from v, index), v
     itself first.
     neighbors[p]: the QPUs linked to QPU p, ascending.
+    _qpu_tables builds intra[p], hubs[p], ranks[p] and near[p] together.
     """
 
     intra: tuple[tuple[tuple[int, ...], ...], ...]
@@ -104,70 +107,55 @@ class ClusterTopology:
         return self.qpus[pid - 1]
 
 
-def _bfs_hops(n: int, adj: dict[int, list[int]], start: int) -> list[int]:
-    dist = [-1] * n
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def _intra_table(qpu: QPU) -> tuple[tuple[int, ...], ...]:
+def _qpu_tables(qpu: QPU) -> tuple:
+    """(intra, hub, ranks, near) of one QPU (see DistanceTables), from one
+    breadth-first sweep per physical qubit, level by level: each level's
+    qubits, ascending, extend that start's near row, and the level sizes
+    summed over every start count each pair twice for the ranks histogram.
+    Every distance is an item of one shared list, so the rows hold no int
+    objects of their own."""
     n = qpu.comp_capacity
     # A connected graph on n nodes has at least n - 1 edges; checking that
     # first bounds what is allocated here by the size of the input.
     if len(qpu.coupling) < n - 1:
         raise ValidationError(f"QPU '{qpu.name}': coupling graph is not connected")
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in qpu.coupling:
         adj[i].append(j)
         adj[j].append(i)
-    for i in adj:
-        adj[i].sort()
-    rows = []
+    depths = list(range(1, n))  # the int objects every row's distances share
+    hist = [n] + [0] * n  # ordered pairs by hops; the diameter is below n
+    intra, near = [], []
     for start in range(n):
-        dist = _bfs_hops(n, adj, start)
-        if -1 in dist:
+        dist = [-1] * n
+        dist[start] = 0
+        level = [start]
+        order = [start]
+        for d in depths:
+            nxt = []
+            for u in level:
+                for v in adj[u]:
+                    if dist[v] < 0:
+                        dist[v] = d
+                        nxt.append(v)
+            if not nxt:
+                break
+            hist[d] += len(nxt)
+            nxt.sort()
+            order += nxt
+            level = nxt
+        if len(order) < n:
             raise ValidationError(f"QPU '{qpu.name}': coupling graph is not connected")
-        rows.append(tuple(dist))
-    return tuple(rows)
-
-
-def _hub(qpu: QPU) -> int:
-    """The physical qubit of highest coupling degree, lowest index on ties."""
-    degree = [0] * qpu.comp_capacity
-    for i, j in qpu.coupling:
-        degree[i] += 1
-        degree[j] += 1
-    return max(range(qpu.comp_capacity), key=degree.__getitem__)
-
-
-def _distance_ranks(table) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(cum, extra) over a QPU's physical pairs by coupling distance
-    d = 0, 1, ..., diameter: cum[d] pairs lie at most d hops apart, and
-    together they are extra[d] hops beyond adjacency. Read from a histogram
-    of the distance table, so the lists grow with the diameter, not with the
-    number of pairs."""
-    hist = Counter(chain.from_iterable(table))  # each pair twice; d = 0 on the diagonal
+        intra.append(tuple(dist))
+        near.append(tuple(order))
     cum, extra = [0], [0]
-    for d in range(1, max(hist) + 1):
+    for d in range(1, hist.index(0)):
         pairs = hist[d] // 2
         cum.append(cum[-1] + pairs)
         extra.append(extra[-1] + pairs * (d - 1))
-    return tuple(cum), tuple(extra)
-
-
-def _near(table) -> tuple[tuple[int, ...], ...]:
-    """Per physical qubit v, all of the QPU's physical qubits ordered by
-    (hops from v, index): a stable sort of the indices by v's distance row.
-    Every row reuses the int objects of one index list."""
-    idx = list(range(len(table)))
-    return tuple(tuple(sorted(idx, key=row.__getitem__)) for row in table)
+    # coupling edges are distinct, so a list's length is the qubit's degree
+    hub = max(range(n), key=lambda v: len(adj[v]))
+    return tuple(intra), hub, (tuple(cum), tuple(extra)), tuple(near)
 
 
 def _inter_tables(n_qpus: int, links: tuple[tuple[int, int, float], ...]) -> tuple:
@@ -307,15 +295,13 @@ def build_cluster(
         links.append((key[0], key[1], float(c)))
     links.sort()
 
-    intra = tuple(_intra_table(p) for p in qpus)
+    intra, hubs, ranks, near = zip(*map(_qpu_tables, qpus))
     cost, path, neighbors = _inter_tables(len(qpus), tuple(links))
     return ClusterTopology(
         qpus=tuple(qpus),
         links=tuple(links),
         distances=DistanceTables(intra=((), *intra), inter_cost=cost, inter_path=path,
-                                 hubs=(0, *map(_hub, qpus)),
-                                 ranks=((), *map(_distance_ranks, intra)),
-                                 near=((), *map(_near, intra)),
+                                 hubs=(0, *hubs), ranks=((), *ranks), near=((), *near),
                                  neighbors=neighbors),
         caps=(0, *(p.comp_capacity for p in qpus)),
     )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter, deque
+from itertools import chain
 
 import pytest
 from hypothesis import settings
@@ -18,12 +20,12 @@ from dqcmap.cost import (
     _adjacency,
     qpu_masks,
 )
-from dqcmap.errors import InfeasibleError
+from dqcmap.errors import InfeasibleError, ValidationError
 from dqcmap.hardware import (
     _COUPLING_BUILDERS,
+    QPU,
     ClusterTopology,
     QuantumSwitch,
-    _hub,
     build_cluster,
 )
 from dqcmap.placement import Assignment, InteractionGraph, random_placement
@@ -229,7 +231,7 @@ def full_layout_and_local(ev: SegmentCostEvaluator, pid: int, mask: int) -> tupl
     table = ev.cluster.distances.intra[pid]
     pairs = sorted(ev.seg.pairs.items())
     adj = _adjacency([(i, j, c) for (i, j), c in pairs])
-    phys_of = reference_greedy_layout(_partners(mask, adj), table, _hub(ev.cluster.qpu(pid)))
+    phys_of = reference_greedy_layout(_partners(mask, adj), table, ev.cluster.distances.hubs[pid])
     cp = ev.cp
     cost, weight = 0.0, 0
     for (i, j), c in pairs:
@@ -420,6 +422,60 @@ def reference_replay(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
                     consume(paths[qo[i]][qo[j]], "remote")
         prev = qo
     return QuantumSwitch(per_link, calls["epr"], calls["remote"], calls["teleport"])
+
+
+# -- per-QPU load-time tables, one pass per table --------------------------
+
+def _bfs_hops(n: int, adj: dict[int, list[int]], start: int) -> list[int]:
+    dist = [-1] * n
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def reference_qpu_tables(qpu: QPU):
+    """(intra, hub, ranks, near) of one QPU, as DistanceTables holds them at
+    index qpu.id, each from its own pass: one BFS per physical qubit for the
+    distance rows, the hub from a degree count, ranks from a Counter over
+    every entry of the rows, and near from a stable sort of each row. Raises
+    ValidationError as build_cluster does for a disconnected coupling."""
+    n = qpu.comp_capacity
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for i, j in qpu.coupling:
+        adj[i].append(j)
+        adj[j].append(i)
+    for i in adj:
+        adj[i].sort()
+    rows = []
+    for start in range(n):
+        dist = _bfs_hops(n, adj, start)
+        if -1 in dist:
+            raise ValidationError(f"QPU '{qpu.name}': coupling graph is not connected")
+        rows.append(tuple(dist))
+    intra = tuple(rows)
+
+    degree = [0] * n
+    for i, j in qpu.coupling:
+        degree[i] += 1
+        degree[j] += 1
+    hub = max(range(n), key=degree.__getitem__)
+
+    hist = Counter(chain.from_iterable(intra))  # each pair twice; d = 0 on the diagonal
+    cum, extra = [0], [0]
+    for d in range(1, max(hist) + 1):
+        pairs = hist[d] // 2
+        cum.append(cum[-1] + pairs)
+        extra.append(extra[-1] + pairs * (d - 1))
+
+    idx = list(range(n))
+    near = tuple(tuple(sorted(idx, key=row.__getitem__)) for row in intra)
+    return intra, hub, (tuple(cum), tuple(extra)), near
 
 
 # -- exhaustive reference -----------------------------------------------------

@@ -16,7 +16,7 @@ from dqcmap.cost import (
     qpu_masks,
 )
 from dqcmap.errors import InfeasibleError
-from dqcmap.hardware import _hub, build_cluster
+from dqcmap.hardware import build_cluster
 from dqcmap.placement import Assignment
 from dqcmap.segmentation import Segment
 
@@ -125,11 +125,10 @@ class TestLocalTerm:
 
     def test_intra_layout_injective_and_bounded(self):
         ct = line3_cluster()
-        qpu = ct.qpu(1)
         dist = ct.distances
         # one pair (0, 1) with 2 gates among 3 members, in rank space
         phys_of = dict(enumerate(_greedy_layout(3, [0, 1, 2], dist.intra[1], dist.near[1],
-                                                _hub(qpu))))
+                                                dist.hubs[1])))
         assert sorted(phys_of) == [0, 1, 2]
         assert len(set(phys_of.values())) == 3
         assert all(0 <= ph < 3 for ph in phys_of.values())
@@ -470,11 +469,10 @@ class TestPartneredCore:
 
     def test_layout_of_partnerless_set_starts_on_the_hub(self):
         ct = two_qpu_line(3, 3)
-        qpu = ct.qpu(2)
         dist = ct.distances
         # qubits 2 and 3, ranks 0 and 1, with no pair
         phys_of = dict(zip((2, 3), _greedy_layout(2, [], dist.intra[2], dist.near[2],
-                                                  _hub(qpu))))
+                                                  dist.hubs[2])))
         assert phys_of == {2: 1, 3: 0}  # the middle of the line is the hub
 
 

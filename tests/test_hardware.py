@@ -21,7 +21,14 @@ from dqcmap.hardware import (
 from dqcmap.placement import Assignment
 from dqcmap.segmentation import Segment
 
-from conftest import cx_chain, full_coupling, line_coupling, reference_replay, two_qpu_line
+from conftest import (
+    cx_chain,
+    full_coupling,
+    line_coupling,
+    reference_qpu_tables,
+    reference_replay,
+    two_qpu_line,
+)
 
 
 def qpu_spec(name, cap, coupling, comm=1):
@@ -31,8 +38,12 @@ def qpu_spec(name, cap, coupling, comm=1):
 
 class TestValidation:
     def test_disconnected_coupling_rejected(self):
+        # too few edges to connect 3 qubits
         with pytest.raises(ValidationError, match="not connected"):
             build_cluster([qpu_spec("a", 3, [[0, 1]])], [])
+        # n - 1 edges, yet qubit 3 is reached from no other qubit
+        with pytest.raises(ValidationError, match="not connected"):
+            build_cluster([qpu_spec("a", 4, [[0, 1], [1, 2], [0, 2]])], [])
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValidationError):
@@ -174,6 +185,56 @@ class TestIntraDistances:
             for v, order in enumerate(near):
                 assert sorted(order) == list(range(k))
                 assert list(order) == sorted(range(k), key=lambda u: (table[v][u], u))
+
+    @pytest.mark.parametrize("kind", ["line", "ring", "grid", "heavy_hex_like", "complete"])
+    def test_tables_match_reference(self, kind):
+        for k in range(1, 14):
+            coupling = (full_coupling(k) if kind == "complete"
+                        else [list(e) for e in _COUPLING_BUILDERS[kind](k)])
+            assert_qpu_tables(build_cluster([qpu_spec("a", k, coupling)], []))
+
+    def test_tables_match_reference_on_random_couplings(self):
+        rng = random.Random(20261020)
+        for _ in range(20):
+            qpus = []
+            for pos in range(3):
+                n = rng.randint(1, 24)
+                edges = set()
+                for v in range(1, n):  # a random spanning tree, then extra edges
+                    u = rng.randrange(v)
+                    edges.add((u, v))
+                for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+                    edges.add(tuple(sorted(rng.sample(range(n), 2))))
+                qpus.append(qpu_spec(f"q{pos}", n, [list(e) for e in edges]))
+            links = [{"a": 1, "b": 2, "cost_factor": 1.0}, {"a": 2, "b": 3, "cost_factor": 1.0}]
+            assert_qpu_tables(build_cluster(qpus, links))
+
+    def test_rows_share_their_int_objects(self):
+        # a line's distances run past CPython's cached small ints, so only
+        # shared objects keep the table at one pointer per entry
+        ct = build_cluster([qpu_spec("a", 600, line_coupling(600))], [])
+        table = ct.distances.intra[1]
+        assert len({id(d) for row in table for d in row}) == 600
+
+
+def assert_qpu_tables(ct):
+    """Every QPU's intra, hub, ranks and near equal reference_qpu_tables, and
+    ranks is the (cum, extra) histogram of its distance rows."""
+    dist = ct.distances
+    for qpu in ct.qpus:
+        pid = qpu.id
+        intra, hub, ranks, near = reference_qpu_tables(qpu)
+        assert dist.intra[pid] == intra
+        assert dist.hubs[pid] == hub
+        assert dist.ranks[pid] == ranks
+        assert dist.near[pid] == near
+        n = qpu.comp_capacity
+        hops = [intra[i][j] for i in range(n) for j in range(i + 1, n)]
+        cum, extra = dist.ranks[pid]
+        assert len(cum) == len(extra) == max(hops, default=0) + 1
+        for d in range(len(cum)):
+            assert cum[d] == sum(1 for h in hops if h <= d)
+            assert extra[d] == sum(h - 1 for h in hops if h <= d)
 
 
 def random_interconnect(rng):
@@ -335,8 +396,8 @@ class TestSwitch:
         assert sw == reference_replay(plan_of(), ct)
         assert (sw.remote_ops, sw.teleports, sw.epr_consumed) == (0, 0, 0)
         assert sw.per_link_epr == {(1, 2): 0, (2, 3): 0}
-        # an empty compiled plan reports no links at all
-        assert compile(cx_chain(3, []), ct, seed=0).per_link_epr == {}
+        # a compiled plan of no gates lists every link too
+        assert compile(cx_chain(3, []), ct, seed=0).per_link_epr == {(1, 2): 0, (2, 3): 0}
 
     @pytest.mark.parametrize("kind", ["line", "ring"])
     @pytest.mark.parametrize("n_qpus", [3, 4, 5])
