@@ -58,12 +58,12 @@ from .segmentation import Segment, SegmentationParams, random_segment, segment
 class AnnealParams:
     """Knobs for one annealing chain. None means derive the default:
     t0 by sampling the initial move neighborhood, iters as 500 per qubit,
-    cooling_rate as 10 / iters."""
+    cooling_rate as 10 / iters. The chain's seed is not a knob: compile
+    derives one per segment from its run seed (see anneal_segment)."""
 
     t0: float | None = None
     cooling_rate: float | None = None
     iters_per_segment: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for fieldname in ("t0", "cooling_rate"):
@@ -167,12 +167,14 @@ def anneal_segment(
     init: Assignment,
     ev: SegmentCostEvaluator,
     ap: AnnealParams,
+    seed: int = 0,
     trace: list[TraceEntry] | None = None,
 ) -> tuple[Assignment, CostBreakdown]:
     """Refine one segment's assignment; returns the best assignment seen and
     its exact cost breakdown. ev carries the segment, the previous segment's
     assignment, the cluster and the cost parameters; its layout cache is left
-    filled for the caller. A single-QPU cluster or an assignment of no
+    filled for the caller. seed governs the chain's moves and draws and the
+    t0 calibration's samples. A single-QPU cluster or an assignment of no
     qubits is a no-op."""
     qpu_of = list(init.qpu_of)
     masks = qpu_masks(qpu_of, ev.cluster.n_qpus)
@@ -196,10 +198,10 @@ def anneal_segment(
     rate = ap.cooling_rate
     if rate is None:
         rate = 10.0 / max(iters, 1)  # no qubits: iters is 0, and nothing is drawn
-    rng = random.Random(split_seed(ap.seed, "chain"))
+    rng = random.Random(split_seed(seed, "chain"))
     t0 = ap.t0
     if t0 is None:
-        t0_rng = random.Random(split_seed(ap.seed, "t0"))
+        t0_rng = random.Random(split_seed(seed, "t0"))
         t0 = calibrate_t0(ev, qpu_of, masks, local, _draws(t0_rng, qpu_of, outside, dests))
 
     draw = None
@@ -282,11 +284,12 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class Plan:
-    """Finished compilation: one step per segment plus run totals."""
+    """Finished compilation: one step per segment, the run totals (the
+    steps' costs summed in order; totals.epr_pairs is the run's EPR count)
+    and the EPR pairs replay_epr finds on each link."""
 
     steps: tuple[PlanStep, ...]
     totals: CostBreakdown
-    epr_total: int
     per_link_epr: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
@@ -314,7 +317,7 @@ def replay_epr(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
             for a, b in path:
                 per_link[(a, b) if a < b else (b, a)] += count
         prev = qo
-    return QuantumSwitch(per_link, sum(per_link.values()), remote_ops, teleports)
+    return QuantumSwitch(per_link, remote_ops, teleports)
 
 
 def compile(
@@ -361,27 +364,22 @@ def compile(
     else:
         segments = pattern
 
-    if not segments:
-        empty = Plan(steps=(), totals=CostBreakdown(0.0, 0.0, 0.0, 0.0, 0), epr_total=0)
-        return replace(empty, per_link_epr=replay_epr(empty, cluster).per_link_epr)
-
-    if initial == "random":
-        first = random_placement(circuit.n_qubits, cluster, split_seed(seed, "init"))
-    else:
-        graph = build_graph(segments, default_decay(len(segments)) if decay is None else decay,
-                            circuit.n_qubits)
-        first = cluster_graph(graph, cluster, min(cluster.n_qpus, circuit.n_qubits))
-
     steps: list[PlanStep] = []
     prev: Assignment | None = None
-    current = first
+    if segments:  # a circuit of no two-qubit gates places nothing
+        if initial == "random":
+            current = random_placement(circuit.n_qubits, cluster, split_seed(seed, "init"))
+        else:
+            graph = build_graph(segments, default_decay(len(segments)) if decay is None
+                                else decay, circuit.n_qubits)
+            current = cluster_graph(graph, cluster, min(cluster.n_qpus, circuit.n_qubits))
     for seg_ in segments:
         ev = SegmentCostEvaluator(cluster, seg_, cp, prev=prev)
         if do_anneal:
-            # Per-segment chains draw from the run seed, not ap.seed, so one
-            # top-level seed governs the whole compilation.
-            seg_ap = replace(ap, seed=split_seed(seed, f"anneal:{seg_.index}"))
-            current, costs = anneal_segment(current, ev, seg_ap)
+            # Each segment's chain draws from the run seed, so one top-level
+            # seed governs the whole compilation.
+            current, costs = anneal_segment(current, ev, ap,
+                                            seed=split_seed(seed, f"anneal:{seg_.index}"))
         else:
             costs = ev.breakdown(current)
         steps.append(PlanStep(segment=seg_, assignment=current, costs=costs))
@@ -394,6 +392,5 @@ def compile(
         e_total=_left_sum(s.costs.e_total for s in steps),
         epr_pairs=sum(s.costs.epr_pairs for s in steps),
     )
-    plan = Plan(steps=tuple(steps), totals=totals, epr_total=0)
-    switch = replay_epr(plan, cluster)
-    return replace(plan, epr_total=switch.epr_consumed, per_link_epr=switch.per_link_epr)
+    plan = Plan(steps=tuple(steps), totals=totals)
+    return replace(plan, per_link_epr=replay_epr(plan, cluster).per_link_epr)

@@ -262,7 +262,7 @@ def parse_qasm(text: str, name: str = "circuit", max_qubits: int | None = None) 
                     raise QasmError(f"unsupported version '{stmt}'", lineno)
                 saw_version = True
                 continue
-            if stmt.startswith("include"):
+            if stmt.startswith(("include ", "include\t", 'include"')):
                 continue
             m = _REG_RE.match(stmt)
             if m:

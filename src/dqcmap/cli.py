@@ -181,9 +181,11 @@ def _seg_params(args: argparse.Namespace) -> SegmentationParams | None:
 
 
 def _cost_params(args: argparse.Namespace) -> CostParams:
+    """The gammas, at --ratio for map and ablate; sweep-ratio applies each
+    of its --ratios itself."""
     try:
-        return CostParams.from_ratio(args.ratio, gamma1=args.gamma1, gamma2=args.gamma2,
-                                     gamma3=args.gamma3)
+        cp = CostParams(gamma1=args.gamma1, gamma2=args.gamma2, gamma3=args.gamma3)
+        return cp if args.command == "sweep-ratio" else cp.with_ratio(args.ratio)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -255,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_sweep)
     p_sweep.add_argument("--ratios", default="5,4,3,2,1",
                          help="comma list, each a number or N:1 form (default 5,4,3,2,1)")
-    p_sweep.set_defaults(ratio=5.0)  # for _cost_params; each --ratios entry replaces its costs
 
     p_bench = sub.add_parser("gen-bench", help="emit a benchmark circuit as OpenQASM")
     p_bench.add_argument("--bench", choices=("qft", "qaoa", "adder"), required=True)

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InfeasibleError
 from .hardware import ClusterTopology
@@ -75,17 +75,13 @@ class CostParams:
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{fieldname} must be finite and >= 0")
 
-    @classmethod
-    def from_ratio(cls, ratio: float, **overrides) -> "CostParams":
-        """Inter:intra cost ratio r sets remote_op_cost = teleport_cost = r * cx_cost."""
+    def with_ratio(self, ratio: float) -> "CostParams":
+        """These parameters at inter:intra cost ratio r: remote_op_cost =
+        teleport_cost = r * cx_cost."""
         if not (math.isfinite(ratio) and ratio > 0):
             raise ValueError("ratio must be finite and positive")
-        base = dict(cx_cost=1.0, swap_cost=3.0)
-        base.update(overrides)
-        cx = base["cx_cost"]
-        base.setdefault("remote_op_cost", ratio * cx)
-        base.setdefault("teleport_cost", ratio * cx)
-        return cls(**base)
+        return replace(self, remote_op_cost=ratio * self.cx_cost,
+                       teleport_cost=ratio * self.cx_cost)
 
 
 @dataclass(frozen=True)
@@ -95,15 +91,6 @@ class CostBreakdown:
     e_move: float
     e_total: float
     epr_pairs: int
-
-    def as_dict(self) -> dict:
-        return {
-            "e_inter": self.e_inter,
-            "e_local": self.e_local,
-            "e_move": self.e_move,
-            "e_total": self.e_total,
-            "epr_pairs": self.epr_pairs,
-        }
 
 
 def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:

@@ -43,11 +43,10 @@ class QPU:
 @dataclass(frozen=True)
 class QuantumSwitch:
     """EPR use of one plan on the cluster interconnect. per_link_epr holds
-    the pairs consumed on each link, every link ascending, zeros kept, and
-    epr_consumed their total."""
+    the pairs consumed on each link, every link ascending, zeros kept;
+    remote_ops counts the remote gates and teleports the qubit moves."""
 
     per_link_epr: dict[Link, int]
-    epr_consumed: int
     remote_ops: int
     teleports: int
 
@@ -399,7 +398,7 @@ _COUPLING_BUILDERS = {
     "heavy_hex_like": _coupling_hex,
 }
 
-TOPOLOGY_KINDS = ("line", "ring", "grid", "heavy_hex_like")
+TOPOLOGY_KINDS = tuple(_COUPLING_BUILDERS)
 
 
 def gen_topology(kind: str, sizes: list[int], seed: int) -> ClusterTopology:

@@ -8,9 +8,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import statistics
-from dataclasses import replace
+from dataclasses import asdict
 
 from . import __version__
 from .anneal import AnnealParams, Plan, compile, prepare
@@ -50,10 +49,10 @@ def _plan_dict(plan: Plan) -> dict:
             for s in plan.steps
         ],
         "costs": [
-            dict(s.costs.as_dict(), segment=s.segment.index) for s in plan.steps
+            dict(asdict(s.costs), segment=s.segment.index) for s in plan.steps
         ],
-        "totals": plan.totals.as_dict(),
-        "epr_pairs": plan.epr_total,
+        "totals": asdict(plan.totals),
+        "epr_pairs": plan.totals.epr_pairs,
         "per_link_epr": {f"{a}-{b}": v for (a, b), v in sorted(plan.per_link_epr.items())},
     }
 
@@ -66,15 +65,7 @@ def _run_header(command: str, seed: int, circuit: Circuit,
             "command": command,
             "seed": seed,
             "version": __version__,
-            "costs": {
-                "cx_cost": cp.cx_cost,
-                "swap_cost": cp.swap_cost,
-                "remote_op_cost": cp.remote_op_cost,
-                "teleport_cost": cp.teleport_cost,
-                "gamma1": cp.gamma1,
-                "gamma2": cp.gamma2,
-                "gamma3": cp.gamma3,
-            },
+            "costs": asdict(cp),
         },
         "circuit": {
             "name": circuit.name,
@@ -167,8 +158,8 @@ def run_ablate(
     report = _run_header("ablate", seed, circuit, cluster, cp, prep.layered.depth)
     report["arms"] = {
         arm: {
-            "totals": plan.totals.as_dict(),
-            "epr_pairs": plan.epr_total,
+            "totals": asdict(plan.totals),
+            "epr_pairs": plan.totals.epr_pairs,
             "segments": len(plan.steps),
         }
         for arm, plan in plans.items()
@@ -197,18 +188,17 @@ def run_sweep_ratio(
     component magnitudes, so the intra column tracks the local overhead in
     absolute terms while the total falls with cheaper interconnects. decay
     is the interaction graph decay of the clustering (None: the compile
-    default). Each row sets remote_op_cost = teleport_cost = ratio * cx_cost
-    in cost_params (None: CostParams())."""
+    default). Each row's parameters are cost_params (None: CostParams())
+    at its ratio (see CostParams.with_ratio); a bad ratio anywhere in the
+    list is refused before any compile."""
     if not ratios:
         raise ValueError("no ratios given")
-    if not all(math.isfinite(r) and r > 0 for r in ratios):
-        raise ValueError("ratio must be finite and positive")
     base = cost_params if cost_params is not None else CostParams()
+    params = [base.with_ratio(r) for r in ratios]
     check_fits(circuit.n_qubits, cluster)
     prep = prepare(circuit, seg_params)
     rows = []
-    for r in ratios:
-        cp = replace(base, remote_op_cost=r * base.cx_cost, teleport_cost=r * base.cx_cost)
+    for r, cp in zip(ratios, params):
         plan = compile(circuit, cluster, seed=seed, cost_params=cp,
                        anneal_params=anneal_params, decay=decay, prepared=prep)
         rows.append({

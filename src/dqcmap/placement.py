@@ -80,9 +80,11 @@ def build_graph(segments: list[Segment], decay: float, n_qubits: int) -> Interac
 
 
 def _left_sum(values: Iterable[float]) -> float:
-    """values added left to right from the int 0, as sum() did before Python
-    3.12 made float sums compensated, so a seed's float totals match on every Python."""
-    total = 0
+    """values added left to right from 0.0, as sum() did before Python 3.12
+    made float sums compensated, so a seed's float totals match on every
+    Python. 0 + x and 0.0 + x are the same float, so the float start moves
+    no sum; it makes the sum of no values the float 0.0."""
+    total = 0.0
     for v in values:
         total += v
     return total

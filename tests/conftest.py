@@ -395,7 +395,7 @@ def reference_replay(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
     remote gate, each consuming one pair on every link of its travel-order
     path, looked up as (min, max)."""
     per_link = {(a, b): 0 for a, b, _ in cluster.links}
-    calls = {"epr": 0, "remote": 0, "teleport": 0}
+    calls = {"remote": 0, "teleport": 0}
 
     def consume(path, kind: str) -> None:
         if not path:
@@ -405,7 +405,6 @@ def reference_replay(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
             if key not in per_link:
                 raise ValueError(f"unknown link {key}")
             per_link[key] += 1
-            calls["epr"] += 1
         calls[kind] += 1
 
     paths = cluster.distances.inter_path
@@ -421,7 +420,7 @@ def reference_replay(plan: Plan, cluster: ClusterTopology) -> QuantumSwitch:
                 for _ in range(count):
                     consume(paths[qo[i]][qo[j]], "remote")
         prev = qo
-    return QuantumSwitch(per_link, calls["epr"], calls["remote"], calls["teleport"])
+    return QuantumSwitch(per_link, calls["remote"], calls["teleport"])
 
 
 # -- per-QPU load-time tables, one pass per table --------------------------

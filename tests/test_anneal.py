@@ -22,6 +22,7 @@ from dqcmap.anneal import (
 from dqcmap.circuit import Circuit, layerize
 from dqcmap.cost import CostParams, SegmentCostEvaluator, qpu_masks
 from dqcmap.errors import InfeasibleError
+from dqcmap.harness import render_json, run_map
 from dqcmap.hardware import build_cluster
 from dqcmap.placement import Assignment, random_placement
 from dqcmap.segmentation import Segment, segment
@@ -169,7 +170,7 @@ class TestPropose:
         assert t0(busy) > 0.0
 
 
-def reference_anneal(init, ev, ap, trace):
+def reference_anneal(init, ev, ap, seed, trace):
     """anneal_segment with the list-scan draw of conftest.propose, the exact
     dE of every move and no early rejection: the oracle for the
     bound-rejecting loop."""
@@ -179,10 +180,10 @@ def reference_anneal(init, ev, ap, trace):
     best, best_cost = list(qpu_of), cur_cost
     iters = ap.iters_per_segment
     rate = ap.cooling_rate if ap.cooling_rate is not None else 10.0 / iters
-    rng = random.Random(split_seed(ap.seed, "chain"))
+    rng = random.Random(split_seed(seed, "chain"))
     t0 = ap.t0
     if t0 is None:
-        t0_rng = random.Random(split_seed(ap.seed, "t0"))
+        t0_rng = random.Random(split_seed(seed, "t0"))
         t0 = calibrate_t0(ev, qpu_of, masks, ev.local_costs(masks),
                           iter(lambda: propose(qpu_of, caps, t0_rng), None))
     for k in range(iters):
@@ -207,7 +208,7 @@ def reference_anneal(init, ev, ap, trace):
     return final, ev.breakdown(final)
 
 
-def loop_against_propose(init, ct, seg, ap, seen):
+def loop_against_propose(init, ct, seg, ap, seed, seen):
     """Run anneal_segment, recording the transfers it hands ev.delta, and
     replay the chain with the list-scan propose on a twin rng: each move
     propose draws must be the loop's, and the twin takes a draw wherever the
@@ -223,11 +224,11 @@ def loop_against_propose(init, ct, seg, ap, seen):
 
     ev.delta = recording
     trace: list[TraceEntry] = []
-    anneal_segment(init, ev, ap, trace=trace)
+    anneal_segment(init, ev, ap, seed=seed, trace=trace)
     assert len(handed) == len(trace)
     lists = chain_lists(init, ct)
     qpu_of, masks, loads, caps, outside, dests = lists
-    twin = random.Random(split_seed(ap.seed, "chain"))
+    twin = random.Random(split_seed(seed, "chain"))
     for moved, entry in zip(handed, trace):
         peek = random.Random()
         peek.setstate(twin.getstate())
@@ -266,9 +267,9 @@ class TestLoopDraws:
             (Assignment(()), two_qpu_line(2, 2), {}),
         ]
         for i, (init, ct, pairs) in enumerate(cases):
-            ap = AnnealParams(t0=2.0, cooling_rate=0.05, iters_per_segment=200, seed=i)
+            ap = AnnealParams(t0=2.0, cooling_rate=0.05, iters_per_segment=200)
             loop_against_propose(init, ct, seg_of({tuple(sorted(p)): c
-                                                   for p, c in pairs.items()}), ap, seen)
+                                                   for p, c in pairs.items()}), ap, i, seen)
         assert all(seen.values()), seen
 
 
@@ -362,8 +363,8 @@ class TestChainState:
         ev.delta = checking
         trace: list[TraceEntry] = []
         anneal_segment(random_placement(n, ct, seed=n), ev,
-                       AnnealParams(cooling_rate=0.01, iters_per_segment=400, seed=n),
-                       trace=trace)
+                       AnnealParams(cooling_rate=0.01, iters_per_segment=400),
+                       seed=n, trace=trace)
         check()
         # calibration's 100 moves come first; both kinds are accepted, and
         # the QPUs with room change along the chain
@@ -398,23 +399,23 @@ class TestAnnealSegment:
     def test_never_worse_than_init(self):
         ct, seg, init = self._instance()
         cp = CostParams()
-        ap = AnnealParams(iters_per_segment=300, seed=4)
-        final, bd = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp), ap)
+        ap = AnnealParams(iters_per_segment=300)
+        final, bd = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp), ap, seed=4)
         assert bd.e_total <= total(init, seg, None, ct, cp).e_total + 1e-9
 
     def test_deterministic(self):
         ct, seg, init = self._instance()
-        ap = AnnealParams(iters_per_segment=300, seed=4)
-        one = anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap)
-        two = anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap)
+        ap = AnnealParams(iters_per_segment=300)
+        one = anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap, seed=4)
+        two = anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap, seed=4)
         assert one == two
 
     def test_returned_cost_is_exact(self):
         ct, seg, init = self._instance()
         prev = Assignment((1, 1, 1, 2, 2))
-        ap = AnnealParams(iters_per_segment=300, seed=9)
+        ap = AnnealParams(iters_per_segment=300)
         ev = SegmentCostEvaluator(ct, seg, CostParams(), prev=prev)
-        final, bd = anneal_segment(init, ev, ap)
+        final, bd = anneal_segment(init, ev, ap, seed=9)
         assert bd == total(final, seg, prev, ct, CostParams())
 
     def test_single_qpu_noop(self):
@@ -437,9 +438,10 @@ class TestAnnealSegment:
 
     def test_trace_obeys_acceptance_rule(self):
         ct, seg, init = self._instance()
-        ap = AnnealParams(t0=40.0, cooling_rate=0.02, iters_per_segment=500, seed=7)
+        ap = AnnealParams(t0=40.0, cooling_rate=0.02, iters_per_segment=500)
         trace: list[TraceEntry] = []
-        anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap, trace=trace)
+        anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap, seed=7,
+                       trace=trace)
         assert len(trace) == 500
         uphill_acc = uphill_rej = 0
         for e in trace:
@@ -465,11 +467,13 @@ class TestAnnealSegment:
         cp = cost_params(data)
         ap = AnnealParams(
             iters_per_segment=data.draw(st.integers(50, 400)),
-            t0=data.draw(st.sampled_from([None, 0.05, 1.0, 20.0])),
-            seed=data.draw(st.integers(0, 10_000)))
+            t0=data.draw(st.sampled_from([None, 0.05, 1.0, 20.0])))
+        seed = data.draw(st.integers(0, 10_000))
         ours, ref = [], []
-        got = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp, prev=prev), ap, trace=ours)
-        want = reference_anneal(init, SegmentCostEvaluator(ct, seg, cp, prev=prev), ap, ref)
+        got = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp, prev=prev), ap,
+                             seed=seed, trace=ours)
+        want = reference_anneal(init, SegmentCostEvaluator(ct, seg, cp, prev=prev), ap,
+                                seed, ref)
         assert got == want
         assert len(ours) == len(ref)
         for a, b in zip(ours, ref):
@@ -481,10 +485,10 @@ class TestAnnealSegment:
         # 5e-324 / (1 + 1 * k) rounds to 0.0 from k = 1 on: no division by
         # zero, every uphill move is rejected and still takes its draw
         ct, seg, init = self._instance()
-        ap = AnnealParams(t0=5e-324, cooling_rate=1.0, iters_per_segment=300, seed=3)
+        ap = AnnealParams(t0=5e-324, cooling_rate=1.0, iters_per_segment=300)
         trace: list[TraceEntry] = []
         final, bd = anneal_segment(init, SegmentCostEvaluator(ct, seg, CostParams()), ap,
-                                   trace=trace)
+                                   seed=3, trace=trace)
         assert len(trace) == 300
         assert all(e.temperature == 0.0 for e in trace[1:])
         uphill = [e for e in trace if e.delta_e > 0]
@@ -497,8 +501,8 @@ class TestAnnealSegment:
     def test_improvement_holds_for_any_seed(self, seed):
         ct, seg, init = self._instance()
         cp = CostParams()
-        ap = AnnealParams(iters_per_segment=150, seed=seed)
-        _, bd = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp), ap)
+        ap = AnnealParams(iters_per_segment=150)
+        _, bd = anneal_segment(init, SegmentCostEvaluator(ct, seg, cp), ap, seed=seed)
         assert bd.e_total <= total(init, seg, None, ct, cp).e_total + 1e-9
 
 
@@ -564,7 +568,7 @@ class TestCompile:
         two = compile(CHAIN, ct, seed=12)
         assert one.steps == two.steps
         assert one.totals == two.totals
-        assert one.epr_total == two.epr_total
+        assert one.per_link_epr == two.per_link_epr
 
     def test_totals_sum_steps(self):
         ct = two_qpu_line(3, 3)
@@ -578,9 +582,8 @@ class TestCompile:
         ct = two_qpu_line(2, 3)
         plan = compile(CHAIN, ct, seed=8)
         sw = replay_epr(plan, ct)
-        assert plan.epr_total == sw.epr_consumed
-        assert plan.epr_total == plan.totals.epr_pairs
-        assert sum(plan.per_link_epr.values()) == plan.epr_total
+        assert plan.per_link_epr == sw.per_link_epr
+        assert sum(plan.per_link_epr.values()) == plan.totals.epr_pairs
 
     def test_first_segment_pays_no_move(self):
         ct = two_qpu_line(3, 3)
@@ -609,10 +612,17 @@ class TestCompile:
             assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
 
     def test_empty_circuit_plan(self):
+        # a circuit of no gates reports its float totals as 0.0, not the int 0
         empty = Circuit(name="empty", n_qubits=3, gates=())
-        plan = compile(empty, two_qpu_line(2, 2), seed=0)
-        assert plan.steps == ()
-        assert plan.total_cost == 0.0 and plan.epr_total == 0
+        ct = two_qpu_line(2, 2)
+        for initial in ("cluster", "random"):
+            plan = compile(empty, ct, seed=0, initial=initial)
+            assert plan.steps == () and plan.per_link_epr == {(1, 2): 0}
+            for name in ("e_inter", "e_local", "e_move", "e_total"):
+                value = getattr(plan.totals, name)
+                assert type(value) is float and value == 0.0
+            assert type(plan.totals.epr_pairs) is int and plan.totals.epr_pairs == 0
+        assert '"e_total": 0.0' in render_json(run_map(empty, ct, seed=0))
 
     def test_bad_arguments(self):
         ct = two_qpu_line(3, 3)

@@ -101,6 +101,16 @@ class TestParse:
             parse_qasm("OPENQASM 2.0;\nqreg q[5];\nh q;\n", max_qubits=4)
         assert parse_qasm("OPENQASM 2.0;\nqreg q[4];\nh q;\n", max_qubits=4).n_gates == 4
 
+    def test_include_matched_as_a_keyword(self):
+        # include takes a file name after whitespace or at once; a statement
+        # that only begins with the letters is a gate, and is checked as one
+        for stmt in ('include "qelib1.inc"', 'include\t"qelib1.inc"', 'include"qelib1.inc"'):
+            c = parse_qasm(f"OPENQASM 2.0;\n{stmt};\nqreg q[2];\ncx q[0],q[1];\n")
+            assert [g.name for g in c.gates] == ["cx"]
+        with pytest.raises(QasmError, match="unsupported gate 'includes'") as info:
+            parse_qasm("OPENQASM 2.0;\nqreg q[2];\nincludes q[0];\ncx q[0],q[1];\n")
+        assert info.value.line == 3
+
 
 HEAD = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"  # the statement under test is line 4
 

@@ -235,7 +235,7 @@ class TestMap:
         code, flat, _ = run_cli(capsys, *args, "--lambda", "0")
         assert code == EXIT_OK
         want = run_map(gen_adder(16), gen_topology("line", [6, 6, 8], 0), seed=0,
-                       cost_params=CostParams.from_ratio(5.0),
+                       cost_params=CostParams().with_ratio(5.0),
                        anneal_params=AnnealParams(iters_per_segment=300), decay=0.0)
         assert flat == render_json(want)
         _, default, _ = run_cli(capsys, *args)
@@ -367,6 +367,23 @@ class TestAblateAndSweep:
         doc = json.loads(out)
         assert doc["schema_version"] == harness.SCHEMA_VERSION
         assert doc["rows"][0]["ratio"] == 3.0
+
+    def test_sweep_gammas_reach_rows(self, topo_file, capsys):
+        # a sweep row is the map run at its ratio, gammas included
+        common = ("--bench", "qft", "--size", "6", "--topology", topo_file,
+                  "--seed", "2", "--iters", "200")
+
+        def row_total(*extra):
+            code, out, _ = run_cli(capsys, "sweep-ratio", *common, "--ratios", "3",
+                                   "--format", "json", *extra)
+            assert code == EXIT_OK
+            return json.loads(out)["rows"][0]["total"]
+
+        code, out, _ = run_cli(capsys, "map", *common, "--ratio", "3", "--gamma2", "0.5")
+        assert code == EXIT_OK
+        want = json.loads(out)["totals"]["e_total"]
+        assert row_total("--gamma2", "0.5") == want
+        assert row_total() != want
 
     def test_bad_ratio(self, topo_file, capsys):
         code, _, err = run_cli(capsys, "sweep-ratio", "--bench", "qft",

@@ -52,15 +52,14 @@ def line3_cluster(cf12: float = 1.0, cf23: float = 2.0):
 
 
 class TestCostParams:
-    def test_from_ratio(self):
-        cp = CostParams.from_ratio(4)
+    def test_with_ratio(self):
+        cp = CostParams().with_ratio(4)
         assert (cp.remote_op_cost, cp.teleport_cost) == (4.0, 4.0)
         assert (cp.cx_cost, cp.swap_cost) == (1.0, 3.0)
-
-    def test_from_ratio_override_kept(self):
-        cp = CostParams.from_ratio(4, teleport_cost=9.0)
-        assert cp.teleport_cost == 9.0
-        assert cp.remote_op_cost == 4.0
+        # the ratio scales cx_cost, and every other field is kept
+        cp = CostParams(cx_cost=0.5, swap_cost=2.0, gamma2=0.25).with_ratio(4)
+        assert cp == CostParams(cx_cost=0.5, swap_cost=2.0, remote_op_cost=2.0,
+                                teleport_cost=2.0, gamma2=0.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -68,7 +67,7 @@ class TestCostParams:
         with pytest.raises(ValueError):
             CostParams(gamma2=-0.1)
         with pytest.raises(ValueError):
-            CostParams.from_ratio(0)
+            CostParams().with_ratio(0)
 
     @pytest.mark.parametrize("field", ["cx_cost", "swap_cost", "remote_op_cost",
                                        "teleport_cost", "gamma1", "gamma2", "gamma3"])
@@ -80,14 +79,7 @@ class TestCostParams:
     @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
     def test_non_finite_ratio_rejected(self, ratio):
         with pytest.raises(ValueError, match="ratio"):
-            CostParams.from_ratio(ratio)
-
-    def test_breakdown_as_dict(self):
-        seg = seg_of({(0, 1): 1})
-        bd = total(Assignment((1, 1)), seg, None, two_qpu_line(2, 2), CostParams())
-        d = bd.as_dict()
-        assert set(d) == {"e_inter", "e_local", "e_move", "e_total", "epr_pairs"}
-        assert d["e_total"] == bd.e_total
+            CostParams().with_ratio(ratio)
 
 
 class TestLocalTerm:

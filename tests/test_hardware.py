@@ -349,7 +349,7 @@ def plan_of(*steps) -> Plan:
     zero = CostBreakdown(0.0, 0.0, 0.0, 0.0, 0)
     return Plan(steps=tuple(PlanStep(Segment(k, k, k, pairs), Assignment(qo), zero)
                             for k, (pairs, qo) in enumerate(steps, start=1)),
-                totals=zero, epr_total=0)
+                totals=zero)
 
 
 def line3():
@@ -368,7 +368,7 @@ class TestSwitch:
         # next to qubit 0
         plan = plan_of(({(0, 1): 3}, (1, 2)), ({(0, 1): 2}, (1, 1)))
         sw = replay_epr(plan, ct)
-        assert (sw.remote_ops, sw.teleports, sw.epr_consumed) == (3, 1, 4)
+        assert (sw.remote_ops, sw.teleports) == (3, 1)
         assert sw.per_link_epr == {(1, 2): 4}
         assert reference_replay(plan, ct) == sw
 
@@ -378,7 +378,7 @@ class TestSwitch:
         # 2 gates from QPU 3 to QPU 1, then qubit 0 moves 3 -> 1
         plan = plan_of(({(0, 1): 2}, (3, 1)), ({}, (1, 1)))
         sw = replay_epr(plan, ct)
-        assert (sw.remote_ops, sw.teleports, sw.epr_consumed) == (2, 1, 6)
+        assert (sw.remote_ops, sw.teleports) == (2, 1)
         assert sw.per_link_epr == {(1, 2): 3, (2, 3): 3}
         assert reference_replay(plan, ct) == sw
 
@@ -387,14 +387,14 @@ class TestSwitch:
         plan = plan_of(({(0, 1): 0, (1, 2): 1}, (1, 3, 1)))
         sw = replay_epr(plan, ct)
         assert sw == reference_replay(plan, ct)
-        assert (sw.remote_ops, sw.teleports, sw.epr_consumed) == (1, 0, 2)
+        assert (sw.remote_ops, sw.teleports) == (1, 0)
         assert sw.per_link_epr == {(1, 2): 1, (2, 3): 1}
 
     def test_empty_plan_keeps_every_link_at_zero(self):
         ct = line3()
         sw = replay_epr(plan_of(), ct)
         assert sw == reference_replay(plan_of(), ct)
-        assert (sw.remote_ops, sw.teleports, sw.epr_consumed) == (0, 0, 0)
+        assert (sw.remote_ops, sw.teleports) == (0, 0)
         assert sw.per_link_epr == {(1, 2): 0, (2, 3): 0}
         # a compiled plan of no gates lists every link too
         assert compile(cx_chain(3, []), ct, seed=0).per_link_epr == {(1, 2): 0, (2, 3): 0}

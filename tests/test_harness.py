@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import statistics
+from dataclasses import asdict
 
 import pytest
 
@@ -67,8 +68,8 @@ class TestRunMap:
         ct = two_qpu_line(4, 4)
         rep = run_map(CIRC, ct, seed=3, anneal_params=FAST)
         plan = compile(CIRC, ct, seed=3, anneal_params=FAST)
-        assert rep["totals"] == plan.totals.as_dict()
-        assert rep["epr_pairs"] == plan.epr_total
+        assert rep["totals"] == asdict(plan.totals)
+        assert rep["epr_pairs"] == sum(plan.per_link_epr.values())
         for key in ("e_inter", "e_local", "e_move", "e_total"):
             assert rep["totals"][key] == pytest.approx(
                 sum(row[key] for row in rep["costs"]))
@@ -110,8 +111,8 @@ class TestRunAblate:
         rep = run_ablate(CIRC, ct, seed=2, anneal_params=FAST)
         l1 = compile(CIRC, ct, seed=2, do_anneal=False)
         l3 = compile(CIRC, ct, seed=2, anneal_params=FAST)
-        assert rep["arms"]["L1"]["totals"] == l1.totals.as_dict()
-        assert rep["arms"]["L3"]["totals"] == l3.totals.as_dict()
+        assert rep["arms"]["L1"]["totals"] == asdict(l1.totals)
+        assert rep["arms"]["L3"]["totals"] == asdict(l3.totals)
 
     def test_deterministic(self):
         ct = triangle_cluster()
@@ -127,7 +128,7 @@ class TestRunAblate:
                         ("L2", dict(anneal_params=FAST, segmentation_mode="random")),
                         ("L3", dict(anneal_params=FAST))):
             plan = compile(circ, ct, seed=1, decay=0.0, **kw)
-            assert rep["arms"][arm]["totals"] == plan.totals.as_dict()
+            assert rep["arms"][arm]["totals"] == asdict(plan.totals)
 
 
 class TestSweepRatio:
@@ -144,14 +145,14 @@ class TestSweepRatio:
         ct = two_qpu_line(4, 4)
         rows = run_sweep_ratio(CIRC, ct, ratios=[2], seed=0, anneal_params=FAST)
         direct = compile(CIRC, ct, seed=0, anneal_params=FAST,
-                         cost_params=CostParams.from_ratio(2))
+                         cost_params=CostParams().with_ratio(2))
         assert rows[0]["total"] == pytest.approx(direct.total_cost)
 
     def test_decay_reaches_compile(self):
         circ, ct = gen_adder(6), triangle_cluster()
         rows = run_sweep_ratio(circ, ct, [5.0], seed=1, anneal_params=FAST, decay=0.0)
         assert rows != run_sweep_ratio(circ, ct, [5.0], seed=1, anneal_params=FAST)
-        plan = compile(circ, ct, seed=1, cost_params=CostParams.from_ratio(5.0),
+        plan = compile(circ, ct, seed=1, cost_params=CostParams().with_ratio(5.0),
                        anneal_params=FAST, decay=0.0)
         assert rows[0]["total"] == plan.totals.e_total
 
@@ -161,8 +162,13 @@ class TestSweepRatio:
 
     @pytest.mark.parametrize("cost_params", [None, CostParams()], ids=["default", "given"])
     @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_ratio_rejected(self, cost_params, ratio):
-        # both forms check the ratio; replace() alone would accept 0
+    def test_bad_ratio_rejected(self, cost_params, ratio, monkeypatch):
+        # both forms check the ratio, and every ratio is checked before the
+        # circuit is prepared for the first compile
+        def unreachable(*args, **kwargs):
+            raise AssertionError("prepared before the ratios were checked")
+
+        monkeypatch.setattr(harness, "prepare", unreachable)
         with pytest.raises(ValueError, match="ratio"):
             run_sweep_ratio(CIRC, two_qpu_line(4, 4), [2.0, ratio],
                             anneal_params=FAST, cost_params=cost_params)
