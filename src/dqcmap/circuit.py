@@ -251,12 +251,20 @@ def parse_qasm(text: str, name: str = "circuit", max_qubits: int | None = None) 
     gates: list[GateOp] = []
     barriers: list[int] = []
     saw_version = False
+    # Per-call memos of successes only, so each error is raised where it first
+    # occurs: a gate or measure statement's gates, fixed once the registers it
+    # names exist, and each parameter text's value.
+    memo: dict[str, list[GateOp]] = {}
+    angles: dict[str, float] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
+            if (hit := memo.get(stmt)) is not None:
+                gates += hit
+                continue
             if stmt.startswith("OPENQASM"):
                 if not stmt.replace(" ", "").startswith("OPENQASM2"):
                     raise QasmError(f"unsupported version '{stmt}'", lineno)
@@ -282,7 +290,8 @@ def parse_qasm(text: str, name: str = "circuit", max_qubits: int | None = None) 
                 cs = _positions(regs["c"], "c", m.group(2), lineno)
                 if len(qs) != len(cs):
                     raise QasmError("measure operand sizes differ", lineno)
-                gates += [GateOp("measure", (q,), (), clbit=c) for q, c in zip(qs, cs)]
+                gates += memo.setdefault(stmt, [GateOp("measure", (q,), (), clbit=c)
+                                                for q, c in zip(qs, cs)])
                 continue
             if stmt == "barrier" or stmt.startswith("barrier ") or stmt.startswith("barrier\t"):
                 # Operand list ignored: every barrier is treated as full width.
@@ -299,11 +308,11 @@ def parse_qasm(text: str, name: str = "circuit", max_qubits: int | None = None) 
                 raise QasmError(
                     f"gate '{gname}' acts on 3 or more qubits; decompose first", lineno
                 )
-            params = tuple(
-                _eval_angle(p, lineno)
-                for p in (params_src.split(",") if params_src else [])
-                if p.strip()
-            )
+            items = params_src.split(",") if params_src and not params_src.isspace() else ()
+            if not all(map(str.strip, items)):
+                raise QasmError(f"blank parameter in '{stmt}'", lineno)
+            params = tuple([angles[p] if p in angles else
+                            angles.setdefault(p, _eval_angle(p, lineno)) for p in items])
             if gname not in GATES:
                 raise QasmError(f"unsupported gate '{gname}'", lineno)
             arity, want = GATES[gname]
@@ -314,8 +323,8 @@ def parse_qasm(text: str, name: str = "circuit", max_qubits: int | None = None) 
                 what = "one operand" if arity == 1 else "two indexed operands"
                 raise QasmError(f"{gname} takes {what}", lineno)
             if arity == 1:
-                gates += [GateOp(gname, (q,), params)
-                          for q in _positions(regs["q"], "q", operands[0], lineno)]
+                gates += memo.setdefault(stmt, [GateOp(gname, (q,), params) for q in
+                                                _positions(regs["q"], "q", operands[0], lineno)])
                 continue
             pair: list[int] = []
             for op in operands:
@@ -325,7 +334,7 @@ def parse_qasm(text: str, name: str = "circuit", max_qubits: int | None = None) 
                 pair += qs
             if pair[0] == pair[1]:
                 raise QasmError(f"{gname} operands must differ", lineno)
-            gates.append(GateOp(gname, tuple(pair), params))
+            gates += memo.setdefault(stmt, [GateOp(gname, tuple(pair), params)])
 
     if not saw_version:
         raise QasmError("missing OPENQASM 2.0 header", 1)

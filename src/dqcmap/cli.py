@@ -90,12 +90,9 @@ def _parse_sizes(raw: str | None) -> list[int]:
     if not raw:
         raise InputError("--gen requires --sizes")
     try:
-        sizes = [int(s) for s in raw.split(",") if s.strip()]
+        return [int(s) for s in raw.split(",")]
     except ValueError:
         raise InputError(f"--sizes must be comma-separated integers, got '{raw}'") from None
-    if not sizes:
-        raise InputError("--sizes is empty")
-    return sizes
 
 
 def _parse_ratios(raw: str) -> list[float]:
@@ -103,7 +100,7 @@ def _parse_ratios(raw: str) -> list[float]:
     for part in raw.split(","):
         part = part.strip()
         if not part:
-            continue
+            raise InputError(f"--ratios has a blank item: '{raw}'")
         if ":" in part:
             num, den = part.split(":", 1)
             try:
@@ -118,8 +115,6 @@ def _parse_ratios(raw: str) -> list[float]:
         if not (math.isfinite(val) and val > 0):
             raise InputError(f"ratio must be finite and positive, got '{part}'")
         out.append(val)
-    if not out:
-        raise InputError("no ratios given")
     return out
 
 

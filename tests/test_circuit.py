@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqcmap.bench import gen_adder, gen_qaoa, gen_qft
 from dqcmap.circuit import Circuit, GateOp, layerize, parse_qasm, serialize_qasm
 from dqcmap.errors import InfeasibleError, QasmError
 from dqcmap.segmentation import random_segment
@@ -71,6 +72,10 @@ class TestParse:
     def test_non_finite_angle_is_qasm_error(self, expr):
         with pytest.raises(QasmError, match="not a finite number"):
             parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
+
+    def test_empty_parameter_list_means_none(self):
+        c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh() q[0]; h( ) q[1];")
+        assert c.gates == (GateOp("h", (0,)), GateOp("h", (1,)))
 
     def test_unknown_gate_reports_line(self):
         text = "OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n"
@@ -157,12 +162,91 @@ HEAD = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"  # the statement under test is 
     (HEAD + "measure r[0] -> d[0];", 4, "unknown quantum register 'r'"),
     (HEAD + "measure q -> c[5];", 4, "bit index 5 out of range for c[2]"),
     ("OPENQASM 2.0;\nqreg q[2];\nqreg r[0];", 3, "multiple quantum registers"),
+    # a blank item in a parameter list is refused, not dropped
+    (HEAD + "rz(,pi) q[0];", 4, "blank parameter in 'rz(,pi) q[0]'"),
+    (HEAD + "rz(pi,) q[0];", 4, "blank parameter in 'rz(pi,) q[0]'"),
+    (HEAD + "u3(1,,2,3) q[0];", 4, "blank parameter in 'u3(1,,2,3) q[0]'"),
+    (HEAD + "u2(1, \t) q[0];", 4, "blank parameter in 'u2(1, \t) q[0]'"),
+    (HEAD + "rz( ) q[0];", 4, "rz takes 1 parameter(s)"),
+    (HEAD + "foo(,1) q[0];", 4, "blank parameter in 'foo(,1) q[0]'"),
+    # a statement or angle parsed before does not move an error's line
+    (HEAD + "rz(1/0) q[0];\nh q[0];\nrz(1/0) q[0];", 4, "division by zero"),
+    (HEAD + "h q[0];\nh q[0];\nh q[0]; h q[2];", 6, "qubit index 2 out of range"),
+    (HEAD + "rz(pi) q[0];\nrz(pi) q[0];\nrz(pi) q[0],q[1];", 6, "rz takes one operand"),
 ])
 def test_reader_error_table(text, line, fragment):
     with pytest.raises(QasmError) as info:
         parse_qasm(text)
     assert info.value.line == line
     assert fragment in str(info.value)
+
+
+def statement_oracle(text: str) -> tuple[tuple[GateOp, ...], tuple[int, ...]]:
+    """The gates and barriers of `text` with each statement parsed alone,
+    after the header's declarations, and the gates concatenated."""
+    header: list[str] = []
+    body: list[str] = []
+    for raw in text.splitlines():
+        for stmt in filter(None, (s.strip() for s in raw.split("//")[0].split(";"))):
+            declares = stmt.startswith(("OPENQASM", "include", "qreg", "creg"))
+            (header if declares else body).append(stmt + ";")
+    gates: list[GateOp] = []
+    barriers: list[int] = []
+    for stmt in body:
+        alone = parse_qasm("\n".join(header + [stmt]))
+        barriers += [len(gates) + b for b in alone.barriers]
+        gates += alone.gates
+    return tuple(gates), tuple(barriers)
+
+
+HAND_MADE = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[4];
+creg c[4];
+h q;  // a broadcast
+cx q[0],q[1]; cx q[0],q[1]; rz(pi/4) q[2];
+rz(pi/4) q[2]; rz( pi/4) q[2]; rz(pi/4) q[3];
+barrier q;
+cu1(pi/8) q[1],q[3];
+cp(pi/8) q[1],q[3]; cu1(pi/8) q[1],q[3];
+h q;
+barrier q[0],q[1]; barrier q;
+u3(0.1,-0.2,2*pi) q[0]; u3(0.1,-0.2,2*pi) q[0]; u2(pi/4,pi/4) q[3]; h() q[1];
+measure q[1] -> c[1];
+measure q -> c;
+measure q[1] -> c[1];
+barrier q;
+"""
+
+
+class TestParseMemos:
+    """parse_qasm parses each distinct statement and parameter text once; the
+    reuse must not show in what it returns or in the errors it raises."""
+
+    @pytest.mark.parametrize("circ", [gen_adder(16), gen_qaoa(16, 3, seed=7), gen_qft(12)],
+                             ids=["adder", "qaoa-p3", "qft"])
+    def test_generated_texts_match_statement_oracle(self, circ):
+        text = serialize_qasm(circ)
+        c = parse_qasm(text)
+        assert (c.gates, c.barriers) == statement_oracle(text)
+        assert c.gates == circ.gates
+
+    def test_hand_made_text_matches_statement_oracle(self):
+        c = parse_qasm(HAND_MADE)
+        gates, barriers = statement_oracle(HAND_MADE)
+        assert c.gates == gates
+        assert c.barriers == barriers == (10, 17, 17, 27)
+        assert c.n_gates == 27
+        assert [g.name for g in c.gates].count("cp") == 3
+
+    def test_memos_live_for_one_call(self):
+        # the same statement text broadcasts over each call's own register
+        assert parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q;").n_gates == 2
+        assert parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q;").n_gates == 3
+        assert parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[2];").n_gates == 1
+        with pytest.raises(QasmError, match="qubit index 2 out of range") as info:
+            parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[2];")
+        assert info.value.line == 3
 
 
 class TestCircuitModel:

@@ -97,6 +97,14 @@ class TestGenTopology:
         assert code == EXIT_INPUT
         assert "comma-separated" in err
 
+    @pytest.mark.parametrize("sizes", ["6,,8", "6,8,", " "])
+    def test_blank_size_refused(self, capsys, sizes):
+        # a blank item is refused, not dropped: 6,,8 is not a 2-QPU cluster
+        code, out, err = run_cli(capsys, "gen-topology", "--gen", "line", "--sizes", sizes)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--sizes must be comma-separated integers" in err
+
 
 class TestMap:
     def test_json_report(self, topo_file, capsys):
@@ -391,6 +399,15 @@ class TestAblateAndSweep:
                                "--ratios", "0")
         assert code == EXIT_INPUT
         assert "ratio" in err
+
+    @pytest.mark.parametrize("ratios", ["5,,2", ",5", "5, "])
+    def test_blank_ratio_refused(self, topo_file, capsys, ratios):
+        code, out, err = run_cli(capsys, "sweep-ratio", "--bench", "qft",
+                                 "--size", "6", "--topology", topo_file,
+                                 "--ratios", ratios)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--ratios has a blank item" in err
 
     def test_sweep_ratio_refuses_ratio(self, topo_file, capsys):
         # each --ratios entry sets the inter-QPU costs, so --ratio would be
