@@ -131,14 +131,17 @@ def layerize(circuit: Circuit) -> LayeredCircuit:
 # Unary signs and parentheses nest a parameter expression; each level of
 # parentheses costs three stack frames of the recursive descent.
 _MAX_NESTING = 100
+# parse_qasm's statement memo starts afresh at this many entries, so a long
+# text of distinct statements keeps a bounded number of them.
+_MEMO_LIMIT = 1 << 16
 _TOKEN_RE = re.compile(r"\s*(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?|pi|[()+\-*/])")
 
 
 def _eval_angle(expr: str, line: int) -> float:
     """Evaluate a parameter expression: numbers, pi, + - * / and parentheses."""
     tokens: list[str] = []
-    pos = 0
-    while pos < len(expr):
+    pos, end = 0, len(expr.rstrip())  # each token skips the whitespace before it
+    while pos < end:
         m = _TOKEN_RE.match(expr, pos)
         if m is None:
             raise QasmError(f"bad parameter expression '{expr}'", line)
@@ -253,7 +256,8 @@ def parse_qasm(text: str, name: str = "circuit", max_qubits: int | None = None) 
     saw_version = False
     # Per-call memos of successes only, so each error is raised where it first
     # occurs: a gate or measure statement's gates, fixed once the registers it
-    # names exist, and each parameter text's value.
+    # names exist (cleared at _MEMO_LIMIT entries), and each parameter text's
+    # value.
     memo: dict[str, list[GateOp]] = {}
     angles: dict[str, float] = {}
 
@@ -265,6 +269,8 @@ def parse_qasm(text: str, name: str = "circuit", max_qubits: int | None = None) 
             if (hit := memo.get(stmt)) is not None:
                 gates += hit
                 continue
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
             if stmt.startswith("OPENQASM"):
                 if not stmt.replace(" ", "").startswith("OPENQASM2"):
                     raise QasmError(f"unsupported version '{stmt}'", lineno)

@@ -9,6 +9,7 @@ capacity. A capacity-aware uniform random placement serves as the baseline.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import Counter, deque
@@ -121,10 +122,11 @@ def cluster_graph(g: InteractionGraph, cluster: ClusterTopology, partitions: int
     merge, then the lower ids. If no pair fits while too many groups remain,
     the heaviest pair is merged regardless and repair_capacity cleans up.
     Positive weight beats weight 0, so a round reads only the pairs of
-    positive weight, O(edges), and all O(groups^2) pairs only when none of
-    those fits. Groups are then matched to QPUs by descending size against
-    descending capacity, a local improvement sweep trims the cut, and the
-    result is capacity-repaired.
+    positive weight, O(edges), and when none of those fits, the two smallest
+    groups by (size, id), O(groups): the least key of the weight-0 pairs.
+    Groups are then matched to QPUs by descending size against descending
+    capacity, a local improvement sweep trims the cut, and the result is
+    capacity-repaired.
     """
     n = g.n_qubits
     if n < 1:
@@ -158,7 +160,13 @@ def cluster_graph(g: InteractionGraph, cluster: ClusterTopology, partitions: int
     while len(groups) > target:
         best = min((merge_key(a, b) for (a, b), w in gw.items() if w > 0), default=None)
         if best is None or best[0]:
-            best = min(merge_key(a, b) for a, b in combinations(sorted(groups), 2))
+            # No positive pair fits, so any pair that fits has weight 0, and
+            # the least key of all pairs is the two smallest groups' unless
+            # they too are oversize and a positive pair exists.
+            two = heapq.nsmallest(2, groups, key=lambda q: (len(groups[q]), q))
+            least = merge_key(*sorted(two))
+            if best is None or not least[0]:
+                best = least
         merge(*best[3:])
 
     ordered = sorted(groups.values(), key=lambda s: (-len(s), min(s)))

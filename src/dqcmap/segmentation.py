@@ -6,11 +6,14 @@ two-qubit gate count through l divided by l, smoothed over a +-w layer
 window; the top-k such qubits form the layer's active set, and a boundary
 opens where consecutive layers' active sets have Jaccard similarity below
 the threshold, once the segment being closed spans at least w layers.
+Window means come from each qubit's prefix sums of its density, read in one
+pass over the layers that holds only the prefix rows of the current window.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .circuit import LayeredCircuit
@@ -60,31 +63,6 @@ def default_params(lc: LayeredCircuit) -> SegmentationParams:
     )
 
 
-def _windowed_matrix(lc: LayeredCircuit, w: int) -> list[list[float]]:
-    """wd[q][l], the activity of qubit q at layer l: the mean over layers i
-    in [max(1, l-w), min(depth, l+w)] of its density rho(q, i), its
-    two-qubit gates in layers 1..i divided by i. The mean runs over the
-    layers inside the circuit, so edge windows are not diluted by missing
-    terms. Each row holds the qubit's gate count per layer, then in place
-    the prefix sums of rho, and is then replaced by its windowed means."""
-    depth = lc.depth
-    # Layer l's window as (hi, lo - 1), the same for every qubit.
-    windows = [(min(depth, l + w), max(1, l - w) - 1) for l in range(1, depth + 1)]
-    wd = [[0] * (depth + 1) for _ in range(lc.n_qubits)]
-    for g, lay in zip(lc.circuit.gates, lc.layer_of):
-        if g.is_two_qubit:
-            for q in g.qubits:
-                wd[q][lay] += 1
-    for q, row in enumerate(wd):
-        cum, pref = 0, 0.0
-        for l in range(1, depth + 1):
-            cum += row[l]
-            pref += cum / l
-            row[l] = pref
-        wd[q] = [0.0] + [(row[hi] - row[lo]) / (hi - lo) for hi, lo in windows]
-    return wd
-
-
 def jaccard(a: frozenset[int], b: frozenset[int]) -> float:
     """|a & b| / |a | b|, with two empty sets counting as identical."""
     if not a and not b:
@@ -119,6 +97,9 @@ def segment(lc: LayeredCircuit, params: SegmentationParams | None = None) -> lis
     top-k sets of layers l-1 and l drops below the threshold, provided the
     segment being closed is at least window layers long. The result covers
     [1, depth] without gaps; an empty circuit yields no segments.
+
+    One pass over the layers keeps the prefix rows of rho from the window's
+    lower end to its upper end, O(n * window) floats.
     """
     if lc.depth == 0:
         return []
@@ -126,21 +107,34 @@ def segment(lc: LayeredCircuit, params: SegmentationParams | None = None) -> lis
         params = default_params(lc)
     if params.top_k > lc.n_qubits:
         raise ValueError("top_k exceeds qubit count")
-    wd = _windowed_matrix(lc, params.window)
-    k = params.top_k
-    qubits = range(lc.n_qubits)
-
-    def active(l: int) -> frozenset[int]:
+    depth, n, w, k = lc.depth, lc.n_qubits, params.window, params.top_k
+    ends: list[list[int]] = [[] for _ in range(depth + 1)]  # layer -> gate endpoints
+    for g, lay in zip(lc.circuit.gates, lc.layer_of):
+        if g.is_two_qubit:
+            ends[lay] += g.qubits
+    # rows[i - lo] is prefix row i of the window [lo, hi]: its q-th entry is
+    # the sum over t <= i of cum_q(t) / t, cum_q(t) q's gates in layers 1..t.
+    cum = [0] * n
+    rows = deque([[0.0] * n])
+    lo = hi = 0
+    qubits = range(n)
+    starts = [1]
+    prev_set = frozenset()
+    for l in range(1, depth + 1):
+        while hi < min(depth, l + w):
+            hi += 1
+            for q in ends[hi]:
+                cum[q] += 1
+            rows.append([p + c / hi for p, c in zip(rows[-1], cum)])
+        while lo < max(1, l - w) - 1:
+            rows.popleft()
+            lo += 1
+        span = hi - lo
+        col = [(a - b) / span for a, b in zip(rows[-1], rows[0])]
         # A reverse sort is stable, so ties keep ascending qubit order: the k
         # highest scores, ties toward the lower index.
-        col = [row[l] for row in wd]
-        return frozenset(sorted(qubits, key=col.__getitem__, reverse=True)[:k])
-
-    starts = [1]
-    prev_set = active(1)
-    for l in range(2, lc.depth + 1):
-        cur = active(l)
-        if jaccard(cur, prev_set) < params.threshold and l - starts[-1] >= params.window:
+        cur = frozenset(sorted(qubits, key=col.__getitem__, reverse=True)[:k])
+        if l - starts[-1] >= w and jaccard(cur, prev_set) < params.threshold:
             starts.append(l)
         prev_set = cur
     return _build_segments(lc, starts)

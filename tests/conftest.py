@@ -29,7 +29,13 @@ from dqcmap.hardware import (
     build_cluster,
 )
 from dqcmap.placement import Assignment, InteractionGraph, random_placement
-from dqcmap.segmentation import Segment, SegmentationParams
+from dqcmap.segmentation import (
+    Segment,
+    SegmentationParams,
+    _build_segments,
+    default_params,
+    jaccard,
+)
 
 
 # Every property test draws the same examples on every run and machine, so
@@ -623,6 +629,50 @@ def top_k_set(lc: LayeredCircuit, l: int, params: SegmentationParams) -> frozens
     scores = [(-windowed_density(lc, q, l, params.window), q) for q in range(lc.n_qubits)]
     scores.sort()
     return frozenset(q for _, q in scores[: params.top_k])
+
+
+def reference_segment(lc: LayeredCircuit,
+                      params: SegmentationParams | None = None) -> list[Segment]:
+    """segment as it was with a full qubit-by-layer matrix: wd[q][l] is the
+    mean of rho(q, i) over the window of layer l, from each row's prefix
+    sums of rho, and each layer's top-k set is ranked from one column. Its
+    floats are summed in segment's order, so it pins the scores bit for bit,
+    which windowed_density, summed in another order, cannot."""
+    if lc.depth == 0:
+        return []
+    if params is None:
+        params = default_params(lc)
+    if params.top_k > lc.n_qubits:
+        raise ValueError("top_k exceeds qubit count")
+    depth, w = lc.depth, params.window
+    # Layer l's window as (hi, lo - 1), the same for every qubit.
+    windows = [(min(depth, l + w), max(1, l - w) - 1) for l in range(1, depth + 1)]
+    wd = [[0] * (depth + 1) for _ in range(lc.n_qubits)]
+    for g, lay in zip(lc.circuit.gates, lc.layer_of):
+        if g.is_two_qubit:
+            for q in g.qubits:
+                wd[q][lay] += 1
+    for q, row in enumerate(wd):
+        cum, pref = 0, 0.0
+        for l in range(1, depth + 1):
+            cum += row[l]
+            pref += cum / l
+            row[l] = pref
+        wd[q] = [0.0] + [(row[hi] - row[lo]) / (hi - lo) for hi, lo in windows]
+    qubits = range(lc.n_qubits)
+
+    def active(l: int) -> frozenset[int]:
+        col = [row[l] for row in wd]
+        return frozenset(sorted(qubits, key=col.__getitem__, reverse=True)[:params.top_k])
+
+    starts = [1]
+    prev_set = active(1)
+    for l in range(2, depth + 1):
+        cur = active(l)
+        if jaccard(cur, prev_set) < params.threshold and l - starts[-1] >= w:
+            starts.append(l)
+        prev_set = cur
+    return _build_segments(lc, starts)
 
 
 # -- acceptance criteria reporting ------------------------------------------

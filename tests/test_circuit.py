@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqcmap.bench import gen_adder, gen_qaoa, gen_qft
+from dqcmap import circuit
 from dqcmap.circuit import Circuit, GateOp, layerize, parse_qasm, serialize_qasm
 from dqcmap.errors import InfeasibleError, QasmError
 from dqcmap.segmentation import random_segment
@@ -60,6 +61,17 @@ class TestParse:
     def test_parenthesised_angle_expression(self, expr, value):
         c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
         assert c.gates[0].params[0] == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("spaced, plain", [
+        ("rz(pi/4 ) q[0];", "rz(pi/4) q[0];"),
+        ("rz( pi/4 ) q[0];", "rz(pi/4) q[0];"),
+        ("rz(pi/4\t) q[0];", "rz(pi/4) q[0];"),
+        ("u3(1, 2 ,3) q[0];", "u3(1,2,3) q[0];"),
+        ("u3(1 , -2 , 2*pi ) q[0];", "u3(1,-2,2*pi) q[0];"),
+    ])
+    def test_space_before_close_or_comma_parses(self, spaced, plain):
+        head = "OPENQASM 2.0;\nqreg q[1];\n"
+        assert parse_qasm(head + spaced).gates == parse_qasm(head + plain).gates
 
     @pytest.mark.parametrize("expr", ["-" * 5000 + "1", "(" * 2000 + "1" + ")" * 2000],
                              ids=["5000-signs", "2000-parentheses"])
@@ -238,6 +250,16 @@ class TestParseMemos:
         assert c.barriers == barriers == (10, 17, 17, 27)
         assert c.n_gates == 27
         assert [g.name for g in c.gates].count("cp") == 3
+
+    @pytest.mark.parametrize("text", [serialize_qasm(gen_adder(16)),
+                                      serialize_qasm(gen_qaoa(16, 3, seed=7)),
+                                      serialize_qasm(gen_qft(12)), HAND_MADE],
+                             ids=["adder", "qaoa-p3", "qft", "hand-made"])
+    def test_cleared_memo_matches_statement_oracle(self, text, monkeypatch):
+        # the statement memo starts afresh every two entries
+        monkeypatch.setattr(circuit, "_MEMO_LIMIT", 2)
+        c = parse_qasm(text)
+        assert (c.gates, c.barriers) == statement_oracle(text)
 
     def test_memos_live_for_one_call(self):
         # the same statement text broadcasts over each call's own register

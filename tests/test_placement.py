@@ -197,6 +197,25 @@ class TestClusterGraph:
             assert (cluster_graph(g, cluster, partitions)
                     == reference_cluster_graph(g, cluster, partitions))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_graph_matches_pairwise_scan_reference(self, data):
+        # A few edges among many idle qubits: most rounds find no positive
+        # pair that fits and merge the two smallest groups, fitting or not.
+        caps = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+        n = data.draw(st.integers(1, sum(caps)))
+        partitions = data.draw(st.integers(1, len(caps)))
+        pairs = list(combinations(range(n), 2))
+        picked = data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+        g = InteractionGraph(n, {pair: data.draw(st.sampled_from(DYADIC)) for pair in picked})
+        cluster = line_cluster(caps)
+        assert (cluster_graph(g, cluster, partitions)
+                == reference_cluster_graph(g, cluster, partitions))
+        with patch.object(placement, "_refine_cut", lambda g, a, cluster, chosen: a), \
+                patch.object(placement, "repair_capacity", lambda a, g, cluster: a):
+            assert (cluster_graph(g, cluster, partitions)
+                    == reference_cluster_graph(g, cluster, partitions))
+
     def test_quality_against_exhaustive_optimum(self):
         # heuristic bound: within 25% of the balanced optimum on >= 90%
         # of 50 random instances (P=2, n <= 12)

@@ -1,10 +1,14 @@
 """Interaction density, activity windows, Jaccard boundaries, segmentation."""
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqcmap.bench import gen_adder, gen_qaoa, gen_qft
 from dqcmap.circuit import Circuit, GateOp, layerize
 from dqcmap.segmentation import (
     SegmentationParams,
@@ -14,7 +18,14 @@ from dqcmap.segmentation import (
     segment,
 )
 
-from conftest import count_interactions, cx_chain, density, top_k_set, windowed_density
+from conftest import (
+    count_interactions,
+    cx_chain,
+    density,
+    reference_segment,
+    top_k_set,
+    windowed_density,
+)
 
 
 # Chain circuit: cx(0,1) in layer 1, cx(1,2) in layer 2, cx(2,3) in layer 3.
@@ -206,6 +217,44 @@ class TestSegmentInvariants:
             for s in segs:
                 want = count_interactions(lcx, s.from_layer, s.to_layer)
                 assert list(s.pairs.items()) == list(want.items())
+
+
+class TestLayerSweep:
+    """segment's one pass over the layers, with a window of prefix rows,
+    against the full qubit-by-layer matrix it replaced: equal segments bit
+    for bit, at a fraction of the memory."""
+
+    @given(circuits_and_params())
+    @settings(max_examples=200, deadline=None)
+    def test_random_circuits_match_matrix(self, case):
+        circ, params = case
+        lcx = layerize(circ)
+        assert segment(lcx, params) == reference_segment(lcx, params)
+
+    @pytest.mark.parametrize("circ", [gen_adder(46), gen_qft(20), gen_qaoa(16, 2, seed=0)],
+                             ids=["adder46", "qft20", "qaoa16-p2"])
+    def test_bench_circuits_match_matrix(self, circ):
+        lcx = layerize(circ)
+        assert segment(lcx) == reference_segment(lcx)
+        rng = random.Random(lcx.n_qubits)
+        for _ in range(6):
+            params = SegmentationParams(window=rng.randint(1, lcx.depth),
+                                        top_k=rng.randint(1, lcx.n_qubits),
+                                        threshold=rng.random())
+            assert segment(lcx, params) == reference_segment(lcx, params)
+
+    def test_memory_below_one_float_per_qubit_and_layer(self):
+        # The matrix held n * (depth + 1) boxed floats; the sweep holds
+        # 2 * window + 2 prefix rows, and the bound allows 8 bytes per entry
+        # of the matrix.
+        lcx = layerize(gen_adder(200))
+        tracemalloc.start()
+        try:
+            segment(lcx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * lcx.n_qubits * (lcx.depth + 1)
 
 
 class TestRandomSegment:
