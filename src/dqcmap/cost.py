@@ -26,12 +26,16 @@ through their order, so all cores of one shape on one QPU cost the same,
 and a layout is built only when the shape is new, in rank space from the
 shape's own triples. A core's shape and its layout cost work in proportion
 to its members and their adjacency lists within the core, read from
-partner bitmasks, not to the whole segment. The per-QPU constants a
-layout needs (distance rows, first pick, nearest-first orders, the
-cumulative distance histogram of the floor), the link distances and the
-capacities are the cluster's, computed at load time and read in place by
-QPU id (see hardware.DistanceTables); only the per-hop gate cost, which
-depends on the cost parameters, is computed per evaluator.
+partner bitmasks, not to the whole segment. The tables of the segment's
+pairs (pair list, adjacency, partner bitmasks and partner maps) are built
+once per Segment and read in place (see segmentation.PairTables), so every
+evaluator on one segment shares them.
+The per-QPU constants a layout needs (distance rows, first pick,
+nearest-first orders, the cumulative distance histogram of the floor), the
+link distances and the capacities are the cluster's, computed at load time
+and read in place by QPU id (see hardware.DistanceTables); only the
+per-hop gate cost, which depends on the cost parameters, is computed per
+evaluator.
 
 A move, a relocation or a swap, is handed to a delta as its transfers
 (qubit, from QPU, to QPU), as the annealer draws them: one for a
@@ -93,16 +97,6 @@ class CostBreakdown:
     epr_pairs: int
 
 
-def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:
-    """qubit -> [(partner, count), ...], partners ascending; pairs are
-    (i, j, count) with i < j, in ascending (i, j) order."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for i, j, c in pairs:
-        adj.setdefault(i, []).append((j, c))
-        adj.setdefault(j, []).append((i, c))
-    return adj
-
-
 def _greedy_layout(m: int, flat, table, near, hub: int) -> list[int]:
     """Greedy deterministic embedding of a core's m members, named by their
     ranks 0..m-1, into a coupling map, as phys_of[rank] = physical qubit.
@@ -116,11 +110,15 @@ def _greedy_layout(m: int, flat, table, near, hub: int) -> list[int]:
     that minimizes the weighted coupling distance to its placed partners,
     ties toward the lower index, or to the lowest free index if none is
     placed.
-    With one placed partner, on v, with count c, that score is c times v's
-    distance row, so the pick is the first free qubit of near[v], the QPU's
-    qubits ordered by (hops from v, index). With more, their rows in table,
-    the QPU's distance rows, are summed into a score; counts and hops are
-    integers, so the scores are exact whatever the order they are summed in.
+    A cursor, lo, only moves forward: every index below it is taken, so the
+    lowest free index is the first free one from lo up. With one placed
+    partner, on v, with count c, the score is c times v's distance row, so
+    the pick is the first free qubit of near[v], the QPU's qubits ordered
+    by (hops from v, index). With more, their rows in table, the QPU's
+    distance rows, are summed into a score, and the pick is the first
+    minimum of a scan of the free indices upward from lo, a later index
+    taken only on a strictly lower score. Counts and hops are integers, so
+    the scores are exact whatever the order they are summed in.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     negw = [0] * m
@@ -135,27 +133,42 @@ def _greedy_layout(m: int, flat, table, near, hub: int) -> list[int]:
     cap = len(table)
     phys_of = [-1] * m
     used = bytearray(cap)
-    free: list[int] = list(range(cap))
+    lo = 0
+    pick = hub
     for q in order:
-        placed = [(phys_of[o], c) for o, c in adj[q] if phys_of[o] >= 0]
-        if len(placed) == 1:
-            for pick in near[placed[0][0]]:
+        # v is the physical qubit of the first placed partner, cv its count;
+        # a score is summed only once a second one is found.
+        v = -1
+        score = None
+        for o, c in adj[q]:
+            p = phys_of[o]
+            if p < 0:
+                continue
+            if v < 0:
+                v, cv = p, c
+            elif score is None:
+                score = [cv * a + c * b for a, b in zip(table[v], table[p])]
+            else:
+                score = [s + c * d for s, d in zip(score, table[p])]
+        if score is not None:
+            while used[lo]:
+                lo += 1
+            pick, best = lo, score[lo]
+            for i in range(lo + 1, cap):
+                if score[i] < best and not used[i]:
+                    pick, best = i, score[i]
+        elif v >= 0:
+            for pick in near[v]:
                 if not used[pick]:
                     break
-        elif placed:
-            # Score every physical qubit, one placed partner's distance row
-            # at a time; min() keeps the lowest free index among ties.
-            score = None
-            for v, c in placed:
-                row = table[v]
-                score = ([c * d for d in row] if score is None
-                         else [s + c * d for s, d in zip(score, row)])
-            pick = min(free, key=score.__getitem__)
-        else:
-            pick = free[0] if len(free) < cap else hub
+        elif used[pick]:
+            # no placed partner, and not the first member (whose pick is
+            # still the free hub): the lowest free index
+            while used[lo]:
+                lo += 1
+            pick = lo
         phys_of[q] = pick
         used[pick] = 1
-        free.remove(pick)
     return phys_of
 
 
@@ -170,17 +183,19 @@ def qpu_masks(qpu_of, n_qpus: int) -> list[int]:
 class SegmentCostEvaluator:
     """Objective evaluation for one segment against one cluster.
 
-    Holds the per-pair gate counts and a cache of intra-QPU costs keyed by
-    (QPU id, qubit bitmask), bit q set when qubit q sits on the QPU, and
-    reads the cluster's tables in place. A miss is answered from the entry
+    Holds a cache of intra-QPU costs keyed by (QPU id, qubit bitmask), bit
+    q set when qubit q sits on the QPU, and reads the segment's pair tables
+    (see Segment.tables) and the cluster's distance tables in place. A miss is answered from the entry
     of the set's partnered core, the members with a gate partner inside the
     set, or else from the entry of the core's shape (see layout_and_local),
     and is stored under both keys; a layout is built only for a new shape.
     The cache is sound because the segment's pair counts are fixed for the
     evaluator's lifetime, and compile builds one evaluator per segment:
-    annealing and the step's exact breakdown read the same cache. prev is
-    the previous segment's assignment, or None for the first segment (no
-    movement charge).
+    annealing and the step's exact breakdown read the same cache. Treat
+    the segment as read-only: its pair tables are built once and shared by
+    every evaluator on it, so an edit of its pairs would reach neither them
+    nor this cache. prev is the previous segment's assignment, or None for
+    the first segment (no movement charge).
     """
 
     def __init__(
@@ -194,15 +209,9 @@ class SegmentCostEvaluator:
         self.seg = seg
         self.cp = cp
         self.prev = prev
-        # A pair with no gates costs nothing and partners nobody.
-        self.pairs: list[tuple[int, int, int]] = [
-            (i, j, c) for (i, j), c in sorted(seg.pairs.items()) if c > 0
-        ]
-        self.adj = _adjacency(self.pairs)
-        # _partner_bits[q] has bit o set when qubits q and o share a gate;
-        # _partner_of[q] maps that bit, 1 << o, to (o, gate count).
-        self._partner_bits = {q: sum(1 << o for o, _ in ps) for q, ps in self.adj.items()}
-        self._partner_of = {q: {1 << pair[0]: pair for pair in ps} for q, ps in self.adj.items()}
+        # The segment's pair tables, built once per segment and shared by
+        # every evaluator on it (see Segment.tables).
+        self.tables = seg.tables
         # _pen[d] = cx + swap * max(0, d - 1), the cost of one gate across d
         # coupling hops, for every distance on any QPU of the cluster. All
         # other tables are the cluster's own, read in place (see
@@ -239,7 +248,7 @@ class SegmentCostEvaluator:
         cache = self._layout_cache
         # one walk of mask: the partnered core, as a bitmask and as its
         # members in ascending order
-        partner_bits = self._partner_bits
+        partner_bits = self.tables.partner_bits
         core = 0
         members = []
         rest = mask
@@ -254,7 +263,7 @@ class SegmentCostEvaluator:
         if out is None:
             # the core's pairs in rank space, flat, in ascending (i, j) order,
             # read from each member's partner bits above its own
-            partner_of = self._partner_of
+            partner_of = self.tables.partner_of
             rank = {q: r for r, q in enumerate(members)}
             flat = []
             for q in members:
@@ -319,7 +328,7 @@ class SegmentCostEvaluator:
         qo = a.qpu_of
         e_inter = 0.0
         epr = 0
-        for i, j, c in self.pairs:
+        for i, j, c in self.tables.pairs:
             pi, pj = qo[i], qo[j]
             if pi != pj:
                 e_inter += c * cp.remote_op_cost * inter_cost[pi][pj]
@@ -378,7 +387,7 @@ class SegmentCostEvaluator:
             raise InfeasibleError(f"QPU {p2} is full")
         cp = self.cp
         rows = self.cluster.distances.inter_cost
-        adj = self.adj
+        adj = self.tables.adj
         prev = self.prev
         # One walk over each moved qubit's partners skips the other moved
         # qubit (their pair keeps its distance; it sits on p1 or p2). For

@@ -8,6 +8,8 @@ opens where consecutive layers' active sets have Jaccard similarity below
 the threshold, once the segment being closed spans at least w layers.
 Window means come from each qubit's prefix sums of its density, read in one
 pass over the layers that holds only the prefix rows of the current window.
+Each Segment builds the tables of its pairs that the cost layer reads
+(Segment.tables) on first read, once for every evaluator that prices it.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .circuit import LayeredCircuit
 
@@ -34,13 +37,47 @@ class SegmentationParams:
             raise ValueError("threshold must lie in [0, 1]")
 
 
+def _adjacency(pairs) -> dict[int, list[tuple[int, int]]]:
+    """qubit -> [(partner, count), ...], partners ascending; pairs are
+    (i, j, count) with i < j, in ascending (i, j) order."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, j, c in pairs:
+        adj.setdefault(i, []).append((j, c))
+        adj.setdefault(j, []).append((i, c))
+    return adj
+
+
+class PairTables:
+    """A segment's gate pairs, from its pair counts, in the forms the cost
+    layer reads. A pair with no gates costs nothing and partners nobody, so
+    none of them holds it. (A plain class: a frozen dataclass would cost
+    every import of the package half a millisecond to create.)
+
+    pairs: (i, j, count) with i < j and count >= 1, in ascending (i, j) order.
+    adj[q]: q's partners, ascending, as [(partner, count), ...].
+    partner_bits[q]: bit o set when qubits q and o share a gate.
+    partner_of[q]: that bit, 1 << o, -> (o, count).
+    """
+
+    __slots__ = ("pairs", "adj", "partner_bits", "partner_of")
+
+    def __init__(self, counts: dict[tuple[int, int], int]):
+        self.pairs = [(i, j, c) for (i, j), c in sorted(counts.items()) if c > 0]
+        self.adj = adj = _adjacency(self.pairs)
+        self.partner_bits = {q: sum(1 << o for o, _ in ps) for q, ps in adj.items()}
+        self.partner_of = {q: {1 << pair[0]: pair for pair in ps} for q, ps in adj.items()}
+
+
 @dataclass(frozen=True)
 class Segment:
     """One contiguous layer interval, 1-based inclusive bounds.
 
     pairs maps unordered qubit pairs, stored as (i, j) with i < j, to the
     number of two-qubit gates between them inside the interval, in the
-    order of each pair's first gate. Treat as read-only.
+    order of each pair's first gate. Treat as read-only: `tables` is built
+    from pairs on first read and kept, so the plan, every baseline and every
+    sweep row that prices this segment share one build, and a later edit of
+    pairs would not reach it.
     """
 
     index: int
@@ -51,6 +88,11 @@ class Segment:
     @property
     def n_layers(self) -> int:
         return self.to_layer - self.from_layer + 1
+
+    @cached_property
+    def tables(self) -> PairTables:
+        """The cost layer's tables of pairs (see PairTables), built once."""
+        return PairTables(self.pairs)
 
 
 def default_params(lc: LayeredCircuit) -> SegmentationParams:

@@ -17,7 +17,6 @@ from dqcmap.cost import (
     CostBreakdown,
     CostParams,
     SegmentCostEvaluator,
-    _adjacency,
     qpu_masks,
 )
 from dqcmap.errors import InfeasibleError, ValidationError
@@ -32,6 +31,7 @@ from dqcmap.placement import Assignment, InteractionGraph, random_placement
 from dqcmap.segmentation import (
     Segment,
     SegmentationParams,
+    _adjacency,
     _build_segments,
     default_params,
     jaccard,

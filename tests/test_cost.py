@@ -477,10 +477,12 @@ class TestGreedyLayout:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_reference(self, coupling, data):
-        # Counts of 1 or 2 make weight ties; line, ring and grid maps make
-        # distance ties. Sparse and dense pair sets give members with 0, 1
-        # and 2 or more placed partners when they are placed.
-        k = data.draw(st.integers(2, 12))
+        # Counts of 1 to 3 make weight ties, and unequal weights among two or
+        # more placed partners; line, ring and grid maps make distance ties.
+        # Sparse and dense pair sets give members with 0, 1 and 2 or more
+        # placed partners when they are placed, several components, and
+        # cores that fill the QPU, so the cursor meets taken indices.
+        k = data.draw(st.integers(2, 16))
         ct = one_qpu(coupling, k)
         m = data.draw(st.integers(1, k))
         labels = sorted(data.draw(st.lists(st.integers(0, 60), unique=True,
@@ -491,7 +493,7 @@ class TestGreedyLayout:
         for i in range(m):
             for j in range(i + 1, m):
                 if data.draw(st.integers(0, 3)) < density:
-                    c = data.draw(st.integers(1, 2))
+                    c = data.draw(st.integers(1, 3))
                     flat += (i, j, c)
                     partners[labels[i]].append((labels[j], c))
                     partners[labels[j]].append((labels[i], c))

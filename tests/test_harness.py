@@ -7,11 +7,12 @@ from dataclasses import asdict
 
 import pytest
 
-from dqcmap import anneal, harness
+from dqcmap import anneal, cost, harness, segmentation
 from dqcmap.anneal import AnnealParams, compile, prepare
 from dqcmap.bench import gen_adder, gen_qft
-from dqcmap.cost import CostParams
+from dqcmap.cost import CostParams, SegmentCostEvaluator
 from dqcmap.errors import InfeasibleError
+from dqcmap.hardware import gen_topology
 from dqcmap.harness import (
     ARMS,
     SCHEMA_VERSION,
@@ -23,9 +24,9 @@ from dqcmap.harness import (
     run_sweep_ratio,
 )
 from dqcmap.seeding import split_seed
-from dqcmap.segmentation import SegmentationParams
+from dqcmap.segmentation import Segment, SegmentationParams
 
-from conftest import cx_chain, triangle_cluster, two_qpu_line
+from conftest import cx_chain, delta_total, triangle_cluster, two_qpu_line
 
 CIRC = gen_qft(6)
 FAST = AnnealParams(iters_per_segment=300)
@@ -238,6 +239,48 @@ class TestPrepareOnce:
         custom = compile(CIRC, ct, seed=6, anneal_params=FAST, segmentation_mode=mode,
                          prepared=prepare(CIRC, sp))
         assert len(custom.steps) > 1
+
+    def test_run_map_builds_pair_tables_once(self, monkeypatch):
+        """The plan and the ten baselines share one build of each segment's
+        pair tables, counted by its adjacency wherever a module binds one;
+        an evaluator on a shared segment prices like one on a fresh copy."""
+        builds = []
+        for mod in (cost, segmentation):
+            if "_adjacency" in vars(mod):
+                original = mod._adjacency
+
+                def counted(pairs, _original=original):
+                    builds.append(1)
+                    return _original(pairs)
+
+                monkeypatch.setattr(mod, "_adjacency", counted)
+        circ, ct = gen_adder(16), gen_topology("line", [6, 6, 8], 0)
+        ap = AnnealParams(iters_per_segment=50)
+        run_map(circ, ct, seed=3, anneal_params=ap)
+        prep = prepare(circ)
+        assert len(prep.segments) > 1
+        assert len(builds) == len(prep.segments)
+
+        cp = CostParams()
+        plan = compile(circ, ct, seed=3, anneal_params=ap, prepared=prep)
+        compile(circ, ct, seed=4, cost_params=cp, initial="random", do_anneal=False,
+                prepared=prep)
+        prev = None
+        for step in plan.steps:
+            seg = step.segment
+            fresh = Segment(index=seg.index, from_layer=seg.from_layer,
+                            to_layer=seg.to_layer, pairs=dict(seg.pairs))
+            used = SegmentCostEvaluator(ct, seg, cp, prev=prev)
+            new = SegmentCostEvaluator(ct, fresh, cp, prev=prev)
+            a = step.assignment
+            assert used.breakdown(a) == new.breakdown(a)
+            qo = a.qpu_of
+            for q in range(len(qo)):
+                # a swap with the first qubit on another QPU
+                o = next(o for o in range(len(qo)) if qo[o] != qo[q])
+                moved = ((q, qo[q], qo[o]), (o, qo[o], qo[q]))
+                assert delta_total(used, a, moved) == delta_total(new, a, moved)
+            prev = a
 
     def test_prepared_for_another_circuit_rejected(self):
         other = cx_chain(6, [(0, 1)])
