@@ -2,8 +2,10 @@
 
 Subcommands: map (compile one circuit), ablate (stage-isolation comparison),
 sweep-ratio (cost-ratio sweep), gen-bench (emit a benchmark as OpenQASM),
-gen-topology (emit a cluster config). Exit codes: 0 success, 2 invalid
-input, 3 infeasible instance, 4 internal error.
+gen-topology (emit a cluster config). The first three share one path: the
+same circuit, topology and parameter flags, read and checked in one place.
+Exit codes: 0 success, 2 invalid input (an --out that cannot be written
+included), 3 infeasible instance, 4 internal error.
 """
 from __future__ import annotations
 
@@ -36,6 +38,8 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 SEED_ENV = "DQCMAP_SEED"
+BENCHES = ("qft", "qaoa", "adder")
+RUNNERS = {"map": run_map, "ablate": run_ablate, "sweep-ratio": run_sweep_ratio}
 
 
 def _default_seed() -> int:
@@ -46,44 +50,6 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         raise InputError(f"{SEED_ENV} must be an integer, got '{raw}'") from None
-
-
-def _add_circuit_flags(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--circuit", metavar="FILE", help="OpenQASM 2.0 file to map")
-    src.add_argument("--bench", choices=("qft", "qaoa", "adder"),
-                     help="generate a benchmark instead of reading a file")
-    p.add_argument("--size", type=int, help="qubit count for --bench")
-    p.add_argument("--qaoa-layers", type=int, default=1,
-                   help="ansatz depth for --bench qaoa (default 1)")
-
-
-def _add_topology_flags(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--topology", metavar="FILE", help="cluster config JSON")
-    src.add_argument("--gen", choices=TOPOLOGY_KINDS,
-                     help="generate the interconnect instead of reading a file")
-    p.add_argument("--sizes", metavar="A,B,...",
-                   help="per-QPU capacities for --gen, comma separated")
-
-
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"top-level seed (default ${SEED_ENV} or 0)")
-    p.add_argument("--window", type=int, help="segmentation density window")
-    p.add_argument("--top-k", type=int, help="active-set size per layer")
-    p.add_argument("--theta", type=float, help="segment boundary threshold")
-    p.add_argument("--lambda", dest="decay", type=float,
-                   help="interaction graph decay rate (default 3/segments)")
-    p.add_argument("--gamma1", type=float, default=1.0)
-    p.add_argument("--gamma2", type=float, default=1.0)
-    p.add_argument("--gamma3", type=float, default=1.0)
-    p.add_argument("--iters", type=int, help="annealing iterations per segment")
-    p.add_argument("--t0", type=float, help="initial temperature (default: calibrated)")
-    p.add_argument("--cooling-rate", type=float, help="cooling rate (default 10/iters)")
-    p.add_argument("--out", metavar="FILE", help="write the report here (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="report format (map/ablate: json; sweep-ratio: csv)")
 
 
 def _parse_sizes(raw: str | None) -> list[int]:
@@ -101,17 +67,11 @@ def _parse_ratios(raw: str) -> list[float]:
         part = part.strip()
         if not part:
             raise InputError(f"--ratios has a blank item: '{raw}'")
-        if ":" in part:
-            num, den = part.split(":", 1)
-            try:
-                val = float(num) / float(den)
-            except (ValueError, ZeroDivisionError):
-                raise InputError(f"bad ratio '{part}'") from None
-        else:
-            try:
-                val = float(part)
-            except ValueError:
-                raise InputError(f"bad ratio '{part}'") from None
+        num, colon, den = part.partition(":")
+        try:
+            val = float(num) / float(den) if colon else float(num)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad ratio '{part}'") from None
         if not (math.isfinite(val) and val > 0):
             raise InputError(f"ratio must be finite and positive, got '{part}'")
         out.append(val)
@@ -149,7 +109,8 @@ def _load_circuit(args: argparse.Namespace, seed: int,
 
 
 def _load_topology(args: argparse.Namespace, seed: int) -> ClusterTopology:
-    if args.topology:
+    # gen-topology has no --topology flag but shares this loader
+    if getattr(args, "topology", None):
         try:
             with open(args.topology, "r", encoding="utf-8") as f:
                 text = f.read()
@@ -162,43 +123,36 @@ def _load_topology(args: argparse.Namespace, seed: int) -> ClusterTopology:
         raise InputError(str(exc)) from exc
 
 
-def _seg_params(args: argparse.Namespace) -> SegmentationParams | None:
-    given = [args.window, args.top_k, args.theta]
-    if all(v is None for v in given):
-        return None
-    if any(v is None for v in given):
-        raise InputError("--window, --top-k and --theta must be given together")
+def _run_settings(args: argparse.Namespace, circuit: Circuit) -> dict:
+    """The runner's keyword settings from the parameter flags, checked in
+    this order: segmentation, top-k against the circuit, annealing,
+    --lambda, sweep-ratio's --ratios, costs. A record that refuses its
+    values is an input error. The gammas are taken at --ratio for map and
+    ablate; sweep-ratio applies each of its --ratios itself."""
+    settings = {"seg_params": None, "anneal_params": None, "decay": args.decay}
     try:
-        return SegmentationParams(window=args.window, top_k=args.top_k,
-                                  threshold=args.theta)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _cost_params(args: argparse.Namespace) -> CostParams:
-    """The gammas, at --ratio for map and ablate; sweep-ratio applies each
-    of its --ratios itself."""
-    try:
+        seg = (args.window, args.top_k, args.theta)
+        if seg != (None, None, None):
+            if None in seg:
+                raise InputError("--window, --top-k and --theta must be given together")
+            settings["seg_params"] = SegmentationParams(window=args.window, top_k=args.top_k,
+                                                        threshold=args.theta)
+            if args.top_k > circuit.n_qubits:
+                raise InputError(f"--top-k {args.top_k} exceeds the circuit's "
+                                 f"{circuit.n_qubits} qubits")
+        if (args.iters, args.t0, args.cooling_rate) != (None, None, None):
+            settings["anneal_params"] = AnnealParams(t0=args.t0, cooling_rate=args.cooling_rate,
+                                                     iters_per_segment=args.iters)
+        if args.decay is not None and not (math.isfinite(args.decay) and args.decay >= 0):
+            raise InputError(f"--lambda must be finite and >= 0, got {args.decay}")
+        sweep = args.command == "sweep-ratio"
+        if sweep:
+            settings["ratios"] = _parse_ratios(args.ratios)
         cp = CostParams(gamma1=args.gamma1, gamma2=args.gamma2, gamma3=args.gamma3)
-        return cp if args.command == "sweep-ratio" else cp.with_ratio(args.ratio)
+        settings["cost_params"] = cp if sweep else cp.with_ratio(args.ratio)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _decay(args: argparse.Namespace) -> float | None:
-    if args.decay is not None and not (math.isfinite(args.decay) and args.decay >= 0):
-        raise InputError(f"--lambda must be finite and >= 0, got {args.decay}")
-    return args.decay
-
-
-def _anneal_params(args: argparse.Namespace) -> AnnealParams | None:
-    if args.iters is None and args.t0 is None and args.cooling_rate is None:
-        return None
-    try:
-        return AnnealParams(t0=args.t0, cooling_rate=args.cooling_rate,
-                            iters_per_segment=args.iters)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return settings
 
 
 def _require_finite(report) -> None:
@@ -217,11 +171,14 @@ def _require_finite(report) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as f:
             f.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write report: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,30 +188,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_map = sub.add_parser("map", help="compile one circuit to a mapping plan")
-    _add_circuit_flags(p_map)
-    _add_topology_flags(p_map)
-    _add_param_flags(p_map)
-
-    p_abl = sub.add_parser("ablate", help="compare pipeline stages on one circuit")
-    _add_circuit_flags(p_abl)
-    _add_topology_flags(p_abl)
-    _add_param_flags(p_abl)
-    for p in (p_map, p_abl):
-        p.add_argument("--ratio", type=float, default=5.0,
-                       help="inter:intra cost ratio (default 5)")
-
-    # no abbreviations here, so that --ratio is refused, not read as --ratios
-    p_sweep = sub.add_parser("sweep-ratio", help="sweep the inter:intra cost ratio",
-                             allow_abbrev=False)
-    _add_circuit_flags(p_sweep)
-    _add_topology_flags(p_sweep)
-    _add_param_flags(p_sweep)
-    p_sweep.add_argument("--ratios", default="5,4,3,2,1",
-                         help="comma list, each a number or N:1 form (default 5,4,3,2,1)")
+    for command, summary in (("map", "compile one circuit to a mapping plan"),
+                             ("ablate", "compare pipeline stages on one circuit"),
+                             ("sweep-ratio", "sweep the inter:intra cost ratio")):
+        sweep = command == "sweep-ratio"
+        # no abbreviations in sweep-ratio, so that --ratio is refused, not read as --ratios
+        p = sub.add_parser(command, help=summary, allow_abbrev=not sweep)
+        circuit = p.add_mutually_exclusive_group(required=True)
+        circuit.add_argument("--circuit", metavar="FILE", help="OpenQASM 2.0 file to map")
+        circuit.add_argument("--bench", choices=BENCHES,
+                             help="generate a benchmark instead of reading a file")
+        p.add_argument("--size", type=int, help="qubit count for --bench")
+        p.add_argument("--qaoa-layers", type=int, default=1,
+                       help="ansatz depth for --bench qaoa (default 1)")
+        topology = p.add_mutually_exclusive_group(required=True)
+        topology.add_argument("--topology", metavar="FILE", help="cluster config JSON")
+        topology.add_argument("--gen", choices=TOPOLOGY_KINDS,
+                              help="generate the interconnect instead of reading a file")
+        p.add_argument("--sizes", metavar="A,B,...",
+                       help="per-QPU capacities for --gen, comma separated")
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"top-level seed (default ${SEED_ENV} or 0)")
+        p.add_argument("--window", type=int, help="segmentation density window")
+        p.add_argument("--top-k", type=int, help="active-set size per layer")
+        p.add_argument("--theta", type=float, help="segment boundary threshold")
+        p.add_argument("--lambda", dest="decay", type=float,
+                       help="interaction graph decay rate (default 3/segments)")
+        p.add_argument("--gamma1", type=float, default=1.0)
+        p.add_argument("--gamma2", type=float, default=1.0)
+        p.add_argument("--gamma3", type=float, default=1.0)
+        p.add_argument("--iters", type=int, help="annealing iterations per segment")
+        p.add_argument("--t0", type=float, help="initial temperature (default: calibrated)")
+        p.add_argument("--cooling-rate", type=float, help="cooling rate (default 10/iters)")
+        p.add_argument("--out", metavar="FILE", help="write the report here (default stdout)")
+        if sweep:
+            p.add_argument("--ratios", default="5,4,3,2,1",
+                           help="comma list, each a number or N:1 form (default 5,4,3,2,1)")
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="report format (default csv)")
+        else:
+            p.add_argument("--ratio", type=float, default=5.0,
+                           help="inter:intra cost ratio (default 5)")
 
     p_bench = sub.add_parser("gen-bench", help="emit a benchmark circuit as OpenQASM")
-    p_bench.add_argument("--bench", choices=("qft", "qaoa", "adder"), required=True)
+    p_bench.add_argument("--bench", choices=BENCHES, required=True)
     p_bench.add_argument("--size", type=int, required=True)
     p_bench.add_argument("--qaoa-layers", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=None)
@@ -273,58 +250,26 @@ def _dispatch(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
 
     if args.command == "gen-bench":
-        circuit = _load_circuit(args, seed)
-        _emit(serialize_qasm(circuit), args.out)
+        _emit(serialize_qasm(_load_circuit(args, seed)), args.out)
         return EXIT_OK
-
-    if args.command == "gen-topology":
-        try:
-            ct = gen_topology(args.gen, _parse_sizes(args.sizes), seed)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        _emit(serialize_cluster(ct), args.out)
-        return EXIT_OK
-
-    if args.command in ("map", "ablate") and args.format == "csv":
-        raise InputError(f"{args.command} reports are JSON only; "
-                         "--format csv applies to sweep-ratio")
 
     cluster = _load_topology(args, seed)
+    if args.command == "gen-topology":
+        _emit(serialize_cluster(cluster), args.out)
+        return EXIT_OK
+
     circuit = _load_circuit(args, seed, cluster)
-    seg_params = _seg_params(args)
-    if seg_params is not None and seg_params.top_k > circuit.n_qubits:
-        raise InputError(f"--top-k {seg_params.top_k} exceeds the circuit's "
-                         f"{circuit.n_qubits} qubits")
-    ap = _anneal_params(args)
-    decay = _decay(args)
-
-    if args.command == "map":
-        report = run_map(circuit, cluster, seed=seed, seg_params=seg_params,
-                         cost_params=_cost_params(args), anneal_params=ap, decay=decay)
-        _require_finite(report)
-        _emit(render_json(report), args.out)
-        return EXIT_OK
-
-    if args.command == "ablate":
-        report = run_ablate(circuit, cluster, seed=seed, seg_params=seg_params,
-                            cost_params=_cost_params(args), anneal_params=ap,
-                            decay=decay)
-        _require_finite(report)
-        _emit(render_json(report), args.out)
-        return EXIT_OK
-
-    if args.command == "sweep-ratio":
-        rows = run_sweep_ratio(circuit, cluster, _parse_ratios(args.ratios),
-                               seed=seed, seg_params=seg_params, anneal_params=ap,
-                               cost_params=_cost_params(args), decay=decay)
-        _require_finite(rows)
-        if args.format == "json":
-            _emit(render_json({"schema_version": SCHEMA_VERSION, "rows": rows}), args.out)
-        else:
-            _emit(render_sweep_csv(rows), args.out)
-        return EXIT_OK
-
-    raise InputError(f"unknown command '{args.command}'")  # pragma: no cover
+    report = RUNNERS[args.command](circuit, cluster, seed=seed,
+                                   **_run_settings(args, circuit))
+    _require_finite(report)
+    if args.command != "sweep-ratio":
+        text = render_json(report)
+    elif args.format == "csv":
+        text = render_sweep_csv(report)
+    else:
+        text = render_json({"schema_version": SCHEMA_VERSION, "rows": report})
+    _emit(text, args.out)
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

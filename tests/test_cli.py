@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 from dqcmap import circuit, cli, harness
 from dqcmap.anneal import AnnealParams
-from dqcmap.bench import gen_adder
+from dqcmap.bench import gen_adder, gen_qft
 from dqcmap.circuit import parse_qasm
 from dqcmap.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from dqcmap.cost import CostParams
 from dqcmap.hardware import gen_topology, load_cluster, serialize_cluster
 from dqcmap.harness import render_json, run_map
+from dqcmap.segmentation import SegmentationParams
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -222,11 +223,15 @@ class TestMap:
 
     @pytest.mark.parametrize("command", ["map", "ablate"])
     def test_csv_format_rejected(self, command, capsys):
-        code, out, err = run_cli(capsys, command, "--bench", "qft", "--size", "6",
-                                 "--gen", "line", "--sizes", "4,4", "--format", "csv")
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert "--format csv" in err
+        # map and ablate report JSON only and take no --format, not even json
+        for fmt in ("csv", "json"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--bench", "qft", "--size", "6",
+                      "--gen", "line", "--sizes", "4,4", "--format", fmt])
+            assert exc.value.code == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --format" in captured.err
 
     @pytest.mark.parametrize("command", ["map", "ablate", "sweep-ratio"])
     def test_top_k_above_qubit_count_rejected(self, command, capsys):
@@ -425,6 +430,62 @@ class TestAblateAndSweep:
                                "--ratios", ratios)
         assert code == EXIT_INPUT
         assert "finite" in err
+
+
+# every shared parameter flag, each away from its default
+SHARED_FLAGS = ("--window", "2", "--top-k", "3", "--theta", "0.4", "--lambda", "0.7",
+                "--gamma1", "1.5", "--gamma2", "0.5", "--gamma3", "2",
+                "--iters", "40", "--t0", "0.8", "--cooling-rate", "0.2", "--seed", "4")
+SHARED_SETTINGS = dict(seed=4, seg_params=SegmentationParams(window=2, top_k=3, threshold=0.4),
+                       anneal_params=AnnealParams(t0=0.8, cooling_rate=0.2,
+                                                  iters_per_segment=40),
+                       decay=0.7)
+SHARED_COSTS = CostParams(gamma1=1.5, gamma2=0.5, gamma3=2.0)
+
+
+class TestCommandPath:
+    """map, ablate and sweep-ratio read their flags through one path."""
+
+    @pytest.mark.parametrize("command,extra", [
+        ("map", ("--ratio", "3")),
+        ("ablate", ("--ratio", "3")),
+        ("sweep-ratio", ("--ratios", "4,3:2")),
+        ("sweep-ratio", ("--ratios", "4,3:2", "--format", "json")),
+    ], ids=["map", "ablate", "sweep-csv", "sweep-json"])
+    def test_every_shared_flag_reaches_the_runner(self, command, extra, capsys):
+        code, out, err = run_cli(capsys, command, "--bench", "qft", "--size", "10",
+                                 "--gen", "ring", "--sizes", "4,4,4", *SHARED_FLAGS, *extra)
+        assert code == EXIT_OK, err
+        # the generated topology takes the top-level seed
+        instance = (gen_qft(10), gen_topology("ring", [4, 4, 4], 4))
+        if command == "sweep-ratio":
+            rows = harness.run_sweep_ratio(*instance, [4.0, 1.5], cost_params=SHARED_COSTS,
+                                           **SHARED_SETTINGS)
+            want = (render_json({"schema_version": harness.SCHEMA_VERSION, "rows": rows})
+                    if "json" in extra else harness.render_sweep_csv(rows))
+        else:
+            runner = run_map if command == "map" else harness.run_ablate
+            want = render_json(runner(*instance, cost_params=SHARED_COSTS.with_ratio(3.0),
+                                      **SHARED_SETTINGS))
+        assert out == want
+
+    @pytest.mark.parametrize("argv", [
+        ("map", "--bench", "qft", "--size", "6", "--gen", "line", "--sizes", "4,4",
+         "--iters", "20"),
+        ("ablate", "--bench", "qft", "--size", "6", "--gen", "line", "--sizes", "4,4",
+         "--iters", "20"),
+        ("sweep-ratio", "--bench", "qft", "--size", "6", "--gen", "line", "--sizes", "4,4",
+         "--iters", "20", "--ratios", "2"),
+        ("gen-bench", "--bench", "qft", "--size", "4"),
+        ("gen-topology", "--gen", "line", "--sizes", "4,4"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_is_input_error(self, argv, where, tmp_path, capsys):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == ""
+        assert "cannot write" in err and "Traceback" not in err
 
 
 FUZZ_QASM = """OPENQASM 2.0;
